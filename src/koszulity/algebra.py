@@ -16,7 +16,7 @@ counts pairs (i in M, j in N) with i > j.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -37,8 +37,10 @@ _MISSING = object()
 class AlgebraContext:
     """Fixed bases and structure constants for one graph and one prime.
 
-    Immutable after construction; the product cache fills lazily but
-    idempotently, so instances may be shared between threads in CPython.
+    The maps "multiply by generator g from degree n to n+1" are built once,
+    at construction.  Immutable after construction; the product cache fills
+    lazily but idempotently, so instances may be shared between threads in
+    CPython.
     """
 
     def __init__(self, graph: Graph, p: int):
@@ -52,6 +54,12 @@ class AlgebraContext:
             {m: i for i, m in enumerate(basis)} for basis in self.bases
         )
         self.dims = tuple(len(basis) for basis in self.bases)
+        # gen_maps[n][g][i]: a_g times basis monomial i of degree n < D, as
+        # a sparse vector of degree n+1 (no entry, or one (index, sign))
+        self.gen_maps = tuple(
+            tuple(_generator_map(self, g, n) for g in range(self.dim(1)))
+            for n in range(self.D)
+        )
         self._products: dict = {}
         self._ideal_cache: dict = {}      # used by the ideals module
         self._monomial_cache: dict = {}   # used by the ideals module
@@ -80,6 +88,19 @@ class AlgebraContext:
                     out = (-1 if inv & 1 else 1, idx)
         self._products[key] = out
         return out
+
+
+def _generator_map(ctx: AlgebraContext, g: int, n: int) -> tuple:
+    up = ctx.index[n + 1]
+    images = []
+    for mono in ctx.bases[n]:
+        # a_g moves past the pos generators of mono below g
+        pos = bisect_left(mono, g)
+        k = None
+        if pos == n or mono[pos] != g:
+            k = up.get(mono[:pos] + (g,) + mono[pos:])
+        images.append(() if k is None else ((k, -1 if pos & 1 else 1),))
+    return tuple(images)
 
 
 def _merge_count(m: Monomial, other: Monomial):

@@ -21,6 +21,7 @@ import sys
 import time
 
 from . import __version__
+from .algebra import build_algebra, element_string, monomial_string
 from .errors import InputError, ResourceLimitError
 from .graphs import (
     ConeNode,
@@ -29,24 +30,31 @@ from .graphs import (
     LeafNode,
     build_graph,
     canonical_form,
+    diagonal_violation,
     nonisomorphic_graphs,
     parse_edge_list,
     parse_graph6,
 )
-from .algebra import element_string, monomial_string
 from .koszul import KoszulReport, NonUKWitness, classify, non_universal_witness
-from .algebra import build_algebra
-from .graphs import diagonal_violation
 
 CENSUS_MAX_VERTICES = 7
 
 
-def _load_graph(path: str, fmt: str) -> Graph:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{path} is not ASCII text: byte {exc.object[exc.start]:#04x} "
+            f"at offset {exc.start}"
+        )
+
+
+def _load_graph(path: str, fmt: str) -> Graph:
+    text = _read_text(path)
     if fmt == "graph6":
         for line in text.splitlines():
             if line.strip():
@@ -194,12 +202,7 @@ def _census_workers() -> int:
 def cmd_census(args) -> int:
     if args.input is not None:
         classes: dict[str, Graph] = {}
-        try:
-            with open(args.input, "r", encoding="ascii") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            raise InputError(f"cannot read {args.input}: {exc}")
-        for line in lines:
+        for line in _read_text(args.input).splitlines():
             if line.strip():
                 g = parse_graph6(line)
                 classes.setdefault(canonical_form(g), g)

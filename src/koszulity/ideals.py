@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraContext, Element, from_coeffs, unit
 from .errors import InputError
-from .gfp import RowSpace, full_space, kernel, rref, zero_space
+from .gfp import (
+    RowSpace,
+    coordinate_space,
+    full_space,
+    image_kernel,
+    span,
+    zero_space,
+)
 
 
 @dataclass(frozen=True)
@@ -50,17 +57,9 @@ def unit_ideal(ctx: AlgebraContext) -> GradedIdeal:
 
 
 def _lmul_vector(ctx: AlgebraContext, gen: int, n: int, vec) -> list:
-    """Coefficient vector of a_gen times the degree-n vector vec."""
-    p = ctx.p
-    out = [0] * ctx.dim(n + 1)
-    prod = ctx.basis_product
-    for j, c in enumerate(vec):
-        if c:
-            hit = prod(1, gen, n, j)
-            if hit is not None:
-                sign, k = hit
-                out[k] = (out[k] + sign * c) % p
-    return out
+    """a_gen times the sparse degree-n vector vec, as a sparse vector."""
+    image = ctx.gen_maps[n][gen]
+    return [(k, sign * c) for j, c in vec for k, sign in image[j]]
 
 
 def ideal_from_degree_one(ctx: AlgebraContext, u: RowSpace) -> GradedIdeal:
@@ -68,19 +67,20 @@ def ideal_from_degree_one(ctx: AlgebraContext, u: RowSpace) -> GradedIdeal:
     spanned by the generator multiples of piece n."""
     if u.p != ctx.p or u.ambient_dim != ctx.dim(1):
         raise InputError("degree-one subspace does not match the algebra")
-    cached = ctx._ideal_cache.get(u.rows)
+    cached = ctx._ideal_cache.get(u)
     if cached is not None:
         return cached
     d = ctx.dim(1)
     pieces = [zero_space(ctx.p, 1), u]
     for n in range(1, ctx.D):
-        rows = []
-        for vec in pieces[n].rows:
-            for gen in range(d):
-                rows.append(_lmul_vector(ctx, gen, n, vec))
-        pieces.append(rref(rows, ctx.p, ctx.dim(n + 1)))
+        images = [
+            _lmul_vector(ctx, gen, n, vec)
+            for vec in pieces[n].sparse_rows()
+            for gen in range(d)
+        ]
+        pieces.append(span(ctx.p, ctx.dim(n + 1), images))
     out = GradedIdeal(ctx, tuple(pieces))
-    ctx._ideal_cache[u.rows] = out
+    ctx._ideal_cache[u] = out
     return out
 
 
@@ -96,12 +96,8 @@ def monomial_ideal_basis(ctx: AlgebraContext, s) -> GradedIdeal:
         return cached
     pieces = [zero_space(ctx.p, 1)]
     for n in range(1, ctx.D + 1):
-        dim = ctx.dim(n)
-        rows = []
-        for idx, mono in enumerate(ctx.basis(n)):
-            if support.intersection(mono):
-                rows.append(tuple(1 if j == idx else 0 for j in range(dim)))
-        pieces.append(RowSpace(ctx.p, dim, tuple(rows)))
+        meets = [i for i, mono in enumerate(ctx.basis(n)) if support.intersection(mono)]
+        pieces.append(coordinate_space(ctx.p, ctx.dim(n), meets))
     out = GradedIdeal(ctx, tuple(pieces))
     ctx._monomial_cache[support] = out
     return out
@@ -110,40 +106,32 @@ def monomial_ideal_basis(ctx: AlgebraContext, s) -> GradedIdeal:
 def colon_ideal(ctx: AlgebraContext, ideal: GradedIdeal, b: Element) -> GradedIdeal:
     """The colon ideal ideal : (b) for a degree-one divisor b.
 
-    Degree-n piece: kernel of x -> x*b into A_{n+1}/I_{n+1}; the quotient is
-    realized by eliminating against the RREF of I_{n+1} and keeping the
-    non-pivot coordinates.  A single condition suffices because the algebra
-    is graded-commutative and I is an ideal.  When b lies in I_1 the colon
-    is the unit ideal.
+    Degree-n piece: kernel of x -> x*b into A_{n+1}/I_{n+1}, built from the
+    generator multiplication maps of the context.  A single condition
+    suffices because the algebra is graded-commutative and I is an ideal.
+    When b lies in I_1 the colon is the unit ideal.
     """
     if b.ctx is not ctx or ideal.ctx is not ctx:
         raise InputError("ideal, divisor, and context must match")
     if b.degree != 1:
         raise InputError(f"divisor must have degree 1, got {b.degree}")
-    if ideal.piece(1).member(b.coeffs):
+    bsupp = [(g, c) for g, c in enumerate(b.coeffs) if c]
+    if ideal.piece(1).member_sparse(bsupp):
         return unit_ideal(ctx)
     p = ctx.p
-    bsupp = [(g, c) for g, c in enumerate(b.coeffs) if c]
     pieces = [zero_space(p, 1)]
-    for n in range(1, ctx.D + 1):
-        dim_n = ctx.dim(n)
-        if n == ctx.D:
-            pieces.append(full_space(p, dim_n))
-            continue
-        target = ideal.piece(n + 1)
-        keep = [c for c in range(ctx.dim(n + 1)) if c not in set(target.pivots)]
-        prod = ctx.basis_product
-        matrix = []
-        for m_idx in range(dim_n):
-            img = [0] * ctx.dim(n + 1)
-            for gen, c in bsupp:
-                hit = prod(1, gen, n, m_idx)
-                if hit is not None:
-                    sign, k = hit
-                    img[k] = (img[k] + sign * c) % p
-            red = target.reduce(img)
-            matrix.append([red[c] for c in keep])
-        pieces.append(kernel(matrix, p, dim_n, len(keep)))
+    for n in range(1, ctx.D):
+        maps = ctx.gen_maps[n]
+        if len(bsupp) == 1:
+            # b = c*a_g: scaling every image by c != 0 keeps the kernel
+            images = maps[bsupp[0][0]]
+        else:
+            images = [
+                [(k, sign * c) for g, c in bsupp for k, sign in maps[g][m]]
+                for m in range(ctx.dim(n))
+            ]
+        pieces.append(image_kernel(p, ctx.dim(n), images, ideal.piece(n + 1)))
+    pieces.append(full_space(p, ctx.dim(ctx.D)))
     return GradedIdeal(ctx, tuple(pieces))
 
 

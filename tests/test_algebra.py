@@ -65,6 +65,20 @@ def test_basis_is_sorted_cliques():
     assert ctx.basis(3) == ((0, 1, 2), (0, 2, 3))
 
 
+def test_generator_maps_agree_with_basis_product():
+    graphs = [g for n in range(1, 5) for g in nonisomorphic_graphs(n)]
+    for g in graphs + [complete(6), cone_over_path()]:
+        ctx = build_algebra(g, 3)
+        assert len(ctx.gen_maps) == ctx.D
+        for n in range(ctx.D):
+            for gen in range(ctx.dim(1)):
+                images = ctx.gen_maps[n][gen]
+                assert len(images) == ctx.dim(n)
+                for i, image in enumerate(images):
+                    hit = ctx.basis_product(1, gen, n, i)
+                    assert image == (() if hit is None else ((hit[1], hit[0]),))
+
+
 def test_multiply_vanishing_cases():
     ctx = build_algebra(square4(), 2)
     a1, a3 = generator(ctx, 1), generator(ctx, 3)

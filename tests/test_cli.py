@@ -237,3 +237,30 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out.strip()
     assert out and all(part.isdigit() for part in out.split("."))
+
+
+def write_non_ascii(tmp_path, text):
+    path = tmp_path / "accent.txt"
+    path.write_bytes(text.encode("utf-8"))
+    return str(path)
+
+
+def test_analyze_non_ascii_input(capsys, tmp_path):
+    path = write_non_ascii(tmp_path, "4\n0 1 # café\n")
+    code, out, err = run(capsys, "analyze", "-i", path)
+    assert code == 2 and out == ""
+    assert "not ASCII" in err and "0xc3" in err
+
+
+def test_witness_non_ascii_input(capsys, tmp_path):
+    path = write_non_ascii(tmp_path, SQUARE + "é\n")
+    code, out, err = run(capsys, "witness", "-i", path)
+    assert code == 2 and out == ""
+    assert "not ASCII" in err
+
+
+def test_census_non_ascii_input(capsys, tmp_path):
+    path = write_non_ascii(tmp_path, to_graph6(square4()) + "\né\n")
+    code, out, err = run(capsys, "census", "--in", path)
+    assert code == 2 and out == ""
+    assert "not ASCII" in err

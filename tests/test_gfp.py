@@ -8,14 +8,21 @@ from koszulity.errors import InputError, ResourceLimitError
 from koszulity.gfp import (
     Prime,
     RowSpace,
+    _dense_pivots,
+    _eliminate,
+    _kernel_dense,
+    _reduce_dense,
     contains,
+    coordinate_space,
     enumerate_coset_reps_mod_scalar,
     enumerate_subspaces,
     enumerate_vectors_mod_scalar,
     full_space,
+    image_kernel,
     kernel,
     member,
     rref,
+    span,
     subspace_sum,
     zero_space,
 )
@@ -234,3 +241,106 @@ def test_rowspace_equality_is_span_equality():
     s2 = rref([(1, 0, 1), (0, 1, 1)], 2)  # same span, different spanning set
     assert s1 == s2
     assert isinstance(s1, RowSpace)
+
+
+# -- the packed p = 2 route against the dense reference run at p = 2 ----------
+
+
+def dense_rref(rows, width):
+    return tuple(_eliminate([[x % 2 for x in r] for r in rows], width, 2))
+
+
+def dense_reduce(ref_rows, vec):
+    v = [x % 2 for x in vec]
+    return tuple(_reduce_dense(ref_rows, _dense_pivots(ref_rows), v, 2))
+
+
+def sparse(vec):
+    return [(j, x) for j, x in enumerate(vec) if x]
+
+
+# Widths run past 64, the size of one machine word (dim A_4 of K8 is 70).
+# Rows are sums of a few random base rows, so that dependent rows and
+# nonzero kernels are common.
+f2_cases = st.tuples(
+    st.integers(1, 80), st.integers(0, 14), st.randoms(use_true_random=False)
+)
+
+
+def f2_matrix(width, nrows, rng):
+    base = [[rng.randrange(2) for _ in range(width)] for _ in range(rng.randint(1, 6))]
+    rows = []
+    for _ in range(nrows):
+        row = [0] * width
+        for b in base:
+            if rng.randrange(2):
+                row = [x ^ y for x, y in zip(row, b)]
+        rows.append(row)
+    return rows
+
+
+@given(f2_cases)
+@settings(max_examples=150, deadline=None)
+def test_packed_f2_matches_dense_reference(case):
+    width, nrows, rng = case
+    rows = f2_matrix(width, nrows, rng)
+    ref = dense_rref(rows, width)
+    s = rref(rows, 2, width)
+    assert s.rows == ref and s.rank == len(ref)
+    assert s.pivots == _dense_pivots(ref)
+    assert span(2, width, [sparse(r) for r in rows]) == s
+    # equality and hash agree between trusted rows and elimination
+    trusted = RowSpace(2, width, ref)
+    assert trusted == s and hash(trusted) == hash(s)
+    assert RowSpace(2, width, s.rows) == s
+    # members (rows and sums of two rows) and, mostly, non-members
+    probes = rows[:3] + [[x ^ y for x, y in zip(a, b)] for a, b in zip(rows, rows[1:4])]
+    probes += f2_matrix(width, 4, rng)
+    for v in probes:
+        assert s.reduce(v) == dense_reduce(ref, v)
+        assert s.member(v) == (not any(dense_reduce(ref, v)))
+        assert s.member_sparse(sparse(v)) == s.member(v)
+    if rows:
+        k = kernel(rows, 2)
+        assert k.rows == tuple(_kernel_dense(rows, len(rows), width, 2))
+        assert k.rank + s.rank == len(rows)
+
+
+@given(f2_cases, st.integers(0, 7))
+@settings(max_examples=100, deadline=None)
+def test_packed_image_kernel_matches_dense_quotient(case, nmod):
+    width, nrows, rng = case
+    images = f2_matrix(width, nrows, rng)
+    target = rref(f2_matrix(width, nmod, rng), 2, width)
+    got = image_kernel(2, nrows, [sparse(v) for v in images], target)
+    # reference: reduce against the target, keep its non-pivot columns
+    ref_rows = tuple(tuple(r) for r in target.rows)
+    keep = [c for c in range(width) if c not in set(target.pivots)]
+    matrix = [[dense_reduce(ref_rows, v)[c] for c in keep] for v in images]
+    assert got.rows == tuple(_kernel_dense(matrix, nrows, len(keep), 2))
+    for x in got.rows:
+        image = [sum(x[i] * images[i][j] for i in range(nrows)) % 2 for j in range(width)]
+        assert target.member(image)
+
+
+def test_sparse_interface_at_odd_p():
+    s = span(3, 4, [[(0, 1), (2, 2)], [(1, 1), (1, 1)], [(0, 2), (2, 1)]])
+    assert s == rref([(1, 0, 2, 0), (0, 2, 0, 0)], 3)
+    assert s.sparse_rows() == (((0, 1), (2, 2)), ((1, 1),))
+    assert s.member_sparse([(0, 2), (2, 1)]) and not s.member_sparse([(3, 1)])
+    assert coordinate_space(3, 4, [2, 0, 2]).rows == ((1, 0, 0, 0), (0, 0, 1, 0))
+    # x -> (x0 + x1) e_0 modulo span(e_0) is zero, modulo nothing it is not
+    assert image_kernel(3, 2, [[(0, 1)], [(0, 1)]], zero_space(3, 1)).rows == ((1, 2),)
+    assert image_kernel(3, 2, [[(0, 1)], [(0, 1)]], full_space(3, 1)).rank == 2
+
+
+def test_rowspace_is_immutable_and_picklable():
+    import copy
+    import pickle
+
+    for p in (2, 3):
+        s = rref([(1, 1, 0), (0, 1, 1)], p)
+        with pytest.raises(AttributeError):
+            s.p = 5
+        assert pickle.loads(pickle.dumps(s)) == s
+        assert copy.deepcopy(s) == s

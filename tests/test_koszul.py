@@ -20,6 +20,7 @@ from koszulity.graphs import (
 )
 from koszulity.ideals import (
     annihilator,
+    colon_ideal,
     element_in_ideal,
     ideal_from_degree_one,
     monomial_ideal_basis,
@@ -74,6 +75,27 @@ def test_strong_check_passes_on_small_classes():
         for n in range(1, 5):
             for g in nonisomorphic_graphs(n):
                 assert strong_koszul_check(build_algebra(g, p)).passed
+
+
+def test_strong_check_independent_of_characteristic():
+    # Monomial colons do not depend on p, so the packed F_2 route and the
+    # dense odd-p route must produce the same coordinate subspaces.
+    for n in range(1, 6):
+        for g in nonisomorphic_graphs(n):
+            ctx2, ctx3 = build_algebra(g, 2), build_algebra(g, 3)
+            r2, r3 = strong_koszul_check(ctx2), strong_koszul_check(ctx3)
+            assert (r2.passed, r2.pairs_checked) == (r3.passed, r3.pairs_checked)
+            for r in range(n):
+                for prefix in itertools.combinations(range(n), r):
+                    i2 = monomial_ideal_basis(ctx2, prefix)
+                    i3 = monomial_ideal_basis(ctx3, prefix)
+                    for u in set(range(n)) - set(prefix):
+                        c2 = colon_ideal(ctx2, i2, generator(ctx2, u))
+                        c3 = colon_ideal(ctx3, i3, generator(ctx3, u))
+                        assert [s.pivots for s in c2.pieces] == [
+                            s.pivots for s in c3.pieces
+                        ]
+                        assert [s.rows for s in c2.pieces] == [s.rows for s in c3.pieces]
 
 
 def test_fast_verdicts():
