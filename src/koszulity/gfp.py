@@ -26,6 +26,10 @@ interface, which works for every p and converts straight into the native
 form: coordinate_space, span, image_kernel, RowSpace.sparse_rows and
 RowSpace.member_sparse.
 
+The package needs only the standard library.  A vectorised route for odd
+p that uses numpy must import it inside that route, so that importing the
+package, and every p = 2 computation, still loads no numpy.
+
 Every value is immutable after construction and safe to share between
 threads.  Enumeration helpers are generators with a documented
 deterministic order and refuse to start when p**d exceeds 2**20.

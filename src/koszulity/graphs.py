@@ -15,8 +15,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from .errors import InputError, ResourceLimitError
 
 CANONICAL_MAX_VERTICES = 8
@@ -373,42 +371,73 @@ def cone(g: Graph) -> Graph:
     return build_graph(g.n + 1, edges)
 
 
-@lru_cache(maxsize=None)
-def _perm_tables(n: int):
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    pi = np.array([a for a, _ in pairs], dtype=np.int64)
-    pj = np.array([b for _, b in pairs], dtype=np.int64)
-    m = len(pairs)
-    weights = (1 << np.arange(m - 1, -1, -1)).astype(np.int64)
-    return perms, pi, pj, weights
-
-
 def canonical_graph(g: Graph) -> Graph:
     """Isomorphic copy with the lexicographically minimal adjacency bits
-    (upper triangle in graph6 column order) over all vertex permutations."""
-    if g.n > CANONICAL_MAX_VERTICES:
+    (upper triangle in graph6 column order) over all vertex permutations.
+
+    Placing vertex v at position j of a vertex order fixes column j of the
+    bit string: v's bits to the vertices placed before it, the first placed
+    most significant.  The search goes level by level and keeps only the
+    partial orders whose columns equal the least ones; a larger column
+    never leads to the minimum.  It skips v when a smaller unplaced twin u
+    exists (N(u) - {v} == N(v) - {u}), since the automorphism (u v) fixes
+    the placed vertices, and it merges partial orders that give every
+    unplaced vertex the same column so far, since later columns depend on
+    nothing else.  The result equals the n! minimum bit for bit.
+    """
+    n = g.n
+    if n > CANONICAL_MAX_VERTICES:
         raise ResourceLimitError(
-            f"canonical form refused for n={g.n} > {CANONICAL_MAX_VERTICES} "
-            "(factorial permutation search)"
+            f"canonical form refused for n={n} > {CANONICAL_MAX_VERTICES} "
+            "(vertex-order search, exponential in the worst case)"
         )
-    if g.n <= 1 or not g.edges:
-        return build_graph(g.n, [])
-    a = np.zeros((g.n, g.n), dtype=bool)
+    if n <= 1 or not g.edges:
+        return build_graph(n, [])
+    # A state packs one n-bit field per vertex: for an unplaced vertex, a
+    # marker bit above its column so far (bits to the placed vertices, in
+    # placement order); for a placed vertex, zero.  At level j every marker
+    # sits at bit j, so fields compare as columns do, and placing v is one
+    # shift plus the bits of v's neighbours.  Each state maps to the set of
+    # its unplaced vertices, one bit at the bottom of each of their fields,
+    # which is also how neighbourhoods are held.
+    field = (1 << n) - 1
+    shift = range(0, n * n, n)
+    unit = [1 << s for s in shift]
+    spread = [0] * n
     for u, v in g.edges:
-        a[u, v] = a[v, u] = True
-    perms, pi, pj, weights = _perm_tables(g.n)
-    bits = a[perms[:, pi], perms[:, pj]]
-    best = int((bits.astype(np.int64) @ weights).min())
-    m = len(pi)
-    edges = []
-    k = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            if (best >> (m - 1 - k)) & 1:
-                edges.append((i, j))
-            k += 1
-    return build_graph(g.n, edges)
+        spread[u] |= unit[v]
+        spread[v] |= unit[u]
+    smaller_twins = [0] * n
+    for v in range(n):
+        for u in range(v):
+            if spread[u] & ~unit[v] == spread[v] & ~unit[u]:
+                smaller_twins[v] |= unit[u]
+    verts = list(zip(shift, unit, spread, smaller_twins))
+    start = sum(unit)
+    states = {start: start}
+    columns = []
+    for j in range(n):
+        best = field + 1
+        nxt = {}
+        for codes, unplaced in states.items():
+            for s, bit, nb, twins in verts:
+                col = codes >> s & field
+                if not col or col > best or twins & unplaced:
+                    continue
+                if col < best:
+                    best = col
+                    nxt = {}
+                rest = unplaced ^ bit
+                nxt[(codes ^ col << s) << 1 | nb & rest] = rest
+        states = nxt
+        columns.append(best ^ 1 << j)
+    edges = [
+        (i, j)
+        for j, col in enumerate(columns)
+        for i in range(j)
+        if col >> (j - 1 - i) & 1
+    ]
+    return build_graph(n, edges)
 
 
 def canonical_form(g: Graph) -> str:

@@ -175,6 +175,10 @@ def non_universal_witness(ctx: AlgebraContext) -> NonUKWitness:
         raise InputError(
             "graph has the diagonal property: no universal-Koszulity witness exists"
         )
+    return _certify_witness(ctx, w)
+
+
+def _certify_witness(ctx: AlgebraContext, w: DiagonalViolation) -> NonUKWitness:
     d = ctx.dim(1)
     b = from_coeffs(
         ctx, 1, tuple(1 if j in (w.v1, w.v4) else 0 for j in range(d))
@@ -245,7 +249,7 @@ def classify(
         ideals, divisors = result.ideals_enumerated, result.divisors_checked
     else:
         brute_verdict, failure, ideals, divisors = None, None, 0, 0
-    witness = None if fast else non_universal_witness(ctx)
+    witness = None if fast else _certify_witness(ctx, decomposition)
     return KoszulReport(
         graph=g,
         p=int(ctx.p),

@@ -1,4 +1,7 @@
-"""Shared graph constructors and the acceptance-summary hook."""
+"""Shared graph constructors, the brute-force canonical form, and the
+acceptance-summary hook."""
+
+import itertools
 
 from koszulity import build_graph, parse_edge_list
 
@@ -44,3 +47,21 @@ def complete(n: int):
 def five_vertex_cone_like():
     # five vertices, induced square on 1-2-4-3, vertex 0 adjacent to 1 and 4
     return build_graph(5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 4), (3, 4)])
+
+
+def relabel(g, perm):
+    # vertex v of g becomes vertex perm[v]
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def lexmin_by_permutations(g):
+    """Reference canonical form: over all n! vertex orders, the minimal
+    upper-triangle bit string in graph6 column order (pair (i, j), i < j,
+    ordered by j then i), rebuilt as a graph."""
+    adj = g.adj
+    pairs = [(i, j) for j in range(1, g.n) for i in range(j)]
+    best = min(
+        tuple(p[j] in adj[p[i]] for i, j in pairs)
+        for p in itertools.permutations(range(g.n))
+    )
+    return build_graph(g.n, [e for e, bit in zip(pairs, best) if bit])

@@ -1,8 +1,18 @@
 import itertools
+import random
 
 import pytest
 
-from conftest import complete, cone_over_path, five_vertex_cone_like, path4, square4, star
+from conftest import (
+    complete,
+    cone_over_path,
+    five_vertex_cone_like,
+    lexmin_by_permutations,
+    path4,
+    relabel,
+    square4,
+    star,
+)
 from koszulity.errors import InputError, ResourceLimitError
 from koszulity.graphs import (
     ConeNode,
@@ -213,7 +223,77 @@ def test_canonical_form_guard():
         canonical_form(build_graph(9, []))
 
 
+def complete_multipartite(*parts):
+    part = [k for k, size in enumerate(parts) for _ in range(size)]
+    return build_graph(len(part), [
+        (u, v) for u, v in itertools.combinations(range(len(part)), 2)
+        if part[u] != part[v]
+    ])
+
+
+def cycle(n):
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complement(g):
+    return build_graph(g.n, [
+        (u, v) for u, v in itertools.combinations(range(g.n), 2)
+        if not g.has_edge(u, v)
+    ])
+
+
+def test_canonical_graph_matches_permutation_search_on_labeled_graphs():
+    for n in range(6):
+        for g in all_labeled_graphs(n):
+            assert canonical_graph(g) == lexmin_by_permutations(g)
+
+
+def test_canonical_graph_matches_permutation_search_on_relabeled_classes():
+    rng = random.Random(20140101)
+    sample = nonisomorphic_graphs(6)[::8] + nonisomorphic_graphs(7)[::60]
+    for g in sample:
+        h = relabel(g, rng.sample(range(g.n), g.n))
+        assert canonical_graph(h) == lexmin_by_permutations(h)
+
+
+def test_canonical_graph_matches_permutation_search_on_named_graphs():
+    cube = build_graph(8, [
+        (u, v) for u, v in itertools.combinations(range(8), 2)
+        if bin(u ^ v).count("1") == 1
+    ])
+    moebius = build_graph(8, [(i, (i + 1) % 8) for i in range(8)]
+                          + [(i, i + 4) for i in range(4)])
+    # twin classes cover every vertex
+    twin_heavy = [
+        complete(7), complete(8), build_graph(8, []), star(6), star(7),
+        complete_multipartite(2, 2, 3), complete_multipartite(1, 3, 4),
+        complete_multipartite(4, 4),
+    ]
+    # vertex-transitive and free of twins, alone and complemented
+    symmetric = [cycle(7), cycle(8), cube, moebius]
+    symmetric += [complement(g) for g in symmetric]
+    rng = random.Random(1998)
+    for g in twin_heavy + symmetric:
+        h = relabel(g, rng.sample(range(g.n), g.n))
+        assert canonical_graph(h) == lexmin_by_permutations(h)
+
+
+def test_canonical_graph_invariant_and_idempotent_on_eight_vertices():
+    rng = random.Random(8)
+    pairs = list(itertools.combinations(range(8), 2))
+    for _ in range(60):
+        density = rng.random()
+        g = build_graph(8, [e for e in pairs if rng.random() < density])
+        c = canonical_graph(g)
+        assert canonical_graph(c) == c
+        for _ in range(2):
+            assert canonical_graph(relabel(g, rng.sample(range(8), 8))) == c
+
+
 def test_class_counts():
-    assert [len(nonisomorphic_graphs(n)) for n in range(1, 6)] == [1, 2, 4, 11, 34]
+    # OEIS A000088
+    assert [len(nonisomorphic_graphs(n)) for n in range(1, 8)] == [
+        1, 2, 4, 11, 34, 156, 1044
+    ]
     with pytest.raises(InputError):
         nonisomorphic_graphs(0)

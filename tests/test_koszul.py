@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from conftest import complete, cone_over_path, five_vertex_cone_like, path4, square4, star
+from koszulity import graphs, koszul
 from koszulity.algebra import (
     build_algebra,
     element_string,
@@ -193,6 +194,30 @@ def test_witness_certificate_is_exact():
                 regen = ideal_from_degree_one(ctx, ann.piece(1))
                 assert element_in_ideal(culprit, ann)
                 assert not element_in_ideal(culprit, regen)
+
+
+def test_classify_scans_for_a_violation_once_and_keeps_the_witness(monkeypatch):
+    calls = []
+    original = graphs.diagonal_violation
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graphs, "diagonal_violation", counted)
+    monkeypatch.setattr(koszul, "diagonal_violation", counted)
+    for n in (4, 5):
+        for g in nonisomorphic_graphs(n):
+            if original(g) is None:
+                continue
+            expected = non_universal_witness(build_algebra(g, 2))
+            calls.clear()
+            w = classify(g, p=2, brute="off").witness
+            assert len(calls) == 1
+            assert (w.violation, w.b.coeffs, w.culprit) == (
+                expected.violation, expected.b.coeffs, expected.culprit
+            )
+            assert w.culprit_annihilated and w.culprit_outside_degree_one_part
 
 
 def test_witness_requires_violation():
