@@ -5,52 +5,30 @@ graph over a prime field F_p, computes graded ideals, colon ideals, and
 annihilators exactly, and decides strong Koszulity, universal Koszulity,
 and the PBW property.  Closed-form graph criteria are cross-validated
 against brute-force linear-algebra enumerations throughout.
+
+The root package re-exports the entry points below; every other name is
+imported from its module (gfp, graphs, algebra, ideals, koszul, cli).
 """
 
 __version__ = "0.1.0"
 
-from .algebra import (
-    AlgebraContext,
-    Element,
-    build_algebra,
-    hilbert_series,
-    koszul_numerical_check,
-    multiply,
-    normal_form,
-    pbw_check,
-    product_law_checks,
-)
+from .algebra import build_algebra
 from .errors import InputError, ResourceLimitError
-from .gfp import Prime, RowSpace, kernel, rref
 from .graphs import (
-    DiagonalViolation,
-    Graph,
     build_graph,
     canonical_form,
-    clique_number,
-    cone,
     diagonal_violation,
-    disjoint_union,
     elementary_type_decomposition,
-    enumerate_cliques,
-    has_diagonal_property,
     nonisomorphic_graphs,
     parse_edge_list,
-    parse_graph6,
-    to_graph6,
 )
 from .ideals import (
-    GradedIdeal,
     annihilator,
     colon_ideal,
-    element_in_ideal,
     ideal_from_degree_one,
-    is_one_generated,
     monomial_ideal_basis,
 )
 from .koszul import (
-    KoszulReport,
-    NonUKWitness,
     classify,
     non_universal_witness,
     strong_koszul_check,
@@ -59,48 +37,22 @@ from .koszul import (
 )
 
 __all__ = [
-    "AlgebraContext",
-    "DiagonalViolation",
-    "Element",
-    "GradedIdeal",
-    "Graph",
     "InputError",
-    "KoszulReport",
-    "NonUKWitness",
-    "Prime",
     "ResourceLimitError",
-    "RowSpace",
     "annihilator",
     "build_algebra",
     "build_graph",
     "canonical_form",
     "classify",
-    "clique_number",
     "colon_ideal",
-    "cone",
     "diagonal_violation",
-    "disjoint_union",
-    "element_in_ideal",
     "elementary_type_decomposition",
-    "enumerate_cliques",
-    "has_diagonal_property",
-    "hilbert_series",
     "ideal_from_degree_one",
-    "is_one_generated",
-    "kernel",
-    "koszul_numerical_check",
     "monomial_ideal_basis",
-    "multiply",
     "non_universal_witness",
     "nonisomorphic_graphs",
-    "normal_form",
     "parse_edge_list",
-    "parse_graph6",
-    "pbw_check",
-    "product_law_checks",
-    "rref",
     "strong_koszul_check",
-    "to_graph6",
     "universal_koszul_bruteforce",
     "universal_koszul_fast",
 ]

@@ -21,26 +21,18 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .gfp import Prime, rref
-from .graphs import (
-    Graph,
-    clique_number,
-    cone,
-    disjoint_union,
-    enumerate_cliques,
-)
+from .graphs import Graph, clique_number, enumerate_cliques
 
 Monomial = tuple  # strictly increasing vertex indices; () is the unit
-
-_MISSING = object()
 
 
 class AlgebraContext:
     """Fixed bases and structure constants for one graph and one prime.
 
     The maps "multiply by generator g from degree n to n+1" are built once,
-    at construction.  Immutable after construction; the product cache fills
-    lazily but idempotently, so instances may be shared between threads in
-    CPython.
+    at construction.  Only the ideals module's caches change afterwards,
+    and they fill idempotently, so instances may be shared between threads
+    in CPython.
     """
 
     def __init__(self, graph: Graph, p: int):
@@ -60,7 +52,6 @@ class AlgebraContext:
             tuple(_generator_map(self, g, n) for g in range(self.dim(1)))
             for n in range(self.D)
         )
-        self._products: dict = {}
         self._ideal_cache: dict = {}      # used by the ideals module
         self._monomial_cache: dict = {}   # used by the ideals module
 
@@ -73,21 +64,13 @@ class AlgebraContext:
     def basis_product(self, n1: int, i1: int, n2: int, i2: int):
         """Product of basis monomials as (sign, index in degree n1+n2), or
         None when the product vanishes."""
-        key = (n1, i1, n2, i2)
-        hit = self._products.get(key, _MISSING)
-        if hit is not _MISSING:
-            return hit
         m, other = self.bases[n1][i1], self.bases[n2][i2]
-        out = None
         n = n1 + n2
-        if n <= self.D:
-            merged, inv = _merge_count(m, other)
-            if merged is not None:
-                idx = self.index[n].get(merged)
-                if idx is not None:
-                    out = (-1 if inv & 1 else 1, idx)
-        self._products[key] = out
-        return out
+        if n > self.D:
+            return None
+        merged, inv = _merge_count(m, other)
+        idx = None if merged is None else self.index[n].get(merged)
+        return None if idx is None else (-1 if inv & 1 else 1, idx)
 
 
 def _generator_map(ctx: AlgebraContext, g: int, n: int) -> tuple:
@@ -253,10 +236,6 @@ def normal_form(ctx: AlgebraContext, word) -> Element:
     return Element(ctx, n, tuple(c if j == idx else 0 for j in range(ctx.dim(n))))
 
 
-def hilbert_series(ctx: AlgebraContext) -> tuple:
-    return ctx.dims
-
-
 def koszul_numerical_check(hilbert, order: int = 12) -> bool:
     """True when 1/H(-t) has nonnegative coefficients through t**order.
 
@@ -312,38 +291,3 @@ def element_string(x: Element) -> str:
 
 def monomial_string(mono: Monomial) -> str:
     return "*".join(f"a{i}" for i in mono) if mono else "1"
-
-
-def product_law_checks(g1: Graph, g2: Graph, p: int = 2) -> bool:
-    """Dimension laws for the two graph constructions, verified exactly:
-
-    - disjoint union: dim A_n(g1 + g2) = dim A_n(g1) + dim A_n(g2) for n >= 1,
-      and every product of a positive-degree g1-monomial with a positive-degree
-      g2-monomial vanishes in the union algebra;
-    - cone: dim A_n(cone g) = dim A_n(g) + dim A_{n-1}(g), for g1 and g2.
-    """
-    a1, a2 = AlgebraContext(g1, p), AlgebraContext(g2, p)
-    union = disjoint_union(g1, g2)
-    au = AlgebraContext(union, p)
-    top = max(a1.D, a2.D)
-    if au.D != top:
-        return False
-    for n in range(1, top + 1):
-        if au.dim(n) != a1.dim(n) + a2.dim(n):
-            return False
-    for n1 in range(1, a1.D + 1):
-        for m in a1.basis(n1):
-            left = monomial_element(au, m)
-            for n2 in range(1, a2.D + 1):
-                for other in a2.basis(n2):
-                    shifted = tuple(v + g1.n for v in other)
-                    if not multiply(left, monomial_element(au, shifted)).is_zero():
-                        return False
-    for g, alg in ((g1, a1), (g2, a2)):
-        ac = AlgebraContext(cone(g), p)
-        if ac.D != alg.D + 1:
-            return False
-        for n in range(1, ac.D + 1):
-            if ac.dim(n) != alg.dim(n) + alg.dim(n - 1):
-                return False
-    return True

@@ -144,10 +144,6 @@ class RowSpace:
     def member(self, vec: Sequence[int]) -> bool:
         return not any(self.reduce(vec))
 
-    def contains(self, other: "RowSpace") -> bool:
-        _check_same_space(self, other)
-        return all(self.member(r) for r in other.rows)
-
     def sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The basis rows as sparse vectors, in basis order."""
         if self.p == 2:
@@ -177,14 +173,6 @@ def _space(p: int, ambient_dim: int, basis: tuple) -> RowSpace:
     s = object.__new__(RowSpace)
     _init(s, p, ambient_dim, basis)
     return s
-
-
-def _check_same_space(a: RowSpace, b: RowSpace) -> None:
-    if a.p != b.p or a.ambient_dim != b.ambient_dim:
-        raise InputError(
-            f"subspaces live in different spaces: F_{a.p}^{a.ambient_dim} "
-            f"vs F_{b.p}^{b.ambient_dim}"
-        )
 
 
 # -- p = 2: packed rows -------------------------------------------------------
@@ -461,19 +449,6 @@ def image_kernel(
         red = _reduce_dense(rows, pivots, _densify(v, width, p), p)
         matrix.append([red[c] for c in keep])
     return _space(p, domain_dim, tuple(_kernel_dense(matrix, domain_dim, len(keep), p)))
-
-
-def subspace_sum(s: RowSpace, t: RowSpace) -> RowSpace:
-    _check_same_space(s, t)
-    return rref(s.rows + t.rows, s.p, s.ambient_dim)
-
-
-def member(vec: Sequence[int], s: RowSpace) -> bool:
-    return s.member(vec)
-
-
-def contains(s: RowSpace, t: RowSpace) -> bool:
-    return s.contains(t)
 
 
 def _guard(p: int, d: int) -> None:

@@ -37,9 +37,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
 
 def build_graph(n: int, edges, labels=None) -> Graph:
     if n < 0:
@@ -127,19 +124,15 @@ def parse_graph6(line: str) -> Graph:
 def to_graph6(g: Graph) -> str:
     if g.n > 62:
         raise InputError("short-form graph6 supports at most 62 vertices")
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(g.n + 63)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+    # Pair (i, j), i < j, is bit j(j-1)/2 + i of the upper triangle in
+    # column order, padded to whole 6-bit groups, first bit most significant.
+    m = g.n * (g.n - 1) // 2
+    size = -(-m // 6) * 6
+    bits = 0
+    for i, j in g.edges:
+        bits |= 1 << (size - 1 - j * (j - 1) // 2 - i)
+    groups = (chr((bits >> s & 63) + 63) for s in range(size - 6, -1, -6))
+    return chr(g.n + 63) + "".join(groups)
 
 
 def induced_subgraph(g: Graph, verts) -> Graph:
@@ -248,10 +241,6 @@ def diagonal_violation(g: Graph) -> DiagonalViolation | None:
     return None
 
 
-def has_diagonal_property(g: Graph) -> bool:
-    return diagonal_violation(g) is None
-
-
 @dataclass(frozen=True)
 class LeafNode:
     vertex: int
@@ -266,14 +255,6 @@ class UnionNode:
 class ConeNode:
     apex: int
     base: object
-
-
-def tree_vertices(node) -> frozenset:
-    if isinstance(node, LeafNode):
-        return frozenset((node.vertex,))
-    if isinstance(node, ConeNode):
-        return tree_vertices(node.base) | {node.apex}
-    return frozenset().union(*(tree_vertices(c) for c in node.children))
 
 
 def reconstruct(node, n: int) -> Graph:

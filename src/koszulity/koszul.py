@@ -29,7 +29,6 @@ from .algebra import (
     build_algebra,
     from_coeffs,
     generator,
-    hilbert_series,
     koszul_numerical_check,
     pbw_check,
 )
@@ -237,7 +236,6 @@ def classify(
     if g.n == 0:
         raise InputError("cannot classify the empty graph")
     ctx = build_algebra(g, p)
-    dims = hilbert_series(ctx)
     decomposition = elementary_type_decomposition(g)
     fast = not isinstance(decomposition, DiagonalViolation)
     strong = strong_koszul_check(ctx)
@@ -253,7 +251,7 @@ def classify(
     return KoszulReport(
         graph=g,
         p=int(ctx.p),
-        dims=dims,
+        dims=ctx.dims,
         diagonal_property=fast,
         decomposition=decomposition,
         strong=strong,
@@ -264,5 +262,5 @@ def classify(
         divisors_checked=divisors,
         witness=witness,
         pbw=pbw_check(ctx),
-        dual_series_nonneg=koszul_numerical_check(dims, dual_order),
+        dual_series_nonneg=koszul_numerical_check(ctx.dims, dual_order),
     )

@@ -1,9 +1,12 @@
-"""Shared graph constructors, the brute-force canonical form, and the
+"""Shared graph constructors, test oracles (the brute-force canonical
+form, subspace containment and the product laws), and the
 acceptance-summary hook."""
 
 import itertools
 
 from koszulity import build_graph, parse_edge_list
+from koszulity.algebra import AlgebraContext, monomial_element, multiply
+from koszulity.graphs import Graph, cone, disjoint_union
 
 _ACCEPTANCE_LINES = []
 
@@ -65,3 +68,43 @@ def lexmin_by_permutations(g):
         for p in itertools.permutations(range(g.n))
     )
     return build_graph(g.n, [e for e, bit in zip(pairs, best) if bit])
+
+
+def contains(s, t):
+    # whether the subspace t lies in the subspace s
+    return all(s.member(r) for r in t.rows)
+
+
+def product_law_checks(g1: Graph, g2: Graph, p: int = 2) -> bool:
+    """Dimension laws for the two graph constructions, verified exactly:
+
+    - disjoint union: dim A_n(g1 + g2) = dim A_n(g1) + dim A_n(g2) for n >= 1,
+      and every product of a positive-degree g1-monomial with a positive-degree
+      g2-monomial vanishes in the union algebra;
+    - cone: dim A_n(cone g) = dim A_n(g) + dim A_{n-1}(g), for g1 and g2.
+    """
+    a1, a2 = AlgebraContext(g1, p), AlgebraContext(g2, p)
+    union = disjoint_union(g1, g2)
+    au = AlgebraContext(union, p)
+    top = max(a1.D, a2.D)
+    if au.D != top:
+        return False
+    for n in range(1, top + 1):
+        if au.dim(n) != a1.dim(n) + a2.dim(n):
+            return False
+    for n1 in range(1, a1.D + 1):
+        for m in a1.basis(n1):
+            left = monomial_element(au, m)
+            for n2 in range(1, a2.D + 1):
+                for other in a2.basis(n2):
+                    shifted = tuple(v + g1.n for v in other)
+                    if not multiply(left, monomial_element(au, shifted)).is_zero():
+                        return False
+    for g, alg in ((g1, a1), (g2, a2)):
+        ac = AlgebraContext(cone(g), p)
+        if ac.D != alg.D + 1:
+            return False
+        for n in range(1, ac.D + 1):
+            if ac.dim(n) != alg.dim(n) + alg.dim(n - 1):
+                return False
+    return True

@@ -28,7 +28,6 @@ from koszulity.graphs import (
     disjoint_union,
     elementary_type_decomposition,
     enumerate_cliques,
-    has_diagonal_property,
     induced_subgraph,
     nonisomorphic_graphs,
     parse_edge_list,
@@ -90,6 +89,15 @@ def test_graph6_roundtrip_all_small_classes():
     for n in range(1, 6):
         for g in nonisomorphic_graphs(n):
             assert parse_graph6(to_graph6(g)) == g
+    # every short-form size, at densities from empty to complete
+    rng = random.Random(6)
+    for n in range(63):
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+            pairs = itertools.combinations(range(n), 2)
+            g = build_graph(n, [e for e in pairs if rng.random() < density])
+            text = to_graph6(g)
+            assert len(text) == 1 + -(-n * (n - 1) // 12)
+            assert parse_graph6(text) == g
 
 
 def test_enumerate_cliques():
@@ -129,10 +137,10 @@ def test_five_vertex_graph_violation():
 def test_small_graphs_have_diagonal_property():
     for n in range(1, 4):
         for g in all_labeled_graphs(n):
-            assert has_diagonal_property(g)
-    assert has_diagonal_property(cone_over_path())
-    assert has_diagonal_property(star(4))
-    assert has_diagonal_property(complete(5))
+            assert diagonal_violation(g) is None
+    assert diagonal_violation(cone_over_path()) is None
+    assert diagonal_violation(star(4)) is None
+    assert diagonal_violation(complete(5)) is None
 
 
 def test_violation_pattern_is_induced():
@@ -151,11 +159,11 @@ def test_violation_pattern_is_induced():
 def test_diagonal_property_closed_under_induced_subgraphs():
     for n in range(1, 7):
         for g in nonisomorphic_graphs(n):
-            if not has_diagonal_property(g):
+            if diagonal_violation(g) is not None:
                 continue
             for k in range(4, n + 1):
                 for verts in itertools.combinations(range(n), k):
-                    assert has_diagonal_property(induced_subgraph(g, verts))
+                    assert diagonal_violation(induced_subgraph(g, verts)) is None
 
 
 def test_decomposition_star():
@@ -186,7 +194,7 @@ def test_decomposition_reconstructs_small_classes():
         for g in nonisomorphic_graphs(n):
             out = elementary_type_decomposition(g)
             if isinstance(out, DiagonalViolation):
-                assert not has_diagonal_property(g)
+                assert diagonal_violation(g) is not None
             else:
                 assert reconstruct(out, g.n) == g
 
