@@ -19,11 +19,14 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .gfp import Prime, rref
 from .graphs import Graph, clique_number, enumerate_cliques
 
 Monomial = tuple  # strictly increasing vertex indices; () is the unit
+
+# Largest order koszul_numerical_check expands 1/H(-t) to.
+_DUAL_ORDER_LIMIT = 4096
 
 
 class AlgebraContext:
@@ -240,7 +243,12 @@ def koszul_numerical_check(hilbert, order: int = 12) -> bool:
     """True when 1/H(-t) has nonnegative coefficients through t**order.
 
     H is given by its coefficient tuple; H(0) must be 1 (the series is then
-    invertible over the integers and every coefficient is an integer)."""
+    invertible over the integers and every coefficient is an integer).
+    Orders above 4096 are refused with ResourceLimitError."""
+    if order > _DUAL_ORDER_LIMIT:
+        raise ResourceLimitError(
+            f"dual series order {order} refused: exceeds {_DUAL_ORDER_LIMIT}"
+        )
     h = tuple(int(c) for c in hilbert)
     if not h or h[0] != 1:
         raise InputError("Hilbert series must have constant term 1")

@@ -14,6 +14,10 @@ Three graded properties are decided exactly:
   and I_1-translation invariance of the colon.
 - PBW and the numerical Koszul test on 1/H(-t) round out the report.
 
+The strong and brute-force checks count their (ideal, divisor) pairs
+exactly before the first colon and refuse with ResourceLimitError past
+2**20 pairs.
+
 When the fast universal verdict is false, non_universal_witness builds the
 certified counterexample: b = a_{v1} + a_{v4} annihilates the culprit
 monomial a_{v2} a_{v3}, which Ann(b)_1 cannot generate.
@@ -32,8 +36,12 @@ from .algebra import (
     koszul_numerical_check,
     pbw_check,
 )
-from .errors import InputError
-from .gfp import enumerate_coset_reps_mod_scalar, enumerate_subspaces
+from .errors import InputError, ResourceLimitError
+from .gfp import (
+    ENUMERATION_GUARD,
+    enumerate_coset_reps_mod_scalar,
+    enumerate_subspaces,
+)
 from .graphs import (
     DiagonalViolation,
     Graph,
@@ -69,8 +77,17 @@ class StrongKoszulReport:
 
 def strong_koszul_check(ctx: AlgebraContext) -> StrongKoszulReport:
     """Exhaustive strong-Koszulity check over all (prefix set, divisor)
-    pairs, each verified against the closed-form generator prediction."""
+    pairs, each verified against the closed-form generator prediction.
+
+    Refuses with ResourceLimitError before the first colon when the
+    d * 2**(d-1) pairs exceed 2**20 (more than 16 vertices)."""
     d = ctx.dim(1)
+    total = d * 2**d // 2
+    if total > ENUMERATION_GUARD:
+        raise ResourceLimitError(
+            f"strong Koszulity check refused: {total} (prefix set, divisor) "
+            f"pairs for {d} vertices exceed 2**20"
+        )
     adj = ctx.graph.adj
     divisors = [generator(ctx, u) for u in range(d)]
     # closed form: a_j a_u = 0 exactly for u itself and its non-neighbours
@@ -126,15 +143,36 @@ class BruteResult:
     divisors_checked: int
 
 
+def _brute_divisor_count(p: int, d: int) -> int:
+    """The divisors universal_koszul_bruteforce checks on d vertices:
+    sum over r of [d choose r]_p subspaces of rank r, times the
+    (p**(d-r) - 1) / (p - 1) divisor classes of each."""
+    total = 0
+    for r in range(d + 1):
+        num = den = 1
+        for i in range(r):
+            num *= p ** (d - i) - 1
+            den *= p ** (i + 1) - 1
+        total += num // den * ((p ** (d - r) - 1) // (p - 1))
+    return total
+
+
 def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
     """Enumerate every degree-one-generated ideal I and every divisor class
     b (nonzero in A_1/I_1, modulo scalars) and test the colon.
 
     Colon ideals are invariant under scaling b and translating b by I_1, so
     one representative per class decides all of them.  Returns the first
-    failure in enumeration order, if any.
+    failure in enumeration order, if any.  Refuses with ResourceLimitError
+    before the first colon when the predicted divisor count exceeds 2**20.
     """
     d = ctx.dim(1)
+    total = _brute_divisor_count(ctx.p, d)
+    if total > ENUMERATION_GUARD:
+        raise ResourceLimitError(
+            f"brute-force universal check refused: {total} (ideal, divisor) "
+            f"pairs over F_{ctx.p} with {d} vertices exceed 2**20"
+        )
     ideals = 0
     divisors = 0
     for u in enumerate_subspaces(ctx.p, d):
@@ -236,9 +274,12 @@ def classify(
     if g.n == 0:
         raise InputError("cannot classify the empty graph")
     ctx = build_algebra(g, p)
+    # Stages with a budget refuse before they start.  The cheap dual
+    # series runs first and brute before strong, so that a refusal comes
+    # before any long stage has run.
+    dual_nonneg = koszul_numerical_check(ctx.dims, dual_order)
     decomposition = elementary_type_decomposition(g)
     fast = not isinstance(decomposition, DiagonalViolation)
-    strong = strong_koszul_check(ctx)
     run_brute = brute == "on" or (brute == "auto" and _brute_gate(ctx.p, g.n))
     if run_brute:
         result = universal_koszul_bruteforce(ctx)
@@ -247,6 +288,7 @@ def classify(
         ideals, divisors = result.ideals_enumerated, result.divisors_checked
     else:
         brute_verdict, failure, ideals, divisors = None, None, 0, 0
+    strong = strong_koszul_check(ctx)
     witness = None if fast else _certify_witness(ctx, decomposition)
     return KoszulReport(
         graph=g,
@@ -262,5 +304,5 @@ def classify(
         divisors_checked=divisors,
         witness=witness,
         pbw=pbw_check(ctx),
-        dual_series_nonneg=koszul_numerical_check(ctx.dims, dual_order),
+        dual_series_nonneg=dual_nonneg,
     )

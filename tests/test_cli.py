@@ -1,4 +1,7 @@
+import itertools
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +107,51 @@ def test_analyze_resource_guard(capsys, tmp_path):
     path = write(tmp_path, "empty9.txt", "9\n")
     code, _, err = run(capsys, "analyze", "-i", path, "-p", "5", "--brute", "on")
     assert code == 3 and "resource limit" in err
+
+
+def test_analyze_strong_check_budget(capsys, tmp_path):
+    # 24 * 2**23 strong pairs; without the budget this run never ends
+    path24 = "24\n" + "".join(f"{i} {i + 1}\n" for i in range(23))
+    code, out, err = run(capsys, "analyze", "-i", write(tmp_path, "p24.txt", path24))
+    assert code == 3 and out == ""
+    assert "resource limit" in err and "201326592" in err
+
+
+def test_analyze_brute_budget(capsys, tmp_path):
+    # predicted divisor counts 3,998,655,357,260,293 / 7,449,060 / 61,198,592
+    for n, p, count in ((13, 2, "3998655357260293"), (8, 2, "7449060"), (4, 31, "61198592")):
+        path = write(tmp_path, f"empty{n}.txt", f"{n}\n")
+        code, out, err = run(capsys, "analyze", "-i", path, "-p", str(p), "--brute", "on")
+        assert code == 3 and out == ""
+        assert "resource limit" in err and count in err
+
+
+def test_analyze_dual_order_budget(capsys, tmp_path):
+    path = write(tmp_path, "empty3.txt", "3\n")
+    code, out, err = run(capsys, "analyze", "-i", path, "--dual-order", "1000000000")
+    assert code == 3 and out == ""
+    assert "resource limit" in err and "4096" in err
+    code, out, err = run(capsys, "analyze", "-i", path, "--dual-order", "4096")
+    assert code == 0 and json.loads(out)["dual_series_nonneg"] is True
+    code, out, err = run(capsys, "census", "-n", "2", "--dual-order", "4097")
+    assert code == 3 and "resource limit" in err
+
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+
+@pytest.mark.parametrize("name,n,p,edges", [
+    ("analyze_K7_p3.txt", 7, 3, list(itertools.combinations(range(7), 2))),
+    ("analyze_C8_p5.txt", 8, 5, [sorted((i, (i + 1) % 8)) for i in range(8)]),
+])
+def test_analyze_matches_odd_prime_golden(capsys, tmp_path, name, n, p, edges):
+    text = f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    path = write(tmp_path, "g.txt", text)
+    code, out, err = run(capsys, "analyze", "-i", path, "-p", str(p), "--brute", "off")
+    assert code == 0, err
+    out, removed = re.subn(r'^  "timing_ms": \d+,\n', "", out, flags=re.MULTILINE)
+    assert removed == 1
+    assert out == (GOLDEN_DIR / name).read_text(encoding="ascii")
 
 
 def test_analyze_json_is_self_consistent(capsys, tmp_path):

@@ -319,6 +319,97 @@ def test_packed_image_kernel_matches_dense_quotient(case, nmod):
         assert target.member(image)
 
 
+# -- the monomial route of image_kernel against the elimination reference ---
+
+
+def quotient_kernel_reference(p, images, target):
+    """Reduce each image against the target, keep the target's non-pivot
+    columns, and take the dense kernel."""
+    width = target.ambient_dim
+    pivots = target.pivots
+    keep = [c for c in range(width) if c not in set(pivots)]
+    matrix = []
+    for v in images:
+        dense = [0] * width
+        for k, c in v:
+            dense[k] = (dense[k] + c) % p
+        red = _reduce_dense(target.rows, pivots, dense, p)
+        matrix.append([red[c] for c in keep])
+    return tuple(_kernel_dense(matrix, len(images), len(keep), p))
+
+
+def monomial_case(p, width, nimages, rng):
+    """A target that is a coordinate space or, about half the time, has one
+    non-unit row; images that are empty or one term, with target indices
+    drawn from a few columns (so they repeat) and coefficients that are
+    sometimes multiples of p; in about a quarter of the cases some images
+    have two terms."""
+    non_unit = width > 1 and rng.randrange(2)
+    rank = rng.randint(1, width - 1) if non_unit else rng.randint(0, width)
+    pivots = sorted(rng.sample(range(width), rank))
+    rows = [[int(j == c) for j in range(width)] for c in pivots]
+    columns = rng.sample(range(width), rng.randint(1, width))
+    if non_unit:
+        # images also land on both columns of the non-unit row
+        r = rng.randrange(rank)
+        j = rng.choice([c for c in range(width) if c not in pivots])
+        rows[r][j] = rng.randrange(1, p)
+        columns += [pivots[r], j]
+    target = rref(rows, p, width)
+    two_terms = rng.randrange(4) == 0
+    images = []
+    for _ in range(nimages):
+        kind = rng.randrange(6)
+        if kind == 0:
+            images.append([])
+        elif kind == 1:
+            images.append([(rng.choice(columns), p * rng.randint(-2, 2))])
+        elif kind == 2 and two_terms:
+            images.append([(rng.choice(columns), rng.randint(1, 4 * p))
+                           for _ in range(2)])
+        else:
+            c = rng.choice([-1, 1, rng.randint(1, 3 * p)])
+            images.append([(rng.choice(columns), c)])
+    return target, images
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(1, 10),
+    st.integers(0, 12),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_monomial_image_kernel_matches_elimination(p, width, nimages, rng):
+    target, images = monomial_case(p, width, nimages, rng)
+    got = image_kernel(p, nimages, images, target)
+    assert got.rows == quotient_kernel_reference(p, images, target)
+    assert got.pivots == _dense_pivots(got.rows)
+    for x in got.rows:
+        image = [0] * width
+        for i, v in enumerate(images):
+            for k, c in v:
+                image[k] = (image[k] + x[i] * c) % p
+        assert target.member(image)
+
+
+def test_monomial_image_kernel_needs_no_elimination(monkeypatch):
+    import koszulity.gfp as gfp
+
+    def refuse(*args):
+        raise AssertionError("elimination on a monomial input")
+
+    monkeypatch.setattr(gfp, "_kernel2", refuse)
+    monkeypatch.setattr(gfp, "_kernel_dense", refuse)
+    for p in (2, 3, 7):
+        target = coordinate_space(p, 6, [1, 4])
+        # e_0 -> 2e_1 (in the target), e_1 -> 0, e_2 -> p*e_3 (zero),
+        # e_3 -> -e_3, e_4 -> 3e_5 (zero at p = 3), e_5 -> e_1
+        images = [[(1, 2)], [], [(3, p)], [(3, -1)], [(5, 3)], ((1, 1),)]
+        want = [0, 1, 2, 5] + ([4] if p == 3 else [])
+        assert image_kernel(p, 6, images, target) == coordinate_space(p, 6, want)
+
+
 def test_sparse_interface_at_odd_p():
     s = span(3, 4, [[(0, 1), (2, 2)], [(1, 1), (1, 1)], [(0, 2), (2, 1)]])
     assert s == rref([(1, 0, 2, 0), (0, 2, 0, 0)], 3)

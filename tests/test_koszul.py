@@ -12,7 +12,7 @@ from koszulity.algebra import (
     monomial_string,
     multiply,
 )
-from koszulity.errors import InputError
+from koszulity.errors import InputError, ResourceLimitError
 from koszulity.graphs import (
     ConeNode,
     DiagonalViolation,
@@ -260,6 +260,39 @@ def test_classify_square_carries_witness():
 def test_classify_empty_graph_rejected():
     with pytest.raises(InputError):
         classify(build_graph(0, []))
+
+
+def forbid_colons(monkeypatch):
+    def no_colon(*args):
+        raise AssertionError("colon computed before the budget check")
+
+    monkeypatch.setattr(koszul, "colon_ideal", no_colon)
+
+
+def test_strong_check_refuses_over_budget_before_any_colon(monkeypatch):
+    forbid_colons(monkeypatch)
+    path17 = build_graph(17, [(i, i + 1) for i in range(16)])
+    with pytest.raises(ResourceLimitError, match="1114112"):
+        strong_koszul_check(build_algebra(path17, 2))
+
+
+def test_brute_divisor_count_is_exact():
+    for g, p in ((star(2), 2), (star(2), 3), (cone_over_path(), 2), (complete(3), 5)):
+        out = universal_koszul_bruteforce(build_algebra(g, p))
+        assert out.verdict is True
+        assert out.divisors_checked == koszul._brute_divisor_count(p, g.n)
+    # the benchmark's largest case, the largest admitted p = 2 case, refusals
+    assert koszul._brute_divisor_count(3, 5) == 25652
+    assert koszul._brute_divisor_count(2, 7) == 358775
+    assert koszul._brute_divisor_count(2, 8) == 7449060
+    assert koszul._brute_divisor_count(31, 4) == 61198592
+
+
+def test_brute_refuses_over_budget_before_any_colon(monkeypatch):
+    forbid_colons(monkeypatch)
+    for n, p in ((8, 2), (4, 31), (13, 2)):
+        with pytest.raises(ResourceLimitError, match="exceed 2\\*\\*20"):
+            universal_koszul_bruteforce(build_algebra(build_graph(n, []), p))
 
 
 def test_brute_verdict_independent_of_prime():
