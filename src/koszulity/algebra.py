@@ -33,9 +33,9 @@ class AlgebraContext:
     """Fixed bases and structure constants for one graph and one prime.
 
     The maps "multiply by generator g from degree n to n+1" are built once,
-    at construction.  Only the ideals module's caches change afterwards,
-    and they fill idempotently, so instances may be shared between threads
-    in CPython.
+    at construction.  Only _ideal_cache, which the ideals module fills
+    idempotently, changes afterwards, so instances may be shared between
+    threads in CPython.
     """
 
     def __init__(self, graph: Graph, p: int):
@@ -55,8 +55,7 @@ class AlgebraContext:
             tuple(_generator_map(self, g, n) for g in range(self.dim(1)))
             for n in range(self.D)
         )
-        self._ideal_cache: dict = {}      # used by the ideals module
-        self._monomial_cache: dict = {}   # used by the ideals module
+        self._ideal_cache: dict = {}  # used by the ideals module
 
     def dim(self, n: int) -> int:
         return self.dims[n] if 0 <= n <= self.D else 0

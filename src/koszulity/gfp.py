@@ -26,17 +26,6 @@ interface, which works for every p and converts straight into the native
 form: coordinate_space, span, image_kernel, RowSpace.sparse_rows and
 RowSpace.member_sparse.
 
-image_kernel also has a monomial route, for every p, that needs no
-elimination.  It applies when the target is a coordinate space (every
-basis row is a single standard basis vector) and every image is empty or
-a single term c*e_k, where the k of the terms with c != 0 mod p outside
-the target are distinct.  Those images are independent modulo the target,
-so the kernel is the coordinate space of the inputs whose image is empty,
-has c = 0 mod p, or lands in the target.  Colons of monomial ideals by a
-generator, the bulk of the strong Koszulity check, have this shape.  The
-route is chosen from the inputs alone; any other input takes the packed
-or dense elimination.
-
 The package needs only the standard library.  A vectorised route for odd
 p that uses numpy must import it inside that route, so that importing the
 package, and every p = 2 computation, still loads no numpy.
@@ -394,11 +383,9 @@ def coordinate_space(p: int, ambient_dim: int, indices: Iterable[int]) -> RowSpa
     cols = sorted(set(indices))
     if p == 2:
         return _space(p, ambient_dim, tuple(1 << i for i in cols))
-    s = _space(p, ambient_dim, tuple(
+    return _space(p, ambient_dim, tuple(
         (0,) * i + (1,) + (0,) * (ambient_dim - i - 1) for i in cols
     ))
-    _set(s, "_pivots", tuple(cols))
-    return s
 
 
 def full_space(p: int, ambient_dim: int) -> RowSpace:
@@ -450,9 +437,6 @@ def image_kernel(
     image is a list or tuple of (index, coeff) pairs."""
     if len(images) != domain_dim:
         raise InputError(f"{len(images)} images for domain dimension {domain_dim}")
-    zero = _monomial_kernel(p, images, target)
-    if zero is not None:
-        return coordinate_space(p, domain_dim, zero)
     width = target.ambient_dim
     if p == 2:
         packed = [_pack_sparse(v) for v in images]
@@ -466,38 +450,6 @@ def image_kernel(
         red = _reduce_dense(rows, pivots, _densify(v, width, p), p)
         matrix.append([red[c] for c in keep])
     return _space(p, domain_dim, tuple(_kernel_dense(matrix, domain_dim, len(keep), p)))
-
-
-def _monomial_kernel(
-    p: int, images: Sequence[Sparse], target: RowSpace
-) -> list[int] | None:
-    """The inputs whose image vanishes modulo the coordinate space target,
-    or None when the monomial route does not apply (see the module
-    docstring)."""
-    basis = target._basis
-    if p == 2:
-        if any(row & (row - 1) for row in basis):
-            return None
-        pivots = {row.bit_length() - 1 for row in basis}
-    else:
-        width = target.ambient_dim
-        if any(row.count(0) != width - 1 for row in basis):
-            return None
-        pivots = set(target.pivots)
-    zero = []
-    hit = set()  # the k of the images that survive in the quotient
-    for i, v in enumerate(images):
-        if len(v) > 1:
-            return None
-        if v:
-            ((k, c),) = v
-            if c % p and k not in pivots:
-                if k in hit:
-                    return None
-                hit.add(k)
-                continue
-        zero.append(i)
-    return zero
 
 
 def _guard(p: int, d: int) -> None:

@@ -91,16 +91,11 @@ def monomial_ideal_basis(ctx: AlgebraContext, s) -> GradedIdeal:
     for v in support:
         if not 0 <= v < ctx.dim(1):
             raise InputError(f"generator index {v} out of range")
-    cached = ctx._monomial_cache.get(support)
-    if cached is not None:
-        return cached
     pieces = [zero_space(ctx.p, 1)]
     for n in range(1, ctx.D + 1):
         meets = [i for i, mono in enumerate(ctx.basis(n)) if support.intersection(mono)]
         pieces.append(coordinate_space(ctx.p, ctx.dim(n), meets))
-    out = GradedIdeal(ctx, tuple(pieces))
-    ctx._monomial_cache[support] = out
-    return out
+    return GradedIdeal(ctx, tuple(pieces))
 
 
 def colon_ideal(ctx: AlgebraContext, ideal: GradedIdeal, b: Element) -> GradedIdeal:

@@ -1,12 +1,14 @@
 """Shared graph constructors, test oracles (the brute-force canonical
-form, subspace containment and the product laws), and the
-acceptance-summary hook."""
+form, clique listing by k-subsets, subspace containment, the strong check
+by colon ideals and the product laws), and the acceptance-summary hook."""
 
 import itertools
 
 from koszulity import build_graph, parse_edge_list
-from koszulity.algebra import AlgebraContext, monomial_element, multiply
+from koszulity.algebra import AlgebraContext, generator, monomial_element, multiply
 from koszulity.graphs import Graph, cone, disjoint_union
+from koszulity.ideals import colon_ideal, monomial_ideal_basis
+from koszulity.koszul import StrongKoszulReport, StrongPairFailure
 
 _ACCEPTANCE_LINES = []
 
@@ -68,6 +70,67 @@ def lexmin_by_permutations(g):
         for p in itertools.permutations(range(g.n))
     )
     return build_graph(g.n, [e for e, bit in zip(pairs, best) if bit])
+
+
+def cliques_by_combinations(g, k):
+    """Reference clique listing: every k-subset in lexicographic order,
+    kept when all its pairs are edges."""
+    if k == 0:
+        return [()]
+    if k == 1:
+        return [(v,) for v in range(g.n)]
+    adj = g.adj
+    out = []
+    for combo in itertools.combinations(range(g.n), k):
+        ok = True
+        for a, b in itertools.combinations(combo, 2):
+            if b not in adj[a]:
+                ok = False
+                break
+        if ok:
+            out.append(combo)
+    return out
+
+
+def strong_koszul_by_colons(ctx):
+    """Reference strong check: for every (prefix set, divisor) pair,
+    compute the colon with colon_ideal, read its degree-one generators by
+    membership, and compare the colon with monomial_ideal_basis of those
+    generators and the generators with the closed form."""
+    d = ctx.dim(1)
+    adj = ctx.graph.adj
+    divisors = [generator(ctx, u) for u in range(d)]
+    # closed form: a_j a_u = 0 exactly for u itself and its non-neighbours
+    killed_by = [
+        {u} | {j for j in range(d) if j != u and j not in adj[u]} for u in range(d)
+    ]
+    pairs = 0
+    failures = []
+    for mask in range(2**d):
+        prefix = tuple(j for j in range(d) if (mask >> j) & 1)
+        if len(prefix) == d:
+            continue
+        ideal = monomial_ideal_basis(ctx, prefix)
+        prefix_set = set(prefix)
+        for u in range(d):
+            if (mask >> u) & 1:
+                continue
+            pairs += 1
+            colon = colon_ideal(ctx, ideal, divisors[u])
+            j1 = colon.piece(1)
+            computed = tuple(j for j in range(d) if j1.member_sparse(((j, 1),)))
+            predicted = tuple(sorted(prefix_set | killed_by[u]))
+            regenerated = monomial_ideal_basis(ctx, computed)
+            degree = None
+            for n in range(1, ctx.D + 1):
+                if regenerated.piece(n) != colon.piece(n):
+                    degree = n
+                    break
+            if degree is not None or computed != predicted:
+                failures.append(StrongPairFailure(
+                    prefix, u, computed, predicted, degree
+                ))
+    return StrongKoszulReport(not failures, pairs, tuple(failures))
 
 
 def contains(s, t):

@@ -1,6 +1,9 @@
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,6 +146,7 @@ GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 @pytest.mark.parametrize("name,n,p,edges", [
     ("analyze_K7_p3.txt", 7, 3, list(itertools.combinations(range(7), 2))),
     ("analyze_C8_p5.txt", 8, 5, [sorted((i, (i + 1) % 8)) for i in range(8)]),
+    ("analyze_P10_p7.txt", 10, 7, [(i, i + 1) for i in range(9)]),
 ])
 def test_analyze_matches_odd_prime_golden(capsys, tmp_path, name, n, p, edges):
     text = f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
@@ -237,6 +241,15 @@ def test_census_parallel_matches_serial(capsys, tmp_path, monkeypatch):
     assert serial == parallel
 
 
+def test_census_six_matches_golden_rows(capsys):
+    # canonical keys stripped and rows sorted, as the benchmark compares them
+    lines = census_lines(capsys, "-n", "6")
+    rows = [lines[0].split(",", 1)[1]] + sorted(
+        line.split(",", 1)[1] for line in lines[1:-1]
+    ) + [lines[-1]]
+    assert rows == (GOLDEN_DIR / "census6_rows.txt").read_text(encoding="ascii").splitlines()
+
+
 def test_census_rejects_bad_thread_count(capsys, monkeypatch):
     for raw in ("zero", "0", "-3"):
         monkeypatch.setenv("KOSZUL_THREADS", raw)
@@ -312,3 +325,28 @@ def test_census_non_ascii_input(capsys, tmp_path):
     code, out, err = run(capsys, "census", "--in", path)
     assert code == 2 and out == ""
     assert "not ASCII" in err
+
+
+def run_cli_process(*argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "koszulity.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+
+
+def test_forty_vertex_graph_lists_its_cliques_without_testing_subsets(tmp_path):
+    # K8 plus a path on 7..39: 60 edges and 310 cliques, but C(40, k) subsets
+    # of each size k <= 9, which testing every subset never gets through
+    edges = list(itertools.combinations(range(8), 2)) + [(i, i + 1) for i in range(7, 39)]
+    path = write(tmp_path, "g40.txt", "40\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    out = run_cli_process("analyze", "-i", path, "--brute", "off")
+    assert out.returncode == 3 and out.stdout == ""
+    assert "21990232555520" in out.stderr
+    out = run_cli_process("witness", "-i", path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("pattern: P4\nv1=0 v2=7 v3=8 v4=9\n")

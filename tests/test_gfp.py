@@ -319,7 +319,7 @@ def test_packed_image_kernel_matches_dense_quotient(case, nmod):
         assert target.member(image)
 
 
-# -- the monomial route of image_kernel against the elimination reference ---
+# -- image_kernel on monomial-shaped inputs against a direct reference -------
 
 
 def quotient_kernel_reference(p, images, target):
@@ -391,23 +391,6 @@ def test_monomial_image_kernel_matches_elimination(p, width, nimages, rng):
             for k, c in v:
                 image[k] = (image[k] + x[i] * c) % p
         assert target.member(image)
-
-
-def test_monomial_image_kernel_needs_no_elimination(monkeypatch):
-    import koszulity.gfp as gfp
-
-    def refuse(*args):
-        raise AssertionError("elimination on a monomial input")
-
-    monkeypatch.setattr(gfp, "_kernel2", refuse)
-    monkeypatch.setattr(gfp, "_kernel_dense", refuse)
-    for p in (2, 3, 7):
-        target = coordinate_space(p, 6, [1, 4])
-        # e_0 -> 2e_1 (in the target), e_1 -> 0, e_2 -> p*e_3 (zero),
-        # e_3 -> -e_3, e_4 -> 3e_5 (zero at p = 3), e_5 -> e_1
-        images = [[(1, 2)], [], [(3, p)], [(3, -1)], [(5, 3)], ((1, 1),)]
-        want = [0, 1, 2, 5] + ([4] if p == 3 else [])
-        assert image_kernel(p, 6, images, target) == coordinate_space(p, 6, want)
 
 
 def test_sparse_interface_at_odd_p():

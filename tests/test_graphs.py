@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import (
+    cliques_by_combinations,
     complete,
     cone_over_path,
     five_vertex_cone_like,
@@ -109,6 +110,16 @@ def test_enumerate_cliques():
     assert enumerate_cliques(square4(), 3) == []
     k4 = complete(4)
     assert [len(enumerate_cliques(k4, k)) for k in range(5)] == [1, 4, 6, 4, 1]
+
+
+def test_enumerate_cliques_matches_subset_oracle():
+    rng = random.Random(1985)
+    for n in range(11):
+        pairs = list(itertools.combinations(range(n), 2))
+        for density in (0.2, 0.5, 0.8, 1.0):
+            g = build_graph(n, [e for e in pairs if rng.random() < density])
+            for k in range(n + 2):
+                assert enumerate_cliques(g, k) == cliques_by_combinations(g, k)
 
 
 def test_clique_number():

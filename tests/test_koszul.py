@@ -1,8 +1,17 @@
 import itertools
+import random
 
 import pytest
 
-from conftest import complete, cone_over_path, five_vertex_cone_like, path4, square4, star
+from conftest import (
+    complete,
+    cone_over_path,
+    five_vertex_cone_like,
+    path4,
+    square4,
+    star,
+    strong_koszul_by_colons,
+)
 from koszulity import graphs, koszul
 from koszulity.algebra import (
     build_algebra,
@@ -97,6 +106,65 @@ def test_strong_check_independent_of_characteristic():
                             s.pivots for s in c3.pieces
                         ]
                         assert [s.rows for s in c2.pieces] == [s.rows for s in c3.pieces]
+
+
+def random_graph(rng, n):
+    return build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+
+
+def test_strong_check_matches_colon_oracle():
+    cases = [(g, 2) for n in range(1, 7) for g in nonisomorphic_graphs(n)]
+    cases += [(g, p) for p in (3, 5) for n in range(1, 6) for g in nonisomorphic_graphs(n)]
+    rng = random.Random(20)
+    cases += [(random_graph(rng, n), 2) for n in (7, 7, 8, 8, 9, 9)]
+    for g, p in cases:
+        ctx = build_algebra(g, p)
+        report = strong_koszul_check(ctx)
+        assert report == strong_koszul_by_colons(ctx)
+        assert report.passed
+
+
+def with_image(ctx, n, u, i, image):
+    """ctx with gen_maps[n][u][i] replaced by image."""
+    maps = [[list(images) for images in level] for level in ctx.gen_maps]
+    maps[n][u][i] = image
+    ctx.gen_maps = tuple(tuple(tuple(images) for images in level) for level in maps)
+    return ctx
+
+
+def test_strong_check_reports_the_oracles_failures_on_a_broken_map():
+    # a_u m = +-m' replaced by zero puts m into every colon by a_u whose
+    # prefix misses m'; a_u m = 0 replaced by a monomial that a_u does not
+    # reach drops m from such colons (for m = a_j, j leaves the computed
+    # generators, which can show first in the top degree).  The prediction
+    # or the regenerated ideal contradicts each.
+    for g, p in ((cone_over_path(), 2), (square4(), 3), (complete(4), 5), (path4(), 2)):
+        plain = build_algebra(g, p)
+        for n in range(1, plain.D):
+            for u, images in enumerate(plain.gen_maps[n]):
+                reached = {k for image in images for k, _ in image}
+                spare = sorted(set(range(plain.dim(n + 1))) - reached)
+                for i, image in enumerate(images):
+                    if image:
+                        broken = ()
+                    elif spare:
+                        broken = ((spare[0], 1),)
+                    else:
+                        continue
+                    ctx = with_image(build_algebra(g, p), n, u, i, broken)
+                    report = strong_koszul_check(ctx)
+                    assert report.failures
+                    assert report == strong_koszul_by_colons(ctx)
+
+
+def test_strong_check_refuses_maps_that_are_not_signed_injections():
+    ctx = build_algebra(complete(4), 3)
+    (k, _), = ctx.gen_maps[1][0][1]
+    (other, _), = ctx.gen_maps[1][0][2]
+    for image in (((k, 1), (other, 1)), ((other, -1),), ((k, 2),)):
+        with pytest.raises(RuntimeError, match="signed injection"):
+            strong_koszul_check(with_image(build_algebra(complete(4), 3), 1, 0, 1, image))
+    assert strong_koszul_check(ctx).passed
 
 
 def test_fast_verdicts():
@@ -271,6 +339,11 @@ def forbid_colons(monkeypatch):
 
 def test_strong_check_refuses_over_budget_before_any_colon(monkeypatch):
     forbid_colons(monkeypatch)
+
+    def no_tables(*args):
+        raise AssertionError("monomial tables built before the budget check")
+
+    monkeypatch.setattr(koszul, "_monomial_tables", no_tables)
     path17 = build_graph(17, [(i, i + 1) for i in range(16)])
     with pytest.raises(ResourceLimitError, match="1114112"):
         strong_koszul_check(build_algebra(path17, 2))
