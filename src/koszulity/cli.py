@@ -281,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pa.add_argument("-p", type=int, default=2, help="prime field characteristic")
     pa.add_argument("--brute", choices=("auto", "on", "off"), default="auto")
-    pa.add_argument("--dual-order", type=int, default=12, dest="dual_order")
+    pa.add_argument(
+        "--dual-order", type=int, dest="dual_order", help="default: max(12, top degree)"
+    )
     pa.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     pa.set_defaults(func=cmd_analyze)
 
@@ -301,7 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="classify the graph6 lines of this file instead of self-generating",
     )
-    pc.add_argument("--dual-order", type=int, default=12, dest="dual_order")
+    pc.add_argument(
+        "--dual-order", type=int, dest="dual_order", help="default: max(12, top degree)"
+    )
     pc.add_argument("-o", "--output", default=None)
     pc.set_defaults(func=cmd_census)
 

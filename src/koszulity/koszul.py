@@ -17,6 +17,18 @@ Three graded properties are decided exactly:
   and I_1-translation invariance of the colon.
 - PBW and the numerical Koszul test on 1/H(-t) round out the report.
 
+The brute-force route tests one subspace I_1 per orbit of the twin group:
+the permutations generated by swapping twins u and v, vertices with
+N(u) - {v} = N(v) - {u}.  Such a swap maps edges to edges, so it extends
+to an algebra automorphism s, and I:(b) is generated in degree one iff
+sI:(sb) is; since s also permutes the divisors outside I_1, a subspace
+passes iff every member of its orbit does.  The first member of an orbit
+in enumeration order is tested divisor by divisor, so the first failure
+is the one a test of every subspace would meet.  Its later members are
+counted, with their divisor classes, but not tested: ideals_enumerated
+and divisors_checked count what the verdict covers, divisors_tested the
+colons computed.
+
 The strong and brute-force checks count their (ideal, divisor) pairs
 exactly before any work and refuse with ResourceLimitError past 2**20
 pairs.
@@ -43,6 +55,7 @@ from .gfp import (
     ENUMERATION_GUARD,
     enumerate_coset_reps_mod_scalar,
     enumerate_subspaces,
+    span,
 )
 from .graphs import (
     DiagonalViolation,
@@ -182,10 +195,15 @@ class BruteFailure:
 
 @dataclass(frozen=True)
 class BruteResult:
+    """ideals_enumerated and divisors_checked count what the verdict
+    covers; divisors_tested counts the colons actually computed, one
+    orbit representative's divisors at a time."""
+
     verdict: bool
     failure: BruteFailure | None
     ideals_enumerated: int
     divisors_checked: int
+    divisors_tested: int
 
 
 def _brute_divisor_count(p: int, d: int) -> int:
@@ -202,14 +220,63 @@ def _brute_divisor_count(p: int, d: int) -> int:
     return total
 
 
+def _twin_transpositions(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of the twin group of g as vertex permutations: the
+    transposition of each two consecutive members of a twin class, where
+    u and v are twins when N(u) - {v} = N(v) - {u}.  Each one is checked
+    to map the edge set onto itself; RuntimeError otherwise."""
+    adj = g.adj
+    classes: list[list[int]] = []
+    for v in range(g.n):
+        for members in classes:
+            u = members[0]
+            if adj[u] - {v} == adj[v] - {u}:
+                members.append(v)
+                break
+        else:
+            classes.append([v])
+    perms = []
+    for members in classes:
+        for u, v in zip(members, members[1:]):
+            perm = list(range(g.n))
+            perm[u], perm[v] = v, u
+            moved = {tuple(sorted((perm[a], perm[b]))) for a, b in g.edges}
+            if moved != g.edges:
+                raise RuntimeError(
+                    f"swapping a{u} and a{v} is not a graph automorphism"
+                )
+            perms.append(tuple(perm))
+    return perms
+
+
+def _orbit_rest(u, perms) -> set:
+    """The other members of the orbit of the subspace u under the group
+    that the vertex permutations perms generate, closed depth-first."""
+    p, d = u.p, u.ambient_dim
+    orbit = {u}
+    stack = [u]
+    while stack:
+        rows = stack.pop().sparse_rows()
+        for perm in perms:
+            image = span(p, d, [[(perm[j], c) for j, c in row] for row in rows])
+            if image not in orbit:
+                orbit.add(image)
+                stack.append(image)
+    orbit.remove(u)
+    return orbit
+
+
 def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
     """Enumerate every degree-one-generated ideal I and every divisor class
-    b (nonzero in A_1/I_1, modulo scalars) and test the colon.
+    b (nonzero in A_1/I_1, modulo scalars) and test the colon, one
+    subspace I_1 per orbit of the twin group.
 
     Colon ideals are invariant under scaling b and translating b by I_1, so
-    one representative per class decides all of them.  Returns the first
-    failure in enumeration order, if any.  Refuses with ResourceLimitError
-    before the first colon when the predicted divisor count exceeds 2**20.
+    one representative per class decides all of them.  The first subspace
+    met in each orbit has all its divisors tested; the later members are
+    counted as covered.  Returns the first failure in enumeration order,
+    if any.  Refuses with ResourceLimitError before the first colon when
+    the predicted divisor count exceeds 2**20.
     """
     d = ctx.dim(1)
     total = _brute_divisor_count(ctx.p, d)
@@ -218,21 +285,30 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
             f"brute-force universal check refused: {total} (ideal, divisor) "
             f"pairs over F_{ctx.p} with {d} vertices exceed 2**20"
         )
-    ideals = 0
-    divisors = 0
-    for u in enumerate_subspaces(ctx.p, d):
+    p = ctx.p
+    perms = _twin_transpositions(ctx.graph)
+    ahead = set()  # later members of the orbits already met
+    ideals = divisors = tested = 0
+    for u in enumerate_subspaces(p, d):
         ideals += 1
+        if u in ahead:
+            # its orbit's first member passed, so it passes too
+            ahead.remove(u)
+            divisors += (p ** (d - u.rank) - 1) // (p - 1)
+            continue
+        ahead |= _orbit_rest(u, perms)
         ideal = ideal_from_degree_one(ctx, u)
         for vec in enumerate_coset_reps_mod_scalar(u):
             divisors += 1
+            tested += 1
             b = from_coeffs(ctx, 1, vec)
             colon = colon_ideal(ctx, ideal, b)
             ok, degree, _ = is_one_generated(ctx, colon)
             if not ok:
                 return BruteResult(
-                    False, BruteFailure(ideal, b, degree), ideals, divisors
+                    False, BruteFailure(ideal, b, degree), ideals, divisors, tested
                 )
-    return BruteResult(True, None, ideals, divisors)
+    return BruteResult(True, None, ideals, divisors, tested)
 
 
 @dataclass(frozen=True)
@@ -305,14 +381,15 @@ def _brute_gate(p: int, d: int) -> bool:
 
 
 def classify(
-    g: Graph, p: int = 2, brute: str = "auto", dual_order: int = 12
+    g: Graph, p: int = 2, brute: str = "auto", dual_order: int | None = None
 ) -> KoszulReport:
     """Full report for one graph: dims, decomposition, all three verdicts,
     and the certified witness when the fast universal verdict is false.
 
     brute is "auto" (run the brute-force universal check only on small
     inputs: p=2 with at most 4 vertices, p=3 with at most 3), "on", or
-    "off".
+    "off".  dual_order defaults to max(12, top degree); an order below
+    the top degree is an InputError.
     """
     if brute not in ("auto", "on", "off"):
         raise InputError(f"brute mode must be auto, on, or off, got {brute!r}")
@@ -322,6 +399,8 @@ def classify(
     # Stages with a budget refuse before they start.  The cheap dual
     # series runs first and brute before strong, so that a refusal comes
     # before any long stage has run.
+    if dual_order is None:
+        dual_order = max(12, ctx.D)
     dual_nonneg = koszul_numerical_check(ctx.dims, dual_order)
     decomposition = elementary_type_decomposition(g)
     fast = not isinstance(decomposition, DiagonalViolation)

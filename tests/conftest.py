@@ -1,14 +1,32 @@
 """Shared graph constructors, test oracles (the brute-force canonical
 form, clique listing by k-subsets, subspace containment, the strong check
-by colon ideals and the product laws), and the acceptance-summary hook."""
+by colon ideals, the brute universal check over every subspace and the
+product laws), and the acceptance-summary hook."""
 
 import itertools
 
 from koszulity import build_graph, parse_edge_list
-from koszulity.algebra import AlgebraContext, generator, monomial_element, multiply
+from koszulity.algebra import (
+    AlgebraContext,
+    from_coeffs,
+    generator,
+    monomial_element,
+    multiply,
+)
+from koszulity.gfp import enumerate_coset_reps_mod_scalar, enumerate_subspaces
 from koszulity.graphs import Graph, cone, disjoint_union
-from koszulity.ideals import colon_ideal, monomial_ideal_basis
-from koszulity.koszul import StrongKoszulReport, StrongPairFailure
+from koszulity.ideals import (
+    colon_ideal,
+    ideal_from_degree_one,
+    is_one_generated,
+    monomial_ideal_basis,
+)
+from koszulity.koszul import (
+    BruteFailure,
+    BruteResult,
+    StrongKoszulReport,
+    StrongPairFailure,
+)
 
 _ACCEPTANCE_LINES = []
 
@@ -131,6 +149,27 @@ def strong_koszul_by_colons(ctx):
                     prefix, u, computed, predicted, degree
                 ))
     return StrongKoszulReport(not failures, pairs, tuple(failures))
+
+
+def brute_by_all_subspaces(ctx):
+    """Reference brute universal check: every degree-one subspace and
+    every divisor class of it, in enumeration order, with no orbit
+    reduction; every divisor checked is tested."""
+    ideals = 0
+    divisors = 0
+    for u in enumerate_subspaces(ctx.p, ctx.dim(1)):
+        ideals += 1
+        ideal = ideal_from_degree_one(ctx, u)
+        for vec in enumerate_coset_reps_mod_scalar(u):
+            divisors += 1
+            b = from_coeffs(ctx, 1, vec)
+            colon = colon_ideal(ctx, ideal, b)
+            ok, degree, _ = is_one_generated(ctx, colon)
+            if not ok:
+                return BruteResult(
+                    False, BruteFailure(ideal, b, degree), ideals, divisors, divisors
+                )
+    return BruteResult(True, None, ideals, divisors, divisors)
 
 
 def contains(s, t):

@@ -140,6 +140,22 @@ def test_analyze_dual_order_budget(capsys, tmp_path):
     assert code == 3 and "resource limit" in err
 
 
+K13 = "13\n" + "".join(f"{u} {v}\n" for u, v in itertools.combinations(range(13), 2))
+
+
+def test_analyze_default_dual_order_follows_the_top_degree(capsys, tmp_path):
+    # clique number 13 is above the old fixed default order of 12
+    doc = analyze_json(capsys, tmp_path, K13, "--brute", "off")
+    assert len(doc["dims"]) == 14 and doc["dual_series_nonneg"] is True
+
+
+def test_explicit_dual_order_below_the_top_degree_is_an_input_error(capsys, tmp_path):
+    path = write(tmp_path, "k13.txt", K13)
+    code, out, err = run(capsys, "analyze", "-i", path, "--dual-order", "5")
+    assert code == 2 and out == ""
+    assert "order 5 is below the top degree 13" in err
+
+
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 

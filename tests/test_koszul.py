@@ -1,9 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import (
+    brute_by_all_subspaces,
     complete,
     cone_over_path,
     five_vertex_cone_like,
@@ -22,10 +27,14 @@ from koszulity.algebra import (
     multiply,
 )
 from koszulity.errors import InputError, ResourceLimitError
+from koszulity.gfp import enumerate_subspaces, span
 from koszulity.graphs import (
     ConeNode,
     DiagonalViolation,
+    Graph,
     build_graph,
+    cone,
+    disjoint_union,
     nonisomorphic_graphs,
 )
 from koszulity.ideals import (
@@ -374,3 +383,165 @@ def test_brute_verdict_independent_of_prime():
             v2 = universal_koszul_bruteforce(build_algebra(g, 2)).verdict
             v3 = universal_koszul_bruteforce(build_algebra(g, 3)).verdict
             assert v2 is v3
+
+
+# -- brute route up to twin symmetry ------------------------------------------
+
+
+def _brute_cases():
+    for n in range(1, 6):
+        for g in nonisomorphic_graphs(n):
+            yield g, 2
+            if n <= 4:
+                yield g, 3
+    yield complete(3), 5
+
+
+def test_brute_matches_all_subspaces_oracle():
+    failing = 0
+    for g, p in _brute_cases():
+        out = universal_koszul_bruteforce(build_algebra(g, p))
+        ref = brute_by_all_subspaces(build_algebra(g, p))
+        key = (g.edges, p)
+        assert out.verdict is ref.verdict, key
+        assert out.ideals_enumerated == ref.ideals_enumerated, key
+        assert out.divisors_checked == ref.divisors_checked, key
+        assert out.divisors_tested <= ref.divisors_tested, key
+        if ref.failure is None:
+            assert out.failure is None, key
+            continue
+        failing += 1
+        f, r = out.failure, ref.failure
+        assert f.ideal.pieces == r.ideal.pieces, key
+        assert f.divisor.coeffs == r.divisor.coeffs, key
+        assert f.degree == r.degree, key
+    assert failing == 18
+
+
+def _twin_classes(g):
+    # by the definition, one pair at a time
+    classes = []
+    for v in range(g.n):
+        for c in classes:
+            if all(g.adj[u] - {v} == g.adj[v] - {u} for u in c):
+                c.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+def _generated_group(perms, n):
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        q = frontier.pop()
+        for s in perms:
+            r = tuple(s[q[i]] for i in range(n))
+            if r not in group:
+                group.add(r)
+                frontier.append(r)
+    return group
+
+
+def _twin_group(g):
+    # every permutation that maps each twin class onto itself
+    classes = _twin_classes(g)
+    group = set()
+    for images in itertools.product(*(itertools.permutations(c) for c in classes)):
+        perm = list(range(g.n))
+        for c, image in zip(classes, images):
+            for v, w in zip(c, image):
+                perm[v] = w
+        group.add(tuple(perm))
+    return group
+
+
+def _elementary():
+    # a cone over K2 + 3K1
+    return cone(disjoint_union(complete(2), build_graph(3, [])))
+
+
+def test_twin_generators_give_the_symmetric_group_on_each_twin_class():
+    elementary = _elementary()
+    graphs_ = [star(k) for k in range(1, 6)] + [complete(n) for n in range(1, 6)]
+    graphs_ += [build_graph(5, [(i, j) for i in range(2) for j in range(2, 5)]), elementary]
+    for g in graphs_:
+        want = _twin_group(g)
+        assert _generated_group(koszul._twin_transpositions(g), g.n) == want, g.edges
+    # the elementary graph has twin classes {0, 1}, {2, 3, 4} and the apex {5}
+    assert _twin_classes(elementary) == [[0, 1], [2, 3, 4], [5]]
+
+
+def test_twin_generators_are_checked_against_the_edges():
+    g = build_graph(3, [(0, 1), (1, 2)])
+    # adjacency that disagrees with the edge set makes any two vertices look like twins
+    bogus = Graph(3, g.edges)
+    vars(bogus)["adj"] = (frozenset(), frozenset(), frozenset())
+    with pytest.raises(RuntimeError, match="not a graph automorphism"):
+        koszul._twin_transpositions(bogus)
+    assert koszul._twin_transpositions(g) == [(2, 1, 0)]
+
+
+def test_brute_tests_exactly_the_first_member_of_each_orbit(monkeypatch):
+    tested = []
+    original = koszul.ideal_from_degree_one
+
+    def record(ctx, u):
+        tested.append(u)
+        return original(ctx, u)
+
+    monkeypatch.setattr(koszul, "ideal_from_degree_one", record)
+    for g, p, orbits in ((star(5), 2, 157), (complete(4), 5, 96), (_elementary(), 2, None)):
+        tested.clear()
+        assert universal_koszul_bruteforce(build_algebra(g, p)).verdict is True
+        group = _twin_group(g)
+        firsts, seen = [], set()
+        for u in enumerate_subspaces(p, g.n):
+            if u in seen:
+                continue
+            rows = u.sparse_rows()
+            seen |= {
+                span(p, g.n, [[(perm[j], c) for j, c in row] for row in rows])
+                for perm in group
+            }
+            firsts.append(u)
+        assert tested == firsts, g.edges
+        assert orbits is None or len(firsts) == orbits
+
+
+def test_graph_without_twins_tests_every_divisor():
+    p5 = build_graph(5, [(i, i + 1) for i in range(4)])
+    assert koszul._twin_transpositions(p5) == []
+    out = universal_koszul_bruteforce(build_algebra(p5, 2))
+    assert out.verdict is False
+    assert out.divisors_tested == out.divisors_checked
+
+
+def test_brute_tests_one_subspace_per_twin_orbit():
+    out = universal_koszul_bruteforce(build_algebra(star(5), 2))
+    assert out.verdict is True
+    assert (out.ideals_enumerated, out.divisors_checked) == (2825, 23562)
+    assert out.divisors_tested == 1498
+
+
+def test_brute_star7_completes_under_a_time_bound():
+    # 358,775 divisors; testing every one takes about 16 s on a 2-vCPU VM,
+    # one subspace per twin orbit (5,715 divisors) about 3 s
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(q for q in (src, os.environ.get("PYTHONPATH")) if q)
+    code = (
+        "from koszulity import build_algebra, build_graph, universal_koszul_bruteforce\n"
+        "g = build_graph(7, [(0, i) for i in range(1, 7)])\n"
+        "r = universal_koszul_bruteforce(build_algebra(g, 2))\n"
+        "print(r.verdict, r.ideals_enumerated, r.divisors_checked, r.divisors_tested)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=12,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "29212", "358775", "5715"]
