@@ -23,6 +23,7 @@ import time
 from . import __version__
 from .algebra import build_algebra, element_string, monomial_string
 from .errors import InputError, ResourceLimitError
+from .gfp import Prime
 from .graphs import (
     ConeNode,
     DiagonalViolation,
@@ -244,13 +245,14 @@ def cmd_census(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    p = Prime(args.p)  # a bad prime exits 2 even when no witness exists
     g = _load_graph(args.input, args.format)
     if diagonal_violation(g) is None:
         sys.stderr.write(
             "no witness exists: graph has the diagonal property (elementary type)\n"
         )
         return 4
-    ctx = build_algebra(g, args.p)
+    ctx = build_algebra(g, p)
     w = non_universal_witness(ctx)
     v = w.violation
     sys.stdout.write(

@@ -5,11 +5,18 @@ Three graded properties are decided exactly:
 - strongly Koszul: for every subset S' of the vertex generators and every
   generator u outside S', the colon ideal (S'):(u) is again generated by
   vertex generators.  Since a_u sends each basis monomial to zero or to
-  +-1 times another, each piece of such a colon is one int bitmask over
-  its degree's basis, read off the generator maps.  It is checked against
+  +-1 times another, each piece of such a colon is a bitmask over its
+  degree's basis, read off the generator maps.  It is checked against
   the ideal its degree-one part generates (from the bases) and against
   the closed form S' union {a_j : a_j u = 0} (u and its non-neighbors,
-  from adjacency), so every pair is verified twice.
+  from adjacency), so every pair is verified twice.  The pieces are
+  packed: one int per degree n holds piece n of (S'):(a_u) for every
+  divisor u at once, in field u of dim A_n bits, next to the ideal that
+  the closed form generates, packed the same way.  One comparison per
+  degree, over the fields of the u outside S', decides every divisor of
+  S': in degree one it is the closed-form test, and once that holds the
+  ideal the computed generators regenerate is the predicted one, so the
+  other degrees are the regeneration test.
 - universally Koszul: for every ideal I generated in degree one and every
   divisor b in A_1 outside I_1, the colon I:(b) is generated in degree one.
   The fast route is the graph criterion (diagonal property: no induced C4
@@ -41,6 +48,8 @@ monomial a_{v2} a_{v3}, which Ann(b)_1 cannot generate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .algebra import (
     AlgebraContext,
@@ -89,32 +98,43 @@ class StrongKoszulReport:
     failures: tuple
 
 
-def _monomial_tables(ctx: AlgebraContext):
-    """Bitmasks over each degree's basis (bit i = monomial i) for the
-    strong check: contains[n][x], the degree-n monomials containing vertex
-    x (from the bases); killed[u][n], those that a_u sends to zero; and
-    pre[u][n][x], those that a_u sends to +-1 times a monomial containing
-    x (both from ctx.gen_maps, n < D).  Colons of vertex-generated ideals
-    are then spanned by monomials, provided every image is zero or one
-    +-1 term with a target of its own; RuntimeError otherwise."""
+def _bits(mask: int) -> list[int]:
+    return [j for j in range(mask.bit_length()) if (mask >> j) & 1]
+
+
+def _monomial_tables(ctx: AlgebraContext, killed_by: list[int]):
+    """The strong check's bitmask tables, packed over every divisor: in
+    degree n (1 <= n <= D) an int holds one field of w = dim A_n bits per
+    divisor a_u, at offset u*w, and bit i of a field is basis monomial i.
+    Returns base and steps[x], each D colon ints, then D regenerated
+    ints, then D prefix ints over n = 1..D:
+
+    - base, for the empty prefix: the monomials a_u kills (from
+      ctx.gen_maps; every monomial in degree D) and the ideal that the
+      closed form killed_by[u] generates (from the bases), in field u;
+    - steps[x], what vertex x adds to a prefix: the monomials a_u sends to
+      +-1 times a monomial containing x (from ctx.gen_maps) in field u,
+      the monomials containing x (from the bases) in every field, and a
+      full field x, whose divisor a_x is then in the prefix.
+
+    Colons of vertex-generated ideals are then spanned by monomials,
+    provided every image is zero or one +-1 term with a target of its own;
+    RuntimeError otherwise."""
     d, D = ctx.dim(1), ctx.D
-    contains = []
-    for basis in ctx.bases:
-        masks = [0] * d
-        for i, mono in enumerate(basis):
-            for x in mono:
-                masks[x] |= 1 << i
-        contains.append(masks)
-    killed = [[0] * D for _ in range(d)]
-    pre = [[[0] * d for _ in range(D)] for _ in range(d)]
-    for n in range(D):
-        up = ctx.bases[n + 1]
-        for u in range(d):
-            masks = pre[u][n]
-            targets = set()
-            for i, image in enumerate(ctx.gen_maps[n][u]):
+    colon, closed = [], []
+    pre, contains, own = ([[] for _ in range(d)] for _ in range(3))
+    for n in range(D + 1):
+        w = ctx.dim(n)
+        ones = (1 << w) - 1  # one full field
+        every = sum(1 << (u * w) for u in range(d))  # bit 0 of each field
+        kills = ones * every if n == D else 0
+        reach = [0] * d
+        for u, images in enumerate(ctx.gen_maps[n] if n < D else ()):
+            up, targets = ctx.bases[n + 1], set()
+            for i, image in enumerate(images):
+                bit = 1 << (u * w + i)
                 if not image:
-                    killed[u][n] |= 1 << i
+                    kills |= bit
                     continue
                 (k, sign), *rest = image
                 if rest or sign not in (1, -1) or k in targets:
@@ -124,8 +144,50 @@ def _monomial_tables(ctx: AlgebraContext):
                     )
                 targets.add(k)
                 for x in up[k]:
-                    masks[x] |= 1 << i
-    return contains, killed, pre
+                    reach[x] |= bit
+        if n == 0:
+            continue
+        meets = [0] * d
+        for i, mono in enumerate(ctx.bases[n]):
+            for x in mono:
+                meets[x] |= 1 << i
+        colon.append(kills)
+        closed.append(sum(
+            reduce(or_, (meets[j] for j in _bits(killed_by[u])), 0) << (u * w)
+            for u in range(d)
+        ))
+        for x in range(d):
+            pre[x].append(reach[x])
+            contains[x].append(meets[x] * every)
+            own[x].append(ones << (x * w))
+    base = tuple(colon + closed) + (0,) * D
+    return base, [tuple(pre[x] + contains[x] + own[x]) for x in range(d)]
+
+
+def _pair_failures(ctx, mask, colon, diff, steps, killed_by):
+    """StrongPairFailure records, u ascending, for the divisors whose
+    fields of diff are not zero.  Each colon piece is decoded from field
+    u, and the least failing degree comes from the ideal that the computed
+    generators (the piece in degree one) regenerate."""
+    d, D = ctx.dim(1), ctx.D
+    widths = ctx.dims[1:]
+    prefix = tuple(_bits(mask))
+    failures = []
+    for u in range(d):
+        if not any((x >> (u * w)) & ((1 << w) - 1) for x, w in zip(diff, widths)):
+            continue
+        pieces = [(c >> (u * w)) & ((1 << w) - 1) for c, w in zip(colon, widths)]
+        computed = _bits(pieces[0])
+        degree = None
+        for n, w in enumerate(widths):
+            regenerated = reduce(or_, (steps[x][D + n] for x in computed), 0)
+            if regenerated & ((1 << w) - 1) != pieces[n]:
+                degree = n + 1
+                break
+        failures.append(StrongPairFailure(
+            prefix, u, tuple(computed), tuple(_bits(mask | killed_by[u])), degree
+        ))
+    return failures
 
 
 def strong_koszul_check(ctx: AlgebraContext) -> StrongKoszulReport:
@@ -142,43 +204,25 @@ def strong_koszul_check(ctx: AlgebraContext) -> StrongKoszulReport:
             f"pairs for {d} vertices exceed 2**20"
         )
     D = ctx.D
-    contains, killed, pre = _monomial_tables(ctx)
-    top = (1 << ctx.dim(D)) - 1  # every degree-D monomial times a_u is zero
     adj = ctx.graph.adj
     # closed form: a_j a_u = 0 exactly for u itself and its non-neighbours
     killed_by = [sum(1 << j for j in range(d) if j not in adj[u]) for u in range(d)]
-    pairs = 0
+    base, steps = _monomial_tables(ctx, killed_by)
+    # Masks ascend; acc[i] is base OR the steps of the mask's vertices >= i,
+    # so each mask ORs the step of its lowest vertex into the accumulator
+    # of the others, one OR per entry.
+    acc = [base] * (d + 1)
     failures = []
     for mask in range(2**d - 1):
-        prefix = [j for j in range(d) if (mask >> j) & 1]
-        for u in range(d):
-            if (mask >> u) & 1:
-                continue
-            pairs += 1
-            # piece n of (prefix):(a_u) is killed[u][n] | pre[u][n][x], x in prefix
-            colon = [None]
-            for n in range(1, D):
-                piece = killed[u][n]
-                for x in prefix:
-                    piece |= pre[u][n][x]
-                colon.append(piece)
-            colon.append(top)
-            computed = [j for j in range(d) if (colon[1] >> j) & 1]
-            degree = None
-            for n in range(1, D + 1):
-                regenerated = 0
-                for x in computed:
-                    regenerated |= contains[n][x]
-                if regenerated != colon[n]:
-                    degree = n
-                    break
-            predicted = mask | killed_by[u]
-            if degree is not None or colon[1] != predicted:
-                failures.append(StrongPairFailure(
-                    tuple(prefix), u, tuple(computed),
-                    tuple(j for j in range(d) if (predicted >> j) & 1), degree
-                ))
-    return StrongKoszulReport(not failures, pairs, tuple(failures))
+        if mask:
+            t = (mask & -mask).bit_length() - 1
+            acc[: t + 1] = [tuple(map(or_, acc[t + 1], steps[t]))] * (t + 1)
+        state = acc[0]
+        # live fields: the divisors outside the prefix
+        diff = [(c ^ r) & ~k for c, r, k in zip(state, state[D:], state[2 * D:])]
+        if any(diff):
+            failures += _pair_failures(ctx, mask, state[:D], diff, steps, killed_by)
+    return StrongKoszulReport(not failures, total, tuple(failures))
 
 
 def universal_koszul_fast(g: Graph) -> bool:

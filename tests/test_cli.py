@@ -304,6 +304,17 @@ def test_witness_absent(capsys, tmp_path):
     assert "no witness exists" in err
 
 
+def test_witness_rejects_a_bad_prime_before_the_diagonal_test(capsys, tmp_path):
+    # P3 has the diagonal property, so a prime checked after the diagonal
+    # test would exit 4 there; C4 has a violation
+    for name, text in (("p3.txt", "3\n0 1\n1 2\n"), ("c4.txt", SQUARE)):
+        path = write(tmp_path, name, text)
+        for p, message in (("9", "9 is not prime"), ("1", "got 1")):
+            code, out, err = run(capsys, "witness", "-i", path, "-p", p)
+            assert code == 2 and out == ""
+            assert message in err
+
+
 def to_edgelist(g):
     return f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
 

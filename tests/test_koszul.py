@@ -45,6 +45,7 @@ from koszulity.ideals import (
     monomial_ideal_basis,
 )
 from koszulity.koszul import (
+    StrongPairFailure,
     classify,
     non_universal_witness,
     strong_koszul_check,
@@ -126,6 +127,9 @@ def test_strong_check_matches_colon_oracle():
     cases += [(g, p) for p in (3, 5) for n in range(1, 6) for g in nonisomorphic_graphs(n)]
     rng = random.Random(20)
     cases += [(random_graph(rng, n), 2) for n in (7, 7, 8, 8, 9, 9)]
+    cases += [(random_graph(rng, n), 3) for n in (7, 8)]
+    # the top degree at its largest (D = d) and smallest (D = 1)
+    cases += [(complete(8), 2), (build_graph(8, []), 2)]
     for g, p in cases:
         ctx = build_algebra(g, p)
         report = strong_koszul_check(ctx)
@@ -164,6 +168,39 @@ def test_strong_check_reports_the_oracles_failures_on_a_broken_map():
                     report = strong_koszul_check(ctx)
                     assert report.failures
                     assert report == strong_koszul_by_colons(ctx)
+
+
+def test_strong_check_keeps_the_oracles_failure_order_across_masks():
+    # a0 a1 and a1 a0 both replaced by zero put a1 into the colon by a0,
+    # and a0 into the one by a1, of every prefix that misses both, so one
+    # mask holds two failing divisors and several masks fail
+    plain = build_algebra(path4(), 3)
+    ctx = with_image(build_algebra(path4(), 3), 1, 0, 1, ())
+    ctx = with_image(ctx, 1, 1, 0, ())
+    assert plain.gen_maps[1][0][1] and plain.gen_maps[1][1][0]
+    report = strong_koszul_check(ctx)
+    oracle = strong_koszul_by_colons(ctx)
+    assert report.failures == oracle.failures
+    assert report == oracle
+    prefixes = [f.prefix for f in report.failures]
+    assert len(set(prefixes)) >= 2
+    assert any(prefixes.count(s) >= 2 for s in prefixes)
+
+
+def test_strong_check_reports_a_failure_seen_only_in_the_top_degree():
+    # With true adjacency every top monomial meets S' or a non-neighbour
+    # of u, so the closed form fills the top degree and that comparison
+    # only fails when adjacency and maps disagree.  Here P3's maps and
+    # bases meet triangle adjacency, and a0 a2 (zero in P3) is sent to
+    # a1 a2: the colon 0:(a0) has the predicted generator a0 alone in
+    # degree one but the whole top degree, which a0 does not generate.
+    ctx = build_algebra(build_graph(3, [(0, 1), (1, 2)]), 2)
+    assert ctx.D == 2 and not ctx.gen_maps[1][0][2]
+    ctx = with_image(ctx, 1, 0, 2, ((ctx.index[2][(1, 2)], 1),))
+    ctx.graph = complete(3)
+    report = strong_koszul_check(ctx)
+    assert report == strong_koszul_by_colons(ctx)
+    assert StrongPairFailure((), 0, (0,), (0,), 2) in report.failures
 
 
 def test_strong_check_refuses_maps_that_are_not_signed_injections():
