@@ -38,10 +38,9 @@ def extract(ref: str, into: Path) -> str:
         capture_output=True, text=True, check=True,
     ).stdout.strip()
     into.mkdir(parents=True)
-    archive = subprocess.Popen(["git", "archive", commit], stdout=subprocess.PIPE)
-    subprocess.run(["tar", "-x", "-C", str(into)], stdin=archive.stdout, check=True)
-    archive.stdout.close()
-    if archive.wait() != 0:
+    with subprocess.Popen(["git", "archive", commit], stdout=subprocess.PIPE) as archive:
+        subprocess.run(["tar", "-x", "-C", str(into)], stdin=archive.stdout, check=True)
+    if archive.returncode != 0:
         raise SystemExit(f"git archive {ref} failed")
     return commit
 
