@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
 from .gfp import Prime, rref
-from .graphs import Graph, clique_number, enumerate_cliques
+from .graphs import Graph, enumerate_cliques
 
 Monomial = tuple  # strictly increasing vertex indices; () is the unit
 
@@ -41,10 +41,8 @@ class AlgebraContext:
     def __init__(self, graph: Graph, p: int):
         self.graph = graph
         self.p = Prime(p)
-        self.D = clique_number(graph)
-        self.bases = tuple(
-            tuple(enumerate_cliques(graph, k)) for k in range(self.D + 1)
-        )
+        self.bases = enumerate_cliques(graph)
+        self.D = len(self.bases) - 1
         self.index = tuple(
             {m: i for i, m in enumerate(basis)} for basis in self.bases
         )
@@ -238,17 +236,21 @@ def normal_form(ctx: AlgebraContext, word) -> Element:
     return Element(ctx, n, tuple(c if j == idx else 0 for j in range(ctx.dim(n))))
 
 
-def koszul_numerical_check(hilbert, order: int = 12) -> bool:
+def koszul_numerical_check(hilbert, order: int | None = None) -> bool:
     """True when 1/H(-t) has nonnegative coefficients through t**order.
 
     H is given by its coefficient tuple; H(0) must be 1 (the series is then
     invertible over the integers and every coefficient is an integer).
-    Orders above 4096 are refused with ResourceLimitError."""
+    order defaults to max(12, top degree); an order below the top degree
+    is an InputError, and orders above 4096 are refused with
+    ResourceLimitError."""
+    h = tuple(int(c) for c in hilbert)
+    if order is None:
+        order = max(12, len(h) - 1)
     if order > _DUAL_ORDER_LIMIT:
         raise ResourceLimitError(
             f"dual series order {order} refused: exceeds {_DUAL_ORDER_LIMIT}"
         )
-    h = tuple(int(c) for c in hilbert)
     if not h or h[0] != 1:
         raise InputError("Hilbert series must have constant term 1")
     if order < len(h) - 1:

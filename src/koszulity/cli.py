@@ -99,8 +99,8 @@ def _witness_json(w: NonUKWitness) -> dict:
 
 def report_json(report: KoszulReport, timing_ms: int) -> dict:
     uk: dict = {
-        "fast": report.universal_fast,
-        "brute": "skipped" if report.universal_brute is None else report.universal_brute,
+        "fast": report.diagonal_property,
+        "brute": "skipped" if report.brute is None else report.brute.verdict,
     }
     if report.witness is not None:
         uk["witness"] = _witness_json(report.witness)
@@ -167,12 +167,12 @@ def _census_row(task):
     key, n, edges, p, run_brute, dual_order = task
     g = build_graph(n, edges)
     report = classify(g, p=p, brute="on" if run_brute else "off", dual_order=dual_order)
-    brute = report.universal_brute
+    brute = report.brute
     violation = (
         not report.strong.passed
         or not report.pbw
         or not report.dual_series_nonneg
-        or (brute is not None and brute != report.universal_fast)
+        or (brute is not None and brute.verdict != report.diagonal_property)
     )
     row = (
         key,
@@ -181,8 +181,8 @@ def _census_row(task):
         " ".join(str(d) for d in report.dims),
         _bool(report.diagonal_property),
         _bool(report.strong.passed),
-        _bool(report.universal_fast),
-        "skipped" if brute is None else _bool(brute),
+        _bool(report.diagonal_property),
+        "skipped" if brute is None else _bool(brute.verdict),
         _bool(report.pbw),
         _bool(report.dual_series_nonneg),
     )

@@ -368,10 +368,7 @@ def rref(matrix: Sequence[Sequence[int]], p: int, ambient_dim: int | None = None
         ambient_dim = width
     elif ambient_dim is None:
         raise InputError("ambient dimension required for an empty matrix")
-    if p == 2:
-        return _space(p, ambient_dim, _echelon2(_pack(r) for r in rows))
-    mat = [[x % p for x in r] for r in rows]
-    return _space(p, ambient_dim, tuple(_eliminate(mat, ambient_dim, p)))
+    return span(p, ambient_dim, map(enumerate, rows))
 
 
 def zero_space(p: int, ambient_dim: int) -> RowSpace:
@@ -424,9 +421,7 @@ def kernel(
         if codomain_dim is None:
             raise InputError("codomain dimension required for an empty matrix")
         b = codomain_dim
-    if p == 2:
-        return _space(p, a, _kernel2([_pack(r) for r in matrix], b))
-    return _space(p, a, tuple(_kernel_dense(matrix, a, b, p)))
+    return image_kernel(p, a, [tuple(enumerate(r)) for r in matrix], zero_space(p, b))
 
 
 def image_kernel(

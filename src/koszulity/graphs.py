@@ -145,21 +145,21 @@ def induced_subgraph(g: Graph, verts) -> Graph:
     return build_graph(len(vs), edges)
 
 
-def enumerate_cliques(g: Graph, k: int) -> list[tuple[int, ...]]:
-    """All k-cliques as sorted vertex tuples, in lexicographic order.
+def enumerate_cliques(g: Graph) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every clique by size, in one pass: entry k holds the k-cliques as
+    sorted vertex tuples in lexicographic order, for k = 0 up to the
+    clique number, the last entry's size.
 
-    Each (k-1)-clique is extended by its common neighbours above its last
+    Each k-clique is extended by its common neighbours above its last
     vertex, held as an int bitmask, so the work grows with the number of
     cliques rather than of k-subsets (Chiba & Nishizeki, "Arboricity and
     subgraph listing algorithms", SIAM J. Comput. 14(1), 1985)."""
-    if k < 0:
-        raise InputError("clique size must be nonnegative")
-    if k == 0:
-        return [()]
     # above[v]: the neighbours of v greater than v
     above = [sum(1 << w for w in g.adj[v] if w > v) for v in range(g.n)]
+    levels = [((),)]
     level = [((v,), above[v]) for v in range(g.n)]
-    for _ in range(k - 1):
+    while level:
+        levels.append(tuple(clique for clique, _ in level))
         grown = []
         for clique, common in level:
             while common:
@@ -168,17 +168,7 @@ def enumerate_cliques(g: Graph, k: int) -> list[tuple[int, ...]]:
                 grown.append((clique + (w,), common & above[w]))
                 common ^= low
         level = grown
-    return [clique for clique, _ in level]
-
-
-def clique_number(g: Graph) -> int:
-    best = 0
-    for k in range(1, g.n + 1):
-        if enumerate_cliques(g, k):
-            best = k
-        else:
-            break
-    return best
+    return tuple(levels)
 
 
 @dataclass(frozen=True)

@@ -406,11 +406,7 @@ class KoszulReport:
     diagonal_property: bool
     decomposition: object  # tree node or DiagonalViolation
     strong: StrongKoszulReport
-    universal_fast: bool
-    universal_brute: bool | None
-    brute_failure: BruteFailure | None
-    ideals_enumerated: int
-    divisors_checked: int
+    brute: BruteResult | None
     witness: NonUKWitness | None
     pbw: bool
     dual_series_nonneg: bool
@@ -428,12 +424,12 @@ def classify(
     g: Graph, p: int = 2, brute: str = "auto", dual_order: int | None = None
 ) -> KoszulReport:
     """Full report for one graph: dims, decomposition, all three verdicts,
-    and the certified witness when the fast universal verdict is false.
+    and the certified witness when the graph lacks the diagonal property.
 
     brute is "auto" (run the brute-force universal check only on small
     inputs: p=2 with at most 4 vertices, p=3 with at most 3), "on", or
-    "off".  dual_order defaults to max(12, top degree); an order below
-    the top degree is an InputError.
+    "off"; report.brute is None when it did not run.  dual_order goes to
+    koszul_numerical_check, whose default is max(12, top degree).
     """
     if brute not in ("auto", "on", "off"):
         raise InputError(f"brute mode must be auto, on, or off, got {brute!r}")
@@ -443,19 +439,11 @@ def classify(
     # Stages with a budget refuse before they start.  The cheap dual
     # series runs first and brute before strong, so that a refusal comes
     # before any long stage has run.
-    if dual_order is None:
-        dual_order = max(12, ctx.D)
     dual_nonneg = koszul_numerical_check(ctx.dims, dual_order)
     decomposition = elementary_type_decomposition(g)
     fast = not isinstance(decomposition, DiagonalViolation)
     run_brute = brute == "on" or (brute == "auto" and _brute_gate(ctx.p, g.n))
-    if run_brute:
-        result = universal_koszul_bruteforce(ctx)
-        brute_verdict = result.verdict
-        failure = result.failure
-        ideals, divisors = result.ideals_enumerated, result.divisors_checked
-    else:
-        brute_verdict, failure, ideals, divisors = None, None, 0, 0
+    brute_result = universal_koszul_bruteforce(ctx) if run_brute else None
     strong = strong_koszul_check(ctx)
     witness = None if fast else _certify_witness(ctx, decomposition)
     return KoszulReport(
@@ -465,11 +453,7 @@ def classify(
         diagonal_property=fast,
         decomposition=decomposition,
         strong=strong,
-        universal_fast=fast,
-        universal_brute=brute_verdict,
-        brute_failure=failure,
-        ideals_enumerated=ideals,
-        divisors_checked=divisors,
+        brute=brute_result,
         witness=witness,
         pbw=pbw_check(ctx),
         dual_series_nonneg=dual_nonneg,

@@ -1,11 +1,21 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete, cone_over_path, path4, product_law_checks, square4, star
+from conftest import (
+    cliques_by_combinations,
+    complete,
+    cone_over_path,
+    path4,
+    product_law_checks,
+    square4,
+    star,
+)
+from koszulity import algebra
 from koszulity.algebra import (
     build_algebra,
     element_string,
@@ -198,9 +208,22 @@ def test_hilbert_series_counts_cliques():
             ctx = build_algebra(g, 2)
             h = ctx.dims
             assert h == tuple(
-                len(enumerate_cliques(g, k)) for k in range(len(h))
+                len(cliques_by_combinations(g, k)) for k in range(len(h))
             )
+            assert cliques_by_combinations(g, len(h)) == []
             assert h[0] == 1 and h[1] == g.n
+
+
+def test_build_algebra_lists_cliques_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_cliques(*args)
+
+    monkeypatch.setattr(algebra, "enumerate_cliques", counting)
+    ctx = build_algebra(complete(5), 2)
+    assert ctx.D == 5 and len(calls) == 1
 
 
 def test_numerical_check_point_algebra():
@@ -230,6 +253,12 @@ def test_numerical_check_matches_oracle_on_small_classes():
             inv = inverse_series_oracle(plus_minus_alternating(h), 12)
             expect = all(c >= 0 for c in inv)
             assert koszul_numerical_check(h, order=12) is expect
+
+
+def test_numerical_check_default_order_covers_the_top_degree():
+    # K13: H = (1 + t)**13, top degree 13 above the floor of 12
+    h = tuple(math.comb(13, k) for k in range(14))
+    assert koszul_numerical_check(h) is True
 
 
 def test_numerical_check_input_validation():

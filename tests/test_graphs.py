@@ -23,7 +23,6 @@ from koszulity.graphs import (
     build_graph,
     canonical_form,
     canonical_graph,
-    clique_number,
     cone,
     diagonal_violation,
     disjoint_union,
@@ -101,15 +100,19 @@ def test_graph6_roundtrip_all_small_classes():
             assert parse_graph6(text) == g
 
 
+def clique_number(g):
+    return len(enumerate_cliques(g)) - 1
+
+
 def test_enumerate_cliques():
-    k3 = complete(3)
-    assert enumerate_cliques(k3, 0) == [()]
-    assert enumerate_cliques(k3, 1) == [(0,), (1,), (2,)]
-    assert enumerate_cliques(k3, 2) == [(0, 1), (0, 2), (1, 2)]
-    assert enumerate_cliques(k3, 3) == [(0, 1, 2)]
-    assert enumerate_cliques(square4(), 3) == []
-    k4 = complete(4)
-    assert [len(enumerate_cliques(k4, k)) for k in range(5)] == [1, 4, 6, 4, 1]
+    assert enumerate_cliques(complete(3)) == (
+        ((),),
+        ((0,), (1,), (2,)),
+        ((0, 1), (0, 2), (1, 2)),
+        ((0, 1, 2),),
+    )
+    assert len(enumerate_cliques(square4())) == 3  # no 3-cliques
+    assert [len(level) for level in enumerate_cliques(complete(4))] == [1, 4, 6, 4, 1]
 
 
 def test_enumerate_cliques_matches_subset_oracle():
@@ -118,11 +121,14 @@ def test_enumerate_cliques_matches_subset_oracle():
         pairs = list(itertools.combinations(range(n), 2))
         for density in (0.2, 0.5, 0.8, 1.0):
             g = build_graph(n, [e for e in pairs if rng.random() < density])
+            levels = enumerate_cliques(g)
             for k in range(n + 2):
-                assert enumerate_cliques(g, k) == cliques_by_combinations(g, k)
+                want = cliques_by_combinations(g, k)
+                assert list(levels[k] if k < len(levels) else ()) == want
 
 
 def test_clique_number():
+    # the clique number is the size of the last level enumerate_cliques lists
     assert clique_number(complete(4)) == 4
     assert clique_number(square4()) == 2
     assert clique_number(star(3)) == 2

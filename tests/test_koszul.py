@@ -342,8 +342,8 @@ def test_witness_requires_violation():
 def test_classify_star_runs_brute():
     report = classify(star(3), p=2)
     assert report.diagonal_property is True
-    assert report.strong.passed and report.universal_fast is True
-    assert report.universal_brute is True and report.witness is None
+    assert report.strong.passed and report.witness is None
+    assert report.brute.verdict is True and report.brute.failure is None
     assert report.pbw is True and report.dual_series_nonneg is True
     assert isinstance(report.decomposition, ConeNode)
     assert report.dims == (1, 4, 3)
@@ -351,24 +351,25 @@ def test_classify_star_runs_brute():
 
 def test_classify_brute_gating():
     # auto skips brute when the enumeration would be too large
-    assert classify(complete(5), p=2, brute="auto").universal_brute is None
-    assert classify(complete(5), p=2, brute="off").universal_brute is None
-    assert classify(complete(3), p=3, brute="auto").universal_brute is True
-    assert classify(complete(4), p=3, brute="auto").universal_brute is None
+    assert classify(complete(5), p=2, brute="auto").brute is None
+    assert classify(complete(5), p=2, brute="off").brute is None
+    assert classify(complete(3), p=3, brute="auto").brute.verdict is True
+    assert classify(complete(4), p=3, brute="auto").brute is None
     forced = classify(complete(5), p=2, brute="on")
-    assert forced.universal_brute is True
+    assert forced.brute.verdict is True
+    assert forced.brute == universal_koszul_bruteforce(build_algebra(complete(5), 2))
     with pytest.raises(InputError):
         classify(square4(), brute="sometimes")
 
 
 def test_classify_square_carries_witness():
     report = classify(square4(), p=2)
-    assert report.universal_fast is False
+    assert report.diagonal_property is False
     assert report.witness is not None
     assert monomial_string(report.witness.culprit) == "a2*a3"
     assert isinstance(report.decomposition, DiagonalViolation)
-    assert report.universal_brute is False
-    assert report.brute_failure is not None
+    assert report.brute.verdict is False
+    assert report.brute.failure is not None
 
 
 def test_classify_empty_graph_rejected():
