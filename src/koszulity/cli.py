@@ -201,6 +201,7 @@ def _census_workers() -> int:
 
 
 def cmd_census(args) -> int:
+    Prime(args.p)  # a bad prime exits 2 before any class is enumerated
     if args.input is not None:
         classes: dict[str, Graph] = {}
         for line in _read_text(args.input).splitlines():

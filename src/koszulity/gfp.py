@@ -447,10 +447,20 @@ def image_kernel(
     return _space(p, domain_dim, tuple(_kernel_dense(matrix, domain_dim, len(keep), p)))
 
 
+def count_text(count: int) -> str:
+    """A count for a refusal message: exact up to 2**64, else "more than
+    2**k" for the largest such k (Python refuses to write an int of more
+    than 4300 digits in decimal)."""
+    if count <= 2**64:
+        return str(count)
+    return f"more than 2**{(count - 1).bit_length() - 1}"
+
+
 def _guard(p: int, d: int) -> None:
     if p**d > ENUMERATION_GUARD:
         raise ResourceLimitError(
-            f"enumeration over F_{p}^{d} refused: p**d = {p**d} exceeds 2**20"
+            f"enumeration over F_{p}^{d} refused: p**d = {count_text(p**d)} "
+            "exceeds 2**20"
         )
 
 

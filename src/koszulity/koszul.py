@@ -62,6 +62,8 @@ from .algebra import (
 from .errors import InputError, ResourceLimitError
 from .gfp import (
     ENUMERATION_GUARD,
+    Prime,
+    count_text,
     enumerate_coset_reps_mod_scalar,
     enumerate_subspaces,
     span,
@@ -190,6 +192,17 @@ def _pair_failures(ctx, mask, colon, diff, steps, killed_by):
     return failures
 
 
+def _strong_budget(d: int) -> int:
+    """The strong check's pair count on d vertices, refused past 2**20."""
+    total = d * 2**d // 2
+    if total > ENUMERATION_GUARD:
+        raise ResourceLimitError(
+            f"strong Koszulity check refused: {count_text(total)} (prefix set, "
+            f"divisor) pairs for {d} vertices exceed 2**20"
+        )
+    return total
+
+
 def strong_koszul_check(ctx: AlgebraContext) -> StrongKoszulReport:
     """Exhaustive strong-Koszulity check over all (prefix set, divisor)
     pairs, each verified against the closed-form generator prediction.
@@ -197,12 +210,7 @@ def strong_koszul_check(ctx: AlgebraContext) -> StrongKoszulReport:
     Refuses with ResourceLimitError before any work when the
     d * 2**(d-1) pairs exceed 2**20 (more than 16 vertices)."""
     d = ctx.dim(1)
-    total = d * 2**d // 2
-    if total > ENUMERATION_GUARD:
-        raise ResourceLimitError(
-            f"strong Koszulity check refused: {total} (prefix set, divisor) "
-            f"pairs for {d} vertices exceed 2**20"
-        )
+    total = _strong_budget(d)
     D = ctx.D
     adj = ctx.graph.adj
     # closed form: a_j a_u = 0 exactly for u itself and its non-neighbours
@@ -326,8 +334,8 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
     total = _brute_divisor_count(ctx.p, d)
     if total > ENUMERATION_GUARD:
         raise ResourceLimitError(
-            f"brute-force universal check refused: {total} (ideal, divisor) "
-            f"pairs over F_{ctx.p} with {d} vertices exceed 2**20"
+            f"brute-force universal check refused: {count_text(total)} (ideal, "
+            f"divisor) pairs over F_{ctx.p} with {d} vertices exceed 2**20"
         )
     p = ctx.p
     perms = _twin_transpositions(ctx.graph)
@@ -435,6 +443,10 @@ def classify(
         raise InputError(f"brute mode must be auto, on, or off, got {brute!r}")
     if g.n == 0:
         raise InputError("cannot classify the empty graph")
+    Prime(p)  # a bad prime is an input error whatever the graph's size
+    # The strong check always runs and its budget depends on g.n alone, so
+    # a graph it refuses is refused before any other stage.
+    _strong_budget(g.n)
     ctx = build_algebra(g, p)
     # Stages with a budget refuse before they start.  The cheap dual
     # series runs first and brute before strong, so that a refusal comes

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import complete, path4, square4
 from koszulity.algebra import build_algebra, koszul_numerical_check
+from koszulity import cli
 from koszulity.cli import main
 from koszulity.graphs import build_graph, nonisomorphic_graphs, to_graph6
 
@@ -266,6 +267,16 @@ def test_census_six_matches_golden_rows(capsys):
     assert rows == (GOLDEN_DIR / "census6_rows.txt").read_text(encoding="ascii").splitlines()
 
 
+def test_census_rejects_a_bad_prime_before_enumerating(capsys, monkeypatch):
+    def no_classes(n):
+        raise AssertionError("classes enumerated before the prime check")
+
+    monkeypatch.setattr(cli, "nonisomorphic_graphs", no_classes)
+    code, out, err = run(capsys, "census", "-n", "7", "-p", "9")
+    assert code == 2 and out == ""
+    assert "9 is not prime" in err
+
+
 def test_census_rejects_bad_thread_count(capsys, monkeypatch):
     for raw in ("zero", "0", "-3"):
         monkeypatch.setenv("KOSZUL_THREADS", raw)
@@ -354,7 +365,7 @@ def test_census_non_ascii_input(capsys, tmp_path):
     assert "not ASCII" in err
 
 
-def run_cli_process(*argv):
+def run_cli_process(*argv, timeout=20):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
@@ -362,8 +373,25 @@ def run_cli_process(*argv):
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
-        timeout=20,
+        timeout=timeout,
     )
+
+
+def test_analyze_refuses_a_huge_graph_before_any_stage(tmp_path):
+    # 200,000 isolated vertices: splitting them into components alone took
+    # over 100 s when the strong budget was checked last
+    path = write(tmp_path, "empty200000.txt", "200000\n")
+    out = run_cli_process("analyze", "-i", path, "--brute", "off", timeout=5)
+    assert out.returncode == 3 and out.stdout == ""
+    assert "more than 2**200016 (prefix set, divisor) pairs" in out.stderr
+
+
+def test_refusals_with_huge_counts_exit_3(capsys, tmp_path):
+    for n, brute in (("300", "on"), ("20000", "off")):
+        path = write(tmp_path, f"empty{n}.txt", f"{n}\n")
+        code, out, err = run(capsys, "analyze", "-i", path, "--brute", brute)
+        assert code == 3 and out == ""
+        assert "strong Koszulity check refused: more than 2**" in err
 
 
 def test_forty_vertex_graph_lists_its_cliques_without_testing_subsets(tmp_path):

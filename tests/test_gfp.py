@@ -165,10 +165,17 @@ def test_subspace_counts_match_gaussian_binomials():
 
 
 def test_subspace_enumeration_guard():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="= 2097152 exceeds"):
         next(enumerate_subspaces(2, 21))
     with pytest.raises(ResourceLimitError):
         next(enumerate_vectors_mod_scalar(3, 13))
+    # counts are exact through 2**64, then bounded: Python refuses to
+    # write an int of more than 4300 digits
+    with pytest.raises(ResourceLimitError, match="= 18446744073709551616 exceeds"):
+        next(enumerate_subspaces(2, 64))
+    for d, k in ((65, 64), (20000, 19999)):
+        with pytest.raises(ResourceLimitError, match=f"= more than 2\\*\\*{k} exceeds"):
+            next(enumerate_subspaces(2, d))
 
 
 def test_membership_agrees_with_explicit_span_f2():

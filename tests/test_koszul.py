@@ -396,6 +396,28 @@ def test_strong_check_refuses_over_budget_before_any_colon(monkeypatch):
         strong_koszul_check(build_algebra(path17, 2))
 
 
+def test_classify_refuses_past_the_strong_budget_before_any_stage(monkeypatch):
+    def no_algebra(*args):
+        raise AssertionError("algebra built before the strong budget check")
+
+    monkeypatch.setattr(koszul, "build_algebra", no_algebra)
+    empty17 = build_graph(17, [])
+    with pytest.raises(ResourceLimitError, match="strong Koszulity check refused: 1114112"):
+        classify(empty17, brute="on")
+    with pytest.raises(InputError, match="9 is not prime"):
+        classify(empty17, p=9)
+
+
+def test_refusals_bound_counts_too_long_to_print():
+    # 20000 * 2**19999 strong pairs; the brute count on 300 vertices has
+    # 6,820 digits, past the 4,300 Python writes in decimal
+    with pytest.raises(ResourceLimitError, match="refused: more than 2\\*\\*20013 "):
+        koszul._strong_budget(20000)
+    ctx = build_algebra(build_graph(300, []), 2)
+    with pytest.raises(ResourceLimitError, match="refused: more than 2\\*\\*22653 "):
+        universal_koszul_bruteforce(ctx)
+
+
 def test_brute_divisor_count_is_exact():
     for g, p in ((star(2), 2), (star(2), 3), (cone_over_path(), 2), (complete(3), 5)):
         out = universal_koszul_bruteforce(build_algebra(g, p))
