@@ -22,12 +22,7 @@ from .graphs import (
     nonisomorphic_graphs,
     parse_edge_list,
 )
-from .ideals import (
-    annihilator,
-    colon_ideal,
-    ideal_from_degree_one,
-    monomial_ideal_basis,
-)
+from .ideals import annihilator, colon_ideal, ideal_from_degree_one
 from .koszul import (
     classify,
     non_universal_witness,
@@ -48,7 +43,6 @@ __all__ = [
     "diagonal_violation",
     "elementary_type_decomposition",
     "ideal_from_degree_one",
-    "monomial_ideal_basis",
     "non_universal_witness",
     "nonisomorphic_graphs",
     "parse_edge_list",

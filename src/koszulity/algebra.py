@@ -15,12 +15,11 @@ counts pairs (i in M, j in N) with i > j.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
-from .gfp import Prime, rref
+from .gfp import Prime
 from .graphs import Graph, enumerate_cliques
 
 Monomial = tuple  # strictly increasing vertex indices; () is the unit
@@ -209,33 +208,6 @@ def multiply(x: Element, y: Element) -> Element:
     return Element(ctx, n, tuple(out))
 
 
-def normal_form(ctx: AlgebraContext, word) -> Element:
-    """Rewrite the product a_{w1} a_{w2} ... of an arbitrary index word:
-    zero on repeated indices or non-clique support, otherwise +-1 times the
-    sorted monomial (sign from the sorting permutation's inversions)."""
-    word = tuple(word)
-    for i in word:
-        if not 0 <= i < ctx.dim(1):
-            raise InputError(f"index {i} out of range")
-    n = len(word)
-    if len(set(word)) < n:
-        return zero(ctx, n)
-    if n > ctx.D:
-        return zero(ctx, n)
-    mono = tuple(sorted(word))
-    idx = ctx.index[n].get(mono)
-    if idx is None:
-        return zero(ctx, n)
-    inv = sum(
-        1
-        for a in range(n)
-        for b in range(a + 1, n)
-        if word[a] > word[b]
-    )
-    c = 1 if inv % 2 == 0 else ctx.p - 1
-    return Element(ctx, n, tuple(c if j == idx else 0 for j in range(ctx.dim(n))))
-
-
 def koszul_numerical_check(hilbert, order: int | None = None) -> bool:
     """True when 1/H(-t) has nonnegative coefficients through t**order.
 
@@ -271,18 +243,26 @@ def koszul_numerical_check(hilbert, order: int | None = None) -> bool:
 
 
 def pbw_check(ctx: AlgebraContext) -> bool:
-    """Normal monomials (strictly increasing words surviving normal_form)
-    must be dim A_n many and linearly independent in every degree n <= D."""
-    d = ctx.dim(1)
-    for n in range(ctx.D + 1):
-        survivors = []
-        for word in itertools.combinations(range(d), n):
-            e = normal_form(ctx, word)
-            if not e.is_zero():
-                survivors.append(e.coeffs)
-        if len(survivors) != ctx.dim(n):
+    """True when bases[n] is the n-cliques, each once in increasing order,
+    for every n: the PBW basis.  Induction from bases[0] = {()}: the sizes
+    of the n-cliques' common neighbourhoods sum to n+1 times the number of
+    (n+1)-cliques, which bases[n+1] must match (0 past the top degree)."""
+    nbrs = [sum(1 << w for w in nb) for nb in ctx.graph.adj]
+    above = [len(basis) for basis in ctx.bases[1:]] + [0]
+    if ctx.bases[:1] != (((),),):
+        return False
+    for n, basis in enumerate(ctx.bases):
+        if len({c for c in basis if len(c) == n}) != len(basis):
             return False
-        if rref(survivors, ctx.p, ctx.dim(n)).rank != ctx.dim(n):
+        total = 0
+        for clique in basis:
+            common, last = (1 << len(nbrs)) - 1, -1
+            for v in clique:
+                if v <= last or not common >> v & 1:
+                    return False
+                common, last = common & nbrs[v], v
+            total += common.bit_count()
+        if total != (n + 1) * above[n]:
             return False
     return True
 

@@ -277,21 +277,21 @@ def reconstruct(node, n: int) -> Graph:
 
 
 def _components(g: Graph, verts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Components of the subgraph on verts (ascending), in order of their
+    least vertex: each unseen vertex, in turn, starts one."""
     todo = set(verts)
     comps = []
-    while todo:
-        start = min(todo)
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
+    for start in verts:
+        if start not in todo:
+            continue
+        todo.remove(start)
+        comp = [start]
+        for v in comp:  # grows while it is walked
             for u in g.adj[v]:
-                if u in todo and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        todo -= seen
-        comps.append(tuple(sorted(seen)))
-    comps.sort(key=lambda c: c[0])
+                if u in todo:
+                    todo.remove(u)
+                    comp.append(u)
+        comps.append(tuple(sorted(comp)))
     return comps
 
 

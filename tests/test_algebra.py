@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,6 @@ from koszulity.algebra import (
     monomial_element,
     monomial_string,
     multiply,
-    normal_form,
     pbw_check,
     unit,
     zero,
@@ -173,35 +174,6 @@ def test_associativity_on_basis_triples():
                 assert lhs.degree == rhs.degree and lhs.coeffs == rhs.coeffs
 
 
-def coeff_of(ctx, element, mono):
-    return element.coeffs[ctx.basis(element.degree).index(mono)]
-
-
-def test_normal_form_examples():
-    ctx = build_algebra(cone_over_path(), 3)
-    assert coeff_of(ctx, normal_form(ctx, (0, 1)), (0, 1)) == 1
-    # one transposition flips the sign: -1 = 2 mod 3
-    assert coeff_of(ctx, normal_form(ctx, (1, 0)), (0, 1)) == 2
-    assert normal_form(ctx, (1, 1)).is_zero()
-    assert normal_form(ctx, (1, 3)).is_zero()  # not an edge
-    assert coeff_of(ctx, normal_form(ctx, (2, 0, 3)), (0, 2, 3)) == 2
-    assert normal_form(ctx, ()).coeffs == (1,)
-
-
-def test_normal_form_agrees_with_multiplication():
-    for n in range(1, 6):
-        for g in nonisomorphic_graphs(n):
-            ctx = build_algebra(g, 3)
-            for length in range(1, 5):
-                for word in itertools.product(range(g.n), repeat=length):
-                    out = normal_form(ctx, word)
-                    prod = unit(ctx)
-                    for v in word:
-                        prod = multiply(prod, generator(ctx, v))
-                    assert out.degree == prod.degree
-                    assert out.coeffs == prod.coeffs
-
-
 def test_hilbert_series_counts_cliques():
     for n in range(1, 6):
         for g in nonisomorphic_graphs(n):
@@ -273,6 +245,43 @@ def test_pbw_on_small_classes():
         for n in range(1, 6):
             for g in nonisomorphic_graphs(n):
                 assert pbw_check(build_algebra(g, p)) is True
+
+
+def with_bases(ctx, bases):
+    """A copy of ctx whose bases are replaced, with index and dims rebuilt."""
+    out = copy.copy(ctx)
+    out.bases = bases
+    out.D = len(bases) - 1
+    out.index = tuple({m: i for i, m in enumerate(basis)} for basis in bases)
+    out.dims = tuple(len(basis) for basis in bases)
+    return out
+
+
+def test_pbw_rejects_a_basis_that_is_not_the_cliques():
+    # cone over the path 1-2-3: degree 2 is ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3))
+    ctx = build_algebra(cone_over_path(), 3)
+    b = ctx.bases
+    assert pbw_check(with_bases(ctx, b)) is True
+    corrupted = {
+        "drops a clique": b[:2] + (b[2][1:],) + b[3:],
+        "gains the non-edge (1, 3)": b[:2] + (b[2] + ((1, 3),),) + b[3:],
+        "repeats an entry": b[:2] + (b[2] + b[2][:1],) + b[3:],
+        "swaps a clique for a non-edge": b[:2] + (b[2][1:] + ((1, 3),),) + b[3:],
+        "lists a clique out of order": b[:2] + (((1, 0),) + b[2][1:],) + b[3:],
+        "repeats a vertex": b[:2] + (b[2][1:] + ((2, 2),),) + b[3:],
+        "stops below the top degree": b[:3],
+        "has no empty monomial": ((),) + b[1:],
+    }
+    for what, bases in corrupted.items():
+        assert pbw_check(with_bases(ctx, bases)) is False, what
+
+
+def test_pbw_on_k14_is_fast():
+    # 16,384 cliques; testing all of them as words took seconds
+    ctx = build_algebra(complete(14), 2)
+    start = time.perf_counter()
+    assert pbw_check(ctx) is True
+    assert time.perf_counter() - start < 1.0
 
 
 def test_product_laws_union_and_cone():

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -392,6 +393,17 @@ def test_refusals_with_huge_counts_exit_3(capsys, tmp_path):
         code, out, err = run(capsys, "analyze", "-i", path, "--brute", brute)
         assert code == 3 and out == ""
         assert "strong Koszulity check refused: more than 2**" in err
+
+
+def test_analyze_refuses_a_trillion_vertices_at_once(capsys, tmp_path):
+    # the strong budget used to build the pair count, 10**12 * 2**(10**12 - 1),
+    # before comparing it: a MemoryError traceback
+    path = write(tmp_path, "empty1e12.txt", "1000000000000\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", "-i", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert "more than 2**1000000000038 (prefix set, divisor) pairs" in err
 
 
 def test_forty_vertex_graph_lists_its_cliques_without_testing_subsets(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -199,6 +200,25 @@ def test_decomposition_failure_returns_violation():
     ring5 = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     out = elementary_type_decomposition(ring5)
     assert isinstance(out, DiagonalViolation)
+
+
+def test_decomposition_orders_components_by_least_vertex():
+    # components {0, 3, 4} and {1, 2}, interleaved
+    g = build_graph(5, [(0, 3), (3, 4), (0, 4), (1, 2)])
+    t = elementary_type_decomposition(g)
+    assert t == UnionNode((
+        ConeNode(0, ConeNode(3, LeafNode(4))),
+        ConeNode(1, LeafNode(2)),
+    ))
+
+
+def test_decomposition_of_many_isolated_vertices_is_linear():
+    # taking the least unseen vertex once per component made this quadratic
+    g = build_graph(20_000, [])
+    start = time.perf_counter()
+    t = elementary_type_decomposition(g)
+    assert time.perf_counter() - start < 2.0
+    assert t == UnionNode(tuple(LeafNode(v) for v in range(20_000)))
 
 
 def test_decomposition_empty_graph_rejected():

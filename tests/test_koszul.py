@@ -27,7 +27,7 @@ from koszulity.algebra import (
     multiply,
 )
 from koszulity.errors import InputError, ResourceLimitError
-from koszulity.gfp import enumerate_subspaces, span
+from koszulity.gfp import count_text, enumerate_subspaces, span
 from koszulity.graphs import (
     ConeNode,
     DiagonalViolation,
@@ -416,6 +416,15 @@ def test_refusals_bound_counts_too_long_to_print():
     ctx = build_algebra(build_graph(300, []), 2)
     with pytest.raises(ResourceLimitError, match="refused: more than 2\\*\\*22653 "):
         universal_koszul_bruteforce(ctx)
+
+
+def test_strong_refusal_wording_matches_the_exact_count():
+    # past 64 vertices the count is not built; the wording must be the one
+    # count_text gives for the exact count
+    for d in (17, 60, 64, 65, 66, 127, 128, 129, 1000, 4097):
+        with pytest.raises(ResourceLimitError) as err:
+            koszul._strong_budget(d)
+        assert f"refused: {count_text(d * 2**(d - 1))} (prefix" in str(err.value)
 
 
 def test_brute_divisor_count_is_exact():
