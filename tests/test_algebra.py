@@ -258,19 +258,29 @@ def with_bases(ctx, bases):
 
 
 def test_pbw_rejects_a_basis_that_is_not_the_cliques():
-    # cone over the path 1-2-3: degree 2 is ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3))
+    # cone over the path 1-2-3: degree 2 is ((0, 1), (0, 2), (0, 3), (1, 2),
+    # (2, 3)); (0, 2) and the non-edge (1, 3) both have two common
+    # neighbours, and (0, 1) and (0, 3) one each, so the swaps below keep
+    # every count and only the entry checks can catch them
     ctx = build_algebra(cone_over_path(), 3)
     b = ctx.bases
     assert pbw_check(with_bases(ctx, b)) is True
+
+    def replaced(old, *new):
+        """The bases with the degree-2 entry old replaced by the entries new."""
+        two = tuple(x for m in b[2] for x in (new if m == old else (m,)))
+        return b[:2] + (two,) + b[3:]
+
     corrupted = {
-        "drops a clique": b[:2] + (b[2][1:],) + b[3:],
-        "gains the non-edge (1, 3)": b[:2] + (b[2] + ((1, 3),),) + b[3:],
-        "repeats an entry": b[:2] + (b[2] + b[2][:1],) + b[3:],
-        "swaps a clique for a non-edge": b[:2] + (b[2][1:] + ((1, 3),),) + b[3:],
-        "lists a clique out of order": b[:2] + (((1, 0),) + b[2][1:],) + b[3:],
-        "repeats a vertex": b[:2] + (b[2][1:] + ((2, 2),),) + b[3:],
+        "drops a clique": replaced((0, 1)),
+        "gains the non-edge (1, 3)": replaced((2, 3), (2, 3), (1, 3)),
+        "repeats an entry": replaced((0, 1), (0, 1), (0, 1)),
+        "swaps (0, 2) for the non-edge (1, 3)": replaced((0, 2), (1, 3)),
+        "repeats (0, 3) in place of (0, 1)": replaced((0, 1), (0, 3)),
+        "lists (0, 1) as (1, 0)": replaced((0, 1), (1, 0)),
+        "repeats a vertex": replaced((2, 3), (2, 2)),
         "stops below the top degree": b[:3],
-        "has no empty monomial": ((),) + b[1:],
+        "lists nothing, not even the unit": ((),),
     }
     for what, bases in corrupted.items():
         assert pbw_check(with_bases(ctx, bases)) is False, what
