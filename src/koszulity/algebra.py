@@ -32,9 +32,8 @@ class AlgebraContext:
     """Fixed bases and structure constants for one graph and one prime.
 
     The maps "multiply by generator g from degree n to n+1" are built once,
-    at construction.  Only _ideal_cache, which the ideals module fills
-    idempotently, changes afterwards, so instances may be shared between
-    threads in CPython.
+    at construction, and nothing changes afterwards, so instances may be
+    shared between threads.
     """
 
     def __init__(self, graph: Graph, p: int):
@@ -52,7 +51,6 @@ class AlgebraContext:
             tuple(_generator_map(self, g, n) for g in range(self.dim(1)))
             for n in range(self.D)
         )
-        self._ideal_cache: dict = {}  # used by the ideals module
 
     def dim(self, n: int) -> int:
         return self.dims[n] if 0 <= n <= self.D else 0
@@ -114,67 +112,6 @@ class Element:
     degree: int
     coeffs: tuple
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __add__(self, other: "Element") -> "Element":
-        _check_match(self, other)
-        p = self.ctx.p
-        return Element(
-            self.ctx,
-            self.degree,
-            tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __sub__(self, other: "Element") -> "Element":
-        _check_match(self, other)
-        p = self.ctx.p
-        return Element(
-            self.ctx,
-            self.degree,
-            tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def scale(self, c: int) -> "Element":
-        p = self.ctx.p
-        c %= p
-        return Element(self.ctx, self.degree, tuple((c * a) % p for a in self.coeffs))
-
-    def __mul__(self, other: "Element") -> "Element":
-        return multiply(self, other)
-
-    def __str__(self) -> str:
-        return element_string(self)
-
-
-def _check_match(x: Element, y: Element) -> None:
-    if x.ctx is not y.ctx:
-        raise InputError("elements from different algebra contexts")
-    if x.degree != y.degree:
-        raise InputError(f"degree mismatch: {x.degree} != {y.degree}")
-
-
-def zero(ctx: AlgebraContext, n: int) -> Element:
-    return Element(ctx, n, (0,) * ctx.dim(n))
-
-
-def unit(ctx: AlgebraContext) -> Element:
-    return Element(ctx, 0, (1,))
-
-
-def generator(ctx: AlgebraContext, i: int) -> Element:
-    if not 0 <= i < ctx.dim(1):
-        raise InputError(f"no generator a{i}: graph has {ctx.dim(1)} vertices")
-    return Element(ctx, 1, tuple(1 if j == i else 0 for j in range(ctx.dim(1))))
-
-
-def monomial_element(ctx: AlgebraContext, mono: Monomial) -> Element:
-    n = len(mono)
-    idx = ctx.index[n].get(tuple(mono)) if n <= ctx.D else None
-    if idx is None:
-        raise InputError(f"{mono} is not a clique of the graph")
-    return Element(ctx, n, tuple(1 if j == idx else 0 for j in range(ctx.dim(n))))
-
 
 def from_coeffs(ctx: AlgebraContext, n: int, coeffs) -> Element:
     coeffs = tuple(c % ctx.p for c in coeffs)
@@ -183,29 +120,6 @@ def from_coeffs(ctx: AlgebraContext, n: int, coeffs) -> Element:
             f"coefficient vector of length {len(coeffs)} for dim {ctx.dim(n)}"
         )
     return Element(ctx, n, coeffs)
-
-
-def multiply(x: Element, y: Element) -> Element:
-    if x.ctx is not y.ctx:
-        raise InputError("elements from different algebra contexts")
-    ctx = x.ctx
-    n = x.degree + y.degree
-    if n > ctx.D:
-        return zero(ctx, n)
-    p = ctx.p
-    out = [0] * ctx.dim(n)
-    prod = ctx.basis_product
-    for i, cx in enumerate(x.coeffs):
-        if not cx:
-            continue
-        for j, cy in enumerate(y.coeffs):
-            if not cy:
-                continue
-            hit = prod(x.degree, i, y.degree, j)
-            if hit is not None:
-                sign, k = hit
-                out[k] = (out[k] + sign * cx * cy) % p
-    return Element(ctx, n, tuple(out))
 
 
 def koszul_numerical_check(hilbert, order: int | None = None) -> bool:

@@ -36,7 +36,7 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
 )
-from .koszul import KoszulReport, NonUKWitness, classify, non_universal_witness
+from .koszul import KoszulReport, NonUKWitness, certify_witness, classify
 
 CENSUS_MAX_VERTICES = 7
 
@@ -109,7 +109,7 @@ def report_json(report: KoszulReport, timing_ms: int) -> dict:
         "graph": {
             "n": g.n,
             "edges": [list(e) for e in sorted(g.edges)],
-            "labels": list(g.labels) if g.labels is not None else None,
+            "labels": None,
         },
         "p": report.p,
         "dims": list(report.dims),
@@ -248,14 +248,13 @@ def cmd_census(args) -> int:
 def cmd_witness(args) -> int:
     p = Prime(args.p)  # a bad prime exits 2 even when no witness exists
     g = _load_graph(args.input, args.format)
-    if diagonal_violation(g) is None:
+    v = diagonal_violation(g)
+    if v is None:
         sys.stderr.write(
             "no witness exists: graph has the diagonal property (elementary type)\n"
         )
         return 4
-    ctx = build_algebra(g, p)
-    w = non_universal_witness(ctx)
-    v = w.violation
+    w = certify_witness(build_algebra(g, p), v)
     sys.stdout.write(
         "\n".join([
             f"pattern: {v.kind}",

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import InputError, ResourceLimitError
+from .gfp import ENUMERATION_GUARD
 
 CANONICAL_MAX_VERTICES = 8
 
@@ -24,7 +25,6 @@ CANONICAL_MAX_VERTICES = 8
 class Graph:
     n: int
     edges: frozenset
-    labels: tuple | None = None
 
     @cached_property
     def adj(self) -> tuple[frozenset, ...]:
@@ -38,7 +38,7 @@ class Graph:
         return v in self.adj[u]
 
 
-def build_graph(n: int, edges, labels=None) -> Graph:
+def build_graph(n: int, edges) -> Graph:
     if n < 0:
         raise InputError(f"vertex count must be nonnegative, got {n}")
     norm = set()
@@ -50,11 +50,7 @@ def build_graph(n: int, edges, labels=None) -> Graph:
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"edge ({u}, {v}) out of range for {n} vertices")
         norm.add((u, v) if u < v else (v, u))
-    if labels is not None:
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != n:
-            raise InputError("label count must equal vertex count")
-    return Graph(n, frozenset(norm), labels)
+    return Graph(n, frozenset(norm))
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -135,16 +131,6 @@ def to_graph6(g: Graph) -> str:
     return chr(g.n + 63) + "".join(groups)
 
 
-def induced_subgraph(g: Graph, verts) -> Graph:
-    """Subgraph induced on verts, relabeled 0..len(verts)-1 in sorted order."""
-    vs = sorted(verts)
-    pos = {v: i for i, v in enumerate(vs)}
-    edges = [
-        (pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos
-    ]
-    return build_graph(len(vs), edges)
-
-
 def enumerate_cliques(g: Graph) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Every clique by size, in one pass: entry k holds the k-cliques as
     sorted vertex tuples in lexicographic order, for k = 0 up to the
@@ -153,13 +139,17 @@ def enumerate_cliques(g: Graph) -> tuple[tuple[tuple[int, ...], ...], ...]:
     Each k-clique is extended by its common neighbours above its last
     vertex, held as an int bitmask, so the work grows with the number of
     cliques rather than of k-subsets (Chiba & Nishizeki, "Arboricity and
-    subgraph listing algorithms", SIAM J. Comput. 14(1), 1985)."""
+    subgraph listing algorithms", SIAM J. Comput. 14(1), 1985).  Refuses
+    with ResourceLimitError once it has more than 2**20, () included."""
     # above[v]: the neighbours of v greater than v
     above = [sum(1 << w for w in g.adj[v] if w > v) for v in range(g.n)]
     levels = [((),)]
     level = [((v,), above[v]) for v in range(g.n)]
+    count = 1
     while level:
         levels.append(tuple(clique for clique, _ in level))
+        count += len(level)
+        room = ENUMERATION_GUARD - count  # cliques the next level may hold
         grown = []
         for clique, common in level:
             while common:
@@ -167,6 +157,10 @@ def enumerate_cliques(g: Graph) -> tuple[tuple[tuple[int, ...], ...], ...]:
                 w = low.bit_length() - 1
                 grown.append((clique + (w,), common & above[w]))
                 common ^= low
+            if len(grown) > room:
+                raise ResourceLimitError(
+                    f"clique listing refused: more than 2**20 cliques on {g.n} vertices"
+                )
         level = grown
     return tuple(levels)
 
@@ -182,10 +176,6 @@ class DiagonalViolation:
     v2: int
     v3: int
     v4: int
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted((self.v1, self.v2, self.v3, self.v4)))
 
 
 def _matches_pattern(g: Graph, w: DiagonalViolation) -> bool:
@@ -252,30 +242,6 @@ class ConeNode:
     base: object
 
 
-def reconstruct(node, n: int) -> Graph:
-    """Rebuild the graph described by a decomposition tree on n vertices."""
-
-    def edges_of(nd) -> tuple[frozenset, set]:
-        if isinstance(nd, LeafNode):
-            return frozenset((nd.vertex,)), set()
-        if isinstance(nd, UnionNode):
-            verts: frozenset = frozenset()
-            edges: set = set()
-            for c in nd.children:
-                cv, ce = edges_of(c)
-                verts |= cv
-                edges |= ce
-            return verts, edges
-        bv, be = edges_of(nd.base)
-        be |= {(min(nd.apex, v), max(nd.apex, v)) for v in bv}
-        return bv | {nd.apex}, be
-
-    verts, edges = edges_of(node)
-    if verts != frozenset(range(n)):
-        raise InputError("decomposition tree does not cover vertices 0..n-1")
-    return build_graph(n, edges)
-
-
 def _components(g: Graph, verts: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Components of the subgraph on verts (ascending), in order of their
     least vertex: each unseen vertex, in turn, starts one."""
@@ -334,17 +300,6 @@ def elementary_type_decomposition(g: Graph):
     if w is None:  # unreachable: peeling fails only without the property
         raise RuntimeError("decomposition failed yet no violating 4-set exists")
     return w
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    edges = list(g1.edges) + [(u + g1.n, v + g1.n) for u, v in g2.edges]
-    return build_graph(g1.n + g2.n, edges)
-
-
-def cone(g: Graph) -> Graph:
-    """Add a universal apex as the new highest-index vertex."""
-    edges = list(g.edges) + [(v, g.n) for v in range(g.n)]
-    return build_graph(g.n + 1, edges)
 
 
 def canonical_graph(g: Graph) -> Graph:

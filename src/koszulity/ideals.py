@@ -17,9 +17,10 @@ not an assumption: keep both routes intact.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
-from .algebra import AlgebraContext, Element, from_coeffs, unit
+from .algebra import AlgebraContext, Element, from_coeffs
 from .errors import InputError
 from .gfp import (
     RowSpace,
@@ -38,10 +39,6 @@ class GradedIdeal:
 
     def piece(self, n: int) -> RowSpace:
         return self.pieces[n]
-
-    @property
-    def is_unit(self) -> bool:
-        return self.pieces[0].rank == 1
 
 
 def zero_ideal(ctx: AlgebraContext) -> GradedIdeal:
@@ -62,14 +59,22 @@ def _lmul_vector(ctx: AlgebraContext, gen: int, n: int, vec) -> list:
     return [(k, sign * c) for j, c in vec for k, sign in image[j]]
 
 
+# ideal_from_degree_one's pieces per context and subspace; a cached
+# GradedIdeal would hold its context and keep it alive here
+_PIECES = weakref.WeakKeyDictionary()
+
+
 def ideal_from_degree_one(ctx: AlgebraContext, u: RowSpace) -> GradedIdeal:
     """The ideal generated by the degree-one subspace u: piece n+1 is
     spanned by the generator multiples of piece n."""
     if u.p != ctx.p or u.ambient_dim != ctx.dim(1):
         raise InputError("degree-one subspace does not match the algebra")
-    cached = ctx._ideal_cache.get(u)
+    cache = _PIECES.get(ctx)
+    if cache is None:
+        cache = _PIECES[ctx] = {}
+    cached = cache.get(u)
     if cached is not None:
-        return cached
+        return GradedIdeal(ctx, cached)
     d = ctx.dim(1)
     pieces = [zero_space(ctx.p, 1), u]
     for n in range(1, ctx.D):
@@ -79,9 +84,8 @@ def ideal_from_degree_one(ctx: AlgebraContext, u: RowSpace) -> GradedIdeal:
             for gen in range(d)
         ]
         pieces.append(span(ctx.p, ctx.dim(n + 1), images))
-    out = GradedIdeal(ctx, tuple(pieces))
-    ctx._ideal_cache[u] = out
-    return out
+    cache[u] = pieces = tuple(pieces)
+    return GradedIdeal(ctx, pieces)
 
 
 def monomial_ideal_basis(ctx: AlgebraContext, s) -> GradedIdeal:
@@ -152,7 +156,7 @@ def is_one_generated(ctx: AlgebraContext, ideal: GradedIdeal):
     if ideal.ctx is not ctx:
         raise InputError("ideal from a different context")
     if ideal.piece(0).rank:
-        return False, 0, unit(ctx)
+        return False, 0, from_coeffs(ctx, 0, (1,))
     gen = ideal_from_degree_one(ctx, ideal.piece(1))
     for n in range(2, ctx.D + 1):
         got, want = gen.piece(n), ideal.piece(n)

@@ -43,7 +43,7 @@ The strong and brute-force checks count their (ideal, divisor) pairs
 exactly before any work and refuse with ResourceLimitError past 2**20
 pairs.
 
-When the fast universal verdict is false, non_universal_witness builds the
+When the fast universal verdict is false, certify_witness builds the
 certified counterexample: b = a_{v1} + a_{v4} annihilates the culprit
 monomial a_{v2} a_{v3}, which Ann(b)_1 cannot generate.
 """
@@ -394,10 +394,11 @@ def non_universal_witness(ctx: AlgebraContext) -> NonUKWitness:
         raise InputError(
             "graph has the diagonal property: no universal-Koszulity witness exists"
         )
-    return _certify_witness(ctx, w)
+    return certify_witness(ctx, w)
 
 
-def _certify_witness(ctx: AlgebraContext, w: DiagonalViolation) -> NonUKWitness:
+def certify_witness(ctx: AlgebraContext, w: DiagonalViolation) -> NonUKWitness:
+    """The certified witness for a violation already found in ctx.graph."""
     d = ctx.dim(1)
     b = from_coeffs(
         ctx, 1, tuple(1 if j in (w.v1, w.v4) else 0 for j in range(d))
@@ -466,7 +467,7 @@ def classify(
     run_brute = brute == "on" or (brute == "auto" and _brute_gate(ctx.p, g.n))
     brute_result = universal_koszul_bruteforce(ctx) if run_brute else None
     strong = strong_koszul_check(ctx)
-    witness = None if fast else _certify_witness(ctx, decomposition)
+    witness = None if fast else certify_witness(ctx, decomposition)
     return KoszulReport(
         graph=g,
         p=int(ctx.p),

@@ -1,20 +1,17 @@
-"""Shared graph constructors, test oracles (the brute-force canonical
-form, clique listing by k-subsets, subspace containment, the strong check
-by colon ideals, the brute universal check over every subspace and the
-product laws), and the acceptance-summary hook."""
+"""Shared graph constructors (also union, cone, induced subgraph and the
+graph of a decomposition tree), element arithmetic, test oracles (the
+brute-force canonical form, clique listing by k-subsets, subspace counts
+and containment, the strong check by colon ideals, the brute universal
+check over every subspace and the product laws), and the
+acceptance-summary hook."""
 
 import itertools
 
 from koszulity import build_graph, parse_edge_list
-from koszulity.algebra import (
-    AlgebraContext,
-    from_coeffs,
-    generator,
-    monomial_element,
-    multiply,
-)
-from koszulity.gfp import enumerate_coset_reps_mod_scalar, enumerate_subspaces
-from koszulity.graphs import Graph, cone, disjoint_union
+from koszulity.algebra import AlgebraContext, Element, from_coeffs
+from koszulity.errors import InputError
+from koszulity.gfp import enumerate_coset_reps_mod_scalar, enumerate_subspaces, rref
+from koszulity.graphs import Graph, LeafNode, UnionNode
 from koszulity.ideals import (
     colon_ideal,
     ideal_from_degree_one,
@@ -77,6 +74,97 @@ def relabel(g, perm):
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+def disjoint_union(g1: Graph, g2: Graph) -> Graph:
+    edges = list(g1.edges) + [(u + g1.n, v + g1.n) for u, v in g2.edges]
+    return build_graph(g1.n + g2.n, edges)
+
+
+def cone(g: Graph) -> Graph:
+    """Add a universal apex as the new highest-index vertex."""
+    edges = list(g.edges) + [(v, g.n) for v in range(g.n)]
+    return build_graph(g.n + 1, edges)
+
+
+def induced_subgraph(g: Graph, verts) -> Graph:
+    """Subgraph induced on verts, relabeled 0..len(verts)-1 in sorted order."""
+    vs = sorted(verts)
+    pos = {v: i for i, v in enumerate(vs)}
+    edges = [
+        (pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos
+    ]
+    return build_graph(len(vs), edges)
+
+
+def reconstruct(node, n: int) -> Graph:
+    """Rebuild the graph described by a decomposition tree on n vertices."""
+
+    def edges_of(nd) -> tuple[frozenset, set]:
+        if isinstance(nd, LeafNode):
+            return frozenset((nd.vertex,)), set()
+        if isinstance(nd, UnionNode):
+            verts: frozenset = frozenset()
+            edges: set = set()
+            for c in nd.children:
+                cv, ce = edges_of(c)
+                verts |= cv
+                edges |= ce
+            return verts, edges
+        bv, be = edges_of(nd.base)
+        be |= {(min(nd.apex, v), max(nd.apex, v)) for v in bv}
+        return bv | {nd.apex}, be
+
+    verts, edges = edges_of(node)
+    if verts != frozenset(range(n)):
+        raise InputError("decomposition tree does not cover vertices 0..n-1")
+    return build_graph(n, edges)
+
+
+def monomial_element(ctx: AlgebraContext, mono) -> Element:
+    n = len(mono)
+    idx = ctx.index[n].get(tuple(mono)) if n <= ctx.D else None
+    if idx is None:
+        raise InputError(f"{mono} is not a clique of the graph")
+    return Element(ctx, n, tuple(1 if j == idx else 0 for j in range(ctx.dim(n))))
+
+
+def add(x: Element, y: Element) -> Element:
+    p = x.ctx.p
+    return Element(
+        x.ctx,
+        x.degree,
+        tuple((a + b) % p for a, b in zip(x.coeffs, y.coeffs)),
+    )
+
+
+def scale(x: Element, c: int) -> Element:
+    p = x.ctx.p
+    c %= p
+    return Element(x.ctx, x.degree, tuple((c * a) % p for a in x.coeffs))
+
+
+def multiply(x: Element, y: Element) -> Element:
+    if x.ctx is not y.ctx:
+        raise InputError("elements from different algebra contexts")
+    ctx = x.ctx
+    n = x.degree + y.degree
+    if n > ctx.D:
+        return Element(ctx, n, ())  # zero: nothing lives above the top
+    p = ctx.p
+    out = [0] * ctx.dim(n)
+    prod = ctx.basis_product
+    for i, cx in enumerate(x.coeffs):
+        if not cx:
+            continue
+        for j, cy in enumerate(y.coeffs):
+            if not cy:
+                continue
+            hit = prod(x.degree, i, y.degree, j)
+            if hit is not None:
+                sign, k = hit
+                out[k] = (out[k] + sign * cx * cy) % p
+    return Element(ctx, n, tuple(out))
+
+
 def lexmin_by_permutations(g):
     """Reference canonical form: over all n! vertex orders, the minimal
     upper-triangle bit string in graph6 column order (pair (i, j), i < j,
@@ -117,7 +205,7 @@ def strong_koszul_by_colons(ctx):
     generators and the generators with the closed form."""
     d = ctx.dim(1)
     adj = ctx.graph.adj
-    divisors = [generator(ctx, u) for u in range(d)]
+    divisors = [monomial_element(ctx, (u,)) for u in range(d)]
     # closed form: a_j a_u = 0 exactly for u itself and its non-neighbours
     killed_by = [
         {u} | {j for j in range(d) if j != u and j not in adj[u]} for u in range(d)
@@ -172,6 +260,31 @@ def brute_by_all_subspaces(ctx):
     return BruteResult(True, None, ideals, divisors, divisors)
 
 
+def gaussian_binomial(p, d, k):
+    """Number of k-dimensional subspaces of F_p^d, by the product formula."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (d - i) - 1
+        den *= p ** (k - i) - 1
+    return num // den
+
+
+def subspace_count(p, d):
+    """Number of subspaces of F_p^d, all dimensions combined."""
+    return sum(gaussian_binomial(p, d, k) for k in range(d + 1))
+
+
+def degree_one_span(ctx, *vertex_sets):
+    """Row space spanned by sums of generators, one sum per vertex set."""
+    rows = []
+    for vs in vertex_sets:
+        row = [0] * ctx.dim(1)
+        for v in vs:
+            row[v] = 1
+        rows.append(row)
+    return rref(rows, ctx.p, ambient_dim=ctx.dim(1))
+
+
 def contains(s, t):
     # whether the subspace t lies in the subspace s
     return all(s.member(r) for r in t.rows)
@@ -200,7 +313,7 @@ def product_law_checks(g1: Graph, g2: Graph, p: int = 2) -> bool:
             for n2 in range(1, a2.D + 1):
                 for other in a2.basis(n2):
                     shifted = tuple(v + g1.n for v in other)
-                    if not multiply(left, monomial_element(au, shifted)).is_zero():
+                    if any(multiply(left, monomial_element(au, shifted)).coeffs):
                         return False
     for g, alg in ((g1, a1), (g2, a2)):
         ac = AlgebraContext(cone(g), p)

@@ -6,14 +6,16 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest.mock import Mock
 
 import pytest
 
 from conftest import complete, path4, square4
 from koszulity.algebra import build_algebra, koszul_numerical_check
-from koszulity import cli
+from koszulity import cli, koszul
 from koszulity.cli import main
-from koszulity.graphs import build_graph, nonisomorphic_graphs, to_graph6
+from koszulity.errors import ResourceLimitError
+from koszulity.graphs import build_graph, diagonal_violation, nonisomorphic_graphs, to_graph6
 
 SQUARE = "4\n0 1\n1 2\n2 3\n3 0\n"
 GOLDEN = "4\n0 1\n0 2\n0 3\n1 2\n2 3\n"
@@ -325,6 +327,28 @@ def test_witness_rejects_a_bad_prime_before_the_diagonal_test(capsys, tmp_path):
             code, out, err = run(capsys, "witness", "-i", path, "-p", p)
             assert code == 2 and out == ""
             assert message in err
+
+
+def test_witness_scans_for_the_violation_once(capsys, tmp_path, monkeypatch):
+    counting = Mock(wraps=diagonal_violation)
+    for module in (cli, koszul):
+        monkeypatch.setattr(module, "diagonal_violation", counting)
+    code, _, _ = run(capsys, "witness", "-i", write(tmp_path, "sq.txt", SQUARE))
+    assert code == 0 and counting.call_count == 1
+
+
+def test_witness_refuses_more_than_2_20_cliques(capsys, tmp_path):
+    # K21 plus a disjoint P4 has a violation and 2**21 + 8 cliques; K20 plus
+    # P4 ended in a MemoryError after listing its cliques
+    edges = list(itertools.combinations(range(21), 2)) + [(21, 22), (22, 23), (23, 24)]
+    path = write(tmp_path, "k21p4.txt", "25\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "witness", "-i", path)
+    assert time.perf_counter() - start < 5.0
+    assert code == 3 and out == ""
+    assert "more than 2**20 cliques on 25 vertices" in err
+    with pytest.raises(ResourceLimitError, match="2\\*\\*20 cliques"):
+        build_algebra(complete(21), 2)
 
 
 def to_edgelist(g):

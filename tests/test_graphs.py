@@ -7,10 +7,14 @@ import pytest
 from conftest import (
     cliques_by_combinations,
     complete,
+    cone,
     cone_over_path,
+    disjoint_union,
     five_vertex_cone_like,
+    induced_subgraph,
     lexmin_by_permutations,
     path4,
+    reconstruct,
     relabel,
     square4,
     star,
@@ -24,16 +28,12 @@ from koszulity.graphs import (
     build_graph,
     canonical_form,
     canonical_graph,
-    cone,
     diagonal_violation,
-    disjoint_union,
     elementary_type_decomposition,
     enumerate_cliques,
-    induced_subgraph,
     nonisomorphic_graphs,
     parse_edge_list,
     parse_graph6,
-    reconstruct,
     to_graph6,
 )
 

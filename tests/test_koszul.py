@@ -10,22 +10,21 @@ import pytest
 from conftest import (
     brute_by_all_subspaces,
     complete,
+    cone,
     cone_over_path,
+    disjoint_union,
     five_vertex_cone_like,
+    gaussian_binomial,
+    monomial_element,
+    multiply,
     path4,
     square4,
     star,
     strong_koszul_by_colons,
+    subspace_count,
 )
 from koszulity import graphs, koszul
-from koszulity.algebra import (
-    build_algebra,
-    element_string,
-    generator,
-    monomial_element,
-    monomial_string,
-    multiply,
-)
+from koszulity.algebra import build_algebra, element_string, monomial_string
 from koszulity.errors import InputError, ResourceLimitError
 from koszulity.gfp import count_text, enumerate_subspaces, span
 from koszulity.graphs import (
@@ -33,8 +32,6 @@ from koszulity.graphs import (
     DiagonalViolation,
     Graph,
     build_graph,
-    cone,
-    disjoint_union,
     nonisomorphic_graphs,
 )
 from koszulity.ideals import (
@@ -52,18 +49,6 @@ from koszulity.koszul import (
     universal_koszul_bruteforce,
     universal_koszul_fast,
 )
-
-
-def gaussian_number(p, d):
-    """Total number of subspaces of F_p^d, all dimensions combined."""
-    total = 0
-    for k in range(d + 1):
-        num = den = 1
-        for i in range(k):
-            num *= p ** (d - i) - 1
-            den *= p ** (k - i) - 1
-        total += num // den
-    return total
 
 
 def projective_points(p, d):
@@ -85,7 +70,7 @@ def test_strong_check_one_pair_by_hand():
     # square graph, prefix {} and divisor a1: 0:(a1) must be generated by
     # a1 together with a1's non-neighbor a3
     ctx = build_algebra(square4(), 2)
-    colon = annihilator(ctx, generator(ctx, 1))
+    colon = annihilator(ctx, monomial_element(ctx, (1,)))
     expected = monomial_ideal_basis(ctx, {1, 3})
     assert colon.pieces == expected.pieces
 
@@ -110,8 +95,8 @@ def test_strong_check_independent_of_characteristic():
                     i2 = monomial_ideal_basis(ctx2, prefix)
                     i3 = monomial_ideal_basis(ctx3, prefix)
                     for u in set(range(n)) - set(prefix):
-                        c2 = colon_ideal(ctx2, i2, generator(ctx2, u))
-                        c3 = colon_ideal(ctx3, i3, generator(ctx3, u))
+                        c2 = colon_ideal(ctx2, i2, monomial_element(ctx2, (u,)))
+                        c3 = colon_ideal(ctx3, i3, monomial_element(ctx3, (u,)))
                         assert [s.pivots for s in c2.pieces] == [
                             s.pivots for s in c3.pieces
                         ]
@@ -236,22 +221,14 @@ def test_brute_golden_graph_passes_with_exact_counts():
     ctx = build_algebra(cone_over_path(), 2)
     out = universal_koszul_bruteforce(ctx)
     assert out.verdict is True and out.failure is None
-    assert out.ideals_enumerated == gaussian_number(2, 4)
+    assert out.ideals_enumerated == subspace_count(2, 4)
     # each proper subspace U contributes the nonzero classes of A1/U
     total = sum(
         projective_points(2, 4 - k)
         for k in range(4)
-        for _ in range(_subspace_count_of_rank(2, 4, k))
+        for _ in range(gaussian_binomial(2, 4, k))
     )
     assert out.divisors_checked == total
-
-
-def _subspace_count_of_rank(p, d, k):
-    num = den = 1
-    for i in range(k):
-        num *= p ** (d - i) - 1
-        den *= p ** (k - i) - 1
-    return num // den
 
 
 def test_brute_agrees_with_fast_on_small_classes():
@@ -267,7 +244,7 @@ def test_brute_star_both_primes():
         ctx = build_algebra(star(2), p)
         out = universal_koszul_bruteforce(ctx)
         assert out.verdict is True
-        assert out.ideals_enumerated == gaussian_number(p, 3)
+        assert out.ideals_enumerated == subspace_count(p, 3)
 
 
 def test_witness_square():
@@ -303,7 +280,7 @@ def test_witness_certificate_is_exact():
                 ctx = build_algebra(g, p)
                 w = non_universal_witness(ctx)
                 culprit = monomial_element(ctx, w.culprit)
-                assert multiply(w.b, culprit).is_zero()
+                assert not any(multiply(w.b, culprit).coeffs)
                 ann = annihilator(ctx, w.b)
                 regen = ideal_from_degree_one(ctx, ann.piece(1))
                 assert element_in_ideal(culprit, ann)

@@ -5,6 +5,8 @@ perfbench/child.py calls public functions on the root package.  Removing
 or moving one of them breaks the benchmark, not the CLI, so these tests
 read the names without installing the tracer.  The package also promises
 to need only the standard library: importing the CLI loads no numpy.
+Conversely, every public name of the package has a caller outside the
+tests.
 """
 
 import ast
@@ -14,6 +16,7 @@ import inspect
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import koszulity
@@ -76,3 +79,40 @@ def test_importing_the_cli_loads_no_numpy():
         timeout=60,
     )
     assert out.returncode == 0, out.stderr or "koszulity.cli imported numpy"
+
+
+def _definitions(tree):
+    """(qualname, node) for each public top-level function and class, and
+    each public method of a public class; dunders count as private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+            yield node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and item.name[0] != "_":
+                    yield f"{node.name}.{item.name}", item
+
+
+def _references(node) -> Counter:
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_public_name_has_a_product_caller():
+    # package code outside the name's own body refers to it, the benchmark
+    # traces it, the root package exports it or the benchmark child reads it
+    src = Path(koszulity.__file__).resolve().parent
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    used = sum((_references(tree) for tree in trees), Counter())
+    child = PERFBENCH / "child.py"
+    exempt = set(koszulity.__all__).union(*_traced().values())
+    exempt |= _attributes_read(child, "kz") | _attributes_read(child, "cli")
+    orphans = [
+        qualname
+        for tree in trees
+        for qualname, node in _definitions(tree)
+        if qualname not in exempt and used[node.name] == _references(node)[node.name]
+    ]
+    assert not orphans, f"only the tests call {orphans}; move them to tests/conftest.py"
