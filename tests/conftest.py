@@ -69,6 +69,12 @@ def five_vertex_cone_like():
     return build_graph(5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 4), (3, 4)])
 
 
+def random_graph(rng, n, density=0.5):
+    # each vertex pair, in lexicographic order, is an edge with probability density
+    pairs = itertools.combinations(range(n), 2)
+    return build_graph(n, [e for e in pairs if rng.random() < density])
+
+
 def relabel(g, perm):
     # vertex v of g becomes vertex perm[v]
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])

@@ -14,11 +14,13 @@ from conftest import (
     induced_subgraph,
     lexmin_by_permutations,
     path4,
+    random_graph,
     reconstruct,
     relabel,
     square4,
     star,
 )
+from koszulity import graphs
 from koszulity.errors import InputError, ResourceLimitError
 from koszulity.graphs import (
     ConeNode,
@@ -94,8 +96,7 @@ def test_graph6_roundtrip_all_small_classes():
     rng = random.Random(6)
     for n in range(63):
         for density in (0.0, 0.1, 0.5, 0.9, 1.0):
-            pairs = itertools.combinations(range(n), 2)
-            g = build_graph(n, [e for e in pairs if rng.random() < density])
+            g = random_graph(rng, n, density)
             text = to_graph6(g)
             assert len(text) == 1 + -(-n * (n - 1) // 12)
             assert parse_graph6(text) == g
@@ -116,12 +117,19 @@ def test_enumerate_cliques():
     assert [len(level) for level in enumerate_cliques(complete(4))] == [1, 4, 6, 4, 1]
 
 
+def test_enumerate_cliques_refuses_past_the_guard(monkeypatch):
+    # K4 has 16 cliques, () included; a fifth vertex is one clique too many
+    monkeypatch.setattr(graphs, "ENUMERATION_GUARD", 16)
+    assert sum(map(len, enumerate_cliques(complete(4)))) == 16
+    with pytest.raises(ResourceLimitError, match="cliques on 5 vertices"):
+        enumerate_cliques(build_graph(5, complete(4).edges))
+
+
 def test_enumerate_cliques_matches_subset_oracle():
     rng = random.Random(1985)
     for n in range(11):
-        pairs = list(itertools.combinations(range(n), 2))
         for density in (0.2, 0.5, 0.8, 1.0):
-            g = build_graph(n, [e for e in pairs if rng.random() < density])
+            g = random_graph(rng, n, density)
             levels = enumerate_cliques(g)
             for k in range(n + 2):
                 want = cliques_by_combinations(g, k)
@@ -325,10 +333,8 @@ def test_canonical_graph_matches_permutation_search_on_named_graphs():
 
 def test_canonical_graph_invariant_and_idempotent_on_eight_vertices():
     rng = random.Random(8)
-    pairs = list(itertools.combinations(range(8), 2))
     for _ in range(60):
-        density = rng.random()
-        g = build_graph(8, [e for e in pairs if rng.random() < density])
+        g = random_graph(rng, 8, rng.random())
         c = canonical_graph(g)
         assert canonical_graph(c) == c
         for _ in range(2):

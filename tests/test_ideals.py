@@ -38,7 +38,6 @@ def span_of(ctx, vectors):
 def test_zero_and_unit_ideals():
     ctx = build_algebra(square4(), 2)
     z, u = zero_ideal(ctx), unit_ideal(ctx)
-    # degree 0 included: the unit ideal holds 1, the zero ideal does not
     assert all(z.piece(n).rank == 0 for n in range(3))
     assert all(u.piece(n).rank == ctx.dim(n) for n in range(3))
 

@@ -18,6 +18,7 @@ from conftest import (
     monomial_element,
     multiply,
     path4,
+    random_graph,
     square4,
     star,
     strong_koszul_by_colons,
@@ -49,10 +50,6 @@ from koszulity.koszul import (
     universal_koszul_bruteforce,
     universal_koszul_fast,
 )
-
-
-def projective_points(p, d):
-    return (p**d - 1) // (p - 1)
 
 
 def test_strong_check_pair_count():
@@ -101,10 +98,6 @@ def test_strong_check_independent_of_characteristic():
                             s.pivots for s in c3.pieces
                         ]
                         assert [s.rows for s in c2.pieces] == [s.rows for s in c3.pieces]
-
-
-def random_graph(rng, n):
-    return build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5])
 
 
 def test_strong_check_matches_colon_oracle():
@@ -222,12 +215,9 @@ def test_brute_golden_graph_passes_with_exact_counts():
     out = universal_koszul_bruteforce(ctx)
     assert out.verdict is True and out.failure is None
     assert out.ideals_enumerated == subspace_count(2, 4)
-    # each proper subspace U contributes the nonzero classes of A1/U
-    total = sum(
-        projective_points(2, 4 - k)
-        for k in range(4)
-        for _ in range(gaussian_binomial(2, 4, k))
-    )
+    # each proper subspace U of rank k contributes the 2**(4-k) - 1 nonzero
+    # classes of A1/U
+    total = sum(gaussian_binomial(2, 4, k) * (2 ** (4 - k) - 1) for k in range(4))
     assert out.divisors_checked == total
 
 
