@@ -38,6 +38,8 @@ deterministic order and refuse to start when p**d exceeds 2**20.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import xor
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, ResourceLimitError
@@ -112,6 +114,12 @@ class RowSpace:
     def rows(self) -> tuple[tuple[int, ...], ...]:
         if self.p == 2:
             return tuple(_unpack(r, self.ambient_dim) for r in self._basis)
+        return self._basis
+
+    @property
+    def basis(self) -> tuple:
+        """The basis in native form: one int per row at p = 2, a tuple of
+        residues per row at odd p.  Equal spaces have equal bases."""
         return self._basis
 
     @property
@@ -213,10 +221,10 @@ def _reduce2(basis: tuple[int, ...], v: int) -> int:
     return v
 
 
-def _echelon2(vectors: Iterable[int]) -> tuple[int, ...]:
-    """Canonical RREF of packed rows: sorted by pivot, every pivot bit
-    cleared in all other rows."""
-    lead: dict[int, int] = {}  # pivot bit -> row whose lowest set bit it is
+def _leads2(vectors: Iterable[int]) -> dict[int, int]:
+    """Forward elimination of packed rows: pivot bit -> a row whose lowest
+    set bit it is; the rows span what vectors span."""
+    lead: dict[int, int] = {}
     for v in vectors:
         while v:
             low = v & -v
@@ -225,6 +233,13 @@ def _echelon2(vectors: Iterable[int]) -> tuple[int, ...]:
                 lead[low] = v
                 break
             v ^= row
+    return lead
+
+
+def _echelon2(vectors: Iterable[int]) -> tuple[int, ...]:
+    """Canonical RREF of packed rows: sorted by pivot, every pivot bit
+    cleared in all other rows."""
+    lead = _leads2(vectors)
     return _back_substitute([lead[low] for low in sorted(lead, reverse=True)])
 
 
@@ -328,8 +343,9 @@ def _eliminate(mat: list[list[int]], ambient_dim: int, p: int) -> list[tuple[int
     return [tuple(r) for r in mat[:npiv]]
 
 
-def _kernel_dense(matrix, a: int, b: int, p: int) -> list[tuple[int, ...]]:
-    # Null space of x -> x.M is computed from the RREF of the transpose.
+def _null_basis(matrix, a: int, b: int, p: int) -> list[list[int]]:
+    # A basis of the null space of x -> x.M, one vector per free column
+    # of the RREF of the transpose, with 1 there.
     cols = [[matrix[i][j] % p for i in range(a)] for j in range(b)]
     reduced = _eliminate(cols, a, p)
     pivots = _dense_pivots(reduced)
@@ -343,7 +359,11 @@ def _kernel_dense(matrix, a: int, b: int, p: int) -> list[tuple[int, ...]]:
         for row, c in zip(reduced, pivots):
             v[c] = (-row[f]) % p
         basis.append(v)
-    return _eliminate(basis, a, p)
+    return basis
+
+
+def _kernel_dense(matrix, a: int, b: int, p: int) -> list[tuple[int, ...]]:
+    return _eliminate(_null_basis(matrix, a, b, p), a, p)
 
 
 # -- public constructors and maps ---------------------------------------------
@@ -445,6 +465,155 @@ def image_kernel(
         red = _reduce_dense(rows, pivots, _densify(v, width, p), p)
         matrix.append([red[c] for c in keep])
     return _space(p, domain_dim, tuple(_kernel_dense(matrix, domain_dim, len(keep), p)))
+
+
+# -- native vectors: maps between quotients, permutations -------------------
+
+
+def _classes(s: RowSpace) -> list:
+    """The class of each e_c in F_p^m / s, as a native vector in quotient
+    coordinates (the non-pivot columns of s, in order)."""
+    p, m = s.p, s.ambient_dim
+    pivots = s.pivots
+    pivot_set = set(pivots)
+    pos = {c: i for i, c in enumerate(c for c in range(m) if c not in pivot_set)}
+    if p == 2:
+        classes = [1 << pos[c] if c in pos else 0 for c in range(m)]
+        for row, c in zip(s._basis, pivots):
+            # e_c = row - (row - e_c), and row lies in s
+            classes[c] = sum(1 << pos[j] for j in _bits(row) if j != c)
+        return classes
+    unit = [tuple(int(i == k) for k in range(len(pos))) for i in range(len(pos))]
+    classes = [unit[pos[c]] if c in pos else None for c in range(m)]
+    for row, c in zip(s._basis, pivots):
+        classes[c] = tuple(-row[j] % p for j in pos)
+    return classes
+
+
+def quotient_maps(
+    source: RowSpace, target: RowSpace, maps: Iterable[Sequence[Sparse]]
+) -> tuple[tuple, ...]:
+    """The maps F_p^m / source -> F_p^k / target induced by e_i ->
+    images[i], one for each images in maps (m and k are the ambient
+    dimensions).  Each linear map must send source into target; that is
+    not checked.  Each comes back as a native map: the class of the image
+    of each non-pivot column of source, in column order, as a native
+    vector in the quotient coordinates of target."""
+    p = source.p
+    pivot_set = set(source.pivots)
+    cols = [c for c in range(source.ambient_dim) if c not in pivot_set]
+    classes = _classes(target)
+    if p == 2:
+        def image(vec):
+            v = 0
+            for k, c in vec:
+                if c & 1:
+                    v ^= classes[k]
+            return v
+    else:
+        zero = (0,) * (target.ambient_dim - target.rank)
+
+        def image(vec):
+            v = zero
+            for k, c in vec:
+                v = tuple((x + c * y) % p for x, y in zip(v, classes[k]))
+            return v
+    return tuple(tuple(image(images[c]) for c in cols) for images in maps)
+
+
+def combine_maps(p: int, coeffs: Sequence[int], maps: Sequence[tuple]) -> tuple:
+    """The native map sum_g coeffs[g] * maps[g], for native maps of one
+    shape (at least one map)."""
+    if p == 2:
+        chosen = [m for c, m in zip(coeffs, maps) if c & 1]
+        if not chosen:
+            return (0,) * len(maps[0])
+        if len(chosen) == 1:
+            return chosen[0]
+        return tuple(reduce(xor, col) for col in zip(*chosen))
+    terms = [(c % p, m) for c, m in zip(coeffs, maps) if c % p]
+    if not terms:
+        return tuple(tuple(0 for _ in v) for v in maps[0])
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    cs = [c for c, _ in terms]
+    return tuple(
+        tuple(sum(c * x for c, x in zip(cs, xs)) % p for xs in zip(*vs))
+        for vs in zip(*(m for _, m in terms))
+    )
+
+
+def map_kernel(p: int, images: Sequence, width: int) -> tuple:
+    """Native basis, not necessarily reduced, of the kernel of e_i ->
+    images[i], a native map into F_p^width."""
+    if p == 2:
+        return _kernel2(images, width)
+    return tuple(map(tuple, _null_basis(images, len(images), width, p)))
+
+
+def map_rank(p: int, images: Sequence, width: int) -> int:
+    """Rank of the native vectors images in F_p^width."""
+    if p == 2:
+        return len(_leads2(images))
+    return len(_eliminate([list(v) for v in images], width, p))
+
+
+def image_basis(p: int, maps: Sequence[tuple], vectors: Sequence, width: int) -> tuple:
+    """Native basis, not necessarily reduced, of the span in F_p^width of
+    m(x) for every native map m in maps and native vector x in
+    vectors."""
+    if p == 2:
+        images = []
+        for x in vectors:
+            cols = list(_bits(x))
+            for m in maps:
+                v = 0
+                for c in cols:
+                    v ^= m[c]
+                images.append(v)
+        return tuple(_leads2(images).values())
+    rows = [list(zip(*m)) for m in maps]  # m's coordinate rows
+    images = (
+        [sum(a * b for a, b in zip(x, row)) % p for row in m]
+        for x in vectors
+        for m in rows
+    )
+    return tuple(_eliminate(list(images), width, p))
+
+
+def permute_coordinates(p: int, perm: Sequence[int]):
+    """The action of e_j -> e_{perm[j]} on subspaces of F_p^len(perm), as
+    a function from a native RREF basis (RowSpace.basis) to the native
+    RREF basis of the image; perm is a permutation of 0..len(perm)-1.  At
+    p = 2 the packed rows go through tables of 256 entries, one per byte
+    of a row, built here once."""
+    d = len(perm)
+    if p == 2:
+        tables = []
+        for base in range(0, d, 8):
+            t = [0] * 256
+            for v in range(1, 256):
+                low = v & -v
+                j = base + low.bit_length() - 1
+                t[v] = t[v ^ low] | (1 << perm[j] if j < d else 0)
+            tables.append(t)
+        if len(tables) == 1:
+            (t,) = tables
+            return lambda basis: _echelon2([t[r] for r in basis])
+
+        def act(basis: tuple) -> tuple:
+            rows = []
+            for r in basis:
+                v = 0
+                for i, t in enumerate(tables):
+                    v |= t[(r >> (8 * i)) & 255]
+                rows.append(v)
+            return _echelon2(rows)
+        return act
+    inv = [0] * d
+    for j, k in enumerate(perm):
+        inv[k] = j
+    return lambda basis: tuple(_eliminate([[row[j] for j in inv] for row in basis], d, p))
 
 
 def count_text(count: int) -> str:

@@ -66,10 +66,18 @@ from .errors import InputError, ResourceLimitError
 from .gfp import (
     ENUMERATION_GUARD,
     Prime,
+    combine_maps,
     count_text,
     enumerate_coset_reps_mod_scalar,
     enumerate_subspaces,
+    image_basis,
+    image_kernel,
+    map_kernel,
+    map_rank,
+    permute_coordinates,
+    quotient_maps,
     span,
+    zero_space,
 )
 from .graphs import (
     DiagonalViolation,
@@ -77,14 +85,7 @@ from .graphs import (
     diagonal_violation,
     elementary_type_decomposition,
 )
-from .ideals import (
-    GradedIdeal,
-    annihilator,
-    colon_ideal,
-    element_in_ideal,
-    ideal_from_degree_one,
-    is_one_generated,
-)
+from .ideals import GradedIdeal, ideal_from_degree_one
 
 
 @dataclass(frozen=True)
@@ -310,21 +311,60 @@ def _twin_transpositions(g: Graph) -> list[tuple[int, ...]]:
     return perms
 
 
-def _orbit_rest(u, perms) -> set:
-    """The other members of the orbit of the subspace u under the group
-    that the vertex permutations perms generate, closed depth-first."""
-    p, d = u.p, u.ambient_dim
-    orbit = {u}
-    stack = [u]
+def _orbit_rest(basis, actions) -> set:
+    """The native bases of the other members of the orbit of the subspace
+    with native basis basis, under the group that the coordinate
+    permutations actions generate, closed depth-first."""
+    orbit = {basis}
+    stack = [basis]
     while stack:
-        rows = stack.pop().sparse_rows()
-        for perm in perms:
-            image = span(p, d, [[(perm[j], c) for j, c in row] for row in rows])
+        s = stack.pop()
+        for act in actions:
+            image = act(s)
             if image not in orbit:
                 orbit.add(image)
                 stack.append(image)
-    orbit.remove(u)
+    orbit.remove(basis)
     return orbit
+
+
+def _quotient_maps(ctx: AlgebraContext, ideal: GradedIdeal):
+    """The generator maps of B = A/ideal: (dims, maps), where dims[n] is
+    dim B_n for n = 0..D and maps[n-1] holds, for each basis vector a_g of
+    B_1 (the non-pivot generators of ideal_1), the native map Q_g: B_n ->
+    B_{n+1}, x -> a_g x, for n = 1..D-1.  B_n's basis is the non-pivot
+    monomials of ideal_n."""
+    pieces = ideal.pieces
+    free = set(range(ctx.dim(1))) - set(pieces[1].pivots)
+    dims = tuple(ctx.dim(n) - pieces[n].rank for n in range(ctx.D + 1))
+    maps = tuple(
+        quotient_maps(pieces[n], pieces[n + 1], [ctx.gen_maps[n][g] for g in sorted(free)])
+        for n in range(1, ctx.D)
+    )
+    return dims, maps
+
+
+def _failure_degree(p: int, dims, maps, b) -> int | None:
+    """Whether Ann_B(b) is generated in degree one, for B given by
+    _quotient_maps and b a nonzero vector of B_1 in its coordinates: None,
+    or the least degree n where the ideal that Ann_B(b)_1 generates is
+    smaller than Ann_B(b)_n.  It is an ideal of B that Ann_B(b) contains,
+    so comparing dimensions decides.  Ann_B(b)_n is the kernel of
+    multiplication by b, B_n -> B_{n+1}, and all of B_D."""
+    D = len(dims) - 1
+    if D < 2:
+        return None
+    generated = map_kernel(p, combine_maps(p, b, maps[0]), dims[2])
+    for n in range(2, D + 1):
+        generated = image_basis(p, maps[n - 2], generated, dims[n])
+        if len(generated) == dims[n]:
+            return None  # B_n, so every later degree is full too
+        ann = dims[n]
+        if n < D:
+            ann -= map_rank(p, combine_maps(p, b, maps[n - 1]), dims[n + 1])
+        if len(generated) < ann:
+            return n
+    return None
 
 
 def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
@@ -333,11 +373,13 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
     subspace I_1 per orbit of the twin group.
 
     Colon ideals are invariant under scaling b and translating b by I_1, so
-    one representative per class decides all of them.  The first subspace
-    met in each orbit has all its divisors tested; the later members are
-    counted as covered.  Returns the first failure in enumeration order,
-    if any.  Refuses with ResourceLimitError before the first colon when
-    the predicted divisor count exceeds 2**20.
+    one representative per class decides all of them.  The colon is
+    tested in B = A/I, as Ann_B(b) (_failure_degree), on generator maps
+    built once per tested subspace.  The first subspace met in each orbit
+    has all its divisors tested; the later members are counted as
+    covered.  Returns the first failure in enumeration order, if any.
+    Refuses with ResourceLimitError before the first subspace when the
+    predicted divisor count exceeds 2**20.
     """
     d = ctx.dim(1)
     total = _brute_divisor_count(ctx.p, d)
@@ -347,25 +389,27 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
             f"divisor) pairs over F_{ctx.p} with {d} vertices exceed 2**20"
         )
     p = ctx.p
-    perms = _twin_transpositions(ctx.graph)
-    ahead = set()  # later members of the orbits already met
+    actions = [permute_coordinates(p, perm) for perm in _twin_transpositions(ctx.graph)]
+    ahead = set()  # native bases of later members of the orbits already met
     ideals = divisors = tested = 0
     for u in enumerate_subspaces(p, d):
         ideals += 1
-        if u in ahead:
+        if u.basis in ahead:
             # its orbit's first member passed, so it passes too
-            ahead.remove(u)
+            ahead.remove(u.basis)
             divisors += (p ** (d - u.rank) - 1) // (p - 1)
             continue
-        ahead |= _orbit_rest(u, perms)
+        ahead |= _orbit_rest(u.basis, actions)
         ideal = ideal_from_degree_one(ctx, u)
+        dims, maps = _quotient_maps(ctx, ideal)
+        free = [c for c in range(d) if c not in set(u.pivots)]
         for vec in enumerate_coset_reps_mod_scalar(u):
             divisors += 1
             tested += 1
-            b = from_coeffs(ctx, 1, vec)
-            colon = colon_ideal(ctx, ideal, b)
-            ok, degree, _ = is_one_generated(ctx, colon)
-            if not ok:
+            # vec is supported on the free columns: its B_1 coordinates
+            degree = _failure_degree(p, dims, maps, [vec[c] for c in free])
+            if degree is not None:
+                b = from_coeffs(ctx, 1, vec)
                 return BruteResult(
                     False, BruteFailure(ideal, b, degree), ideals, divisors, tested
                 )
@@ -398,19 +442,28 @@ def non_universal_witness(ctx: AlgebraContext) -> NonUKWitness:
 
 
 def certify_witness(ctx: AlgebraContext, w: DiagonalViolation) -> NonUKWitness:
-    """The certified witness for a violation already found in ctx.graph."""
-    d = ctx.dim(1)
-    b = from_coeffs(
-        ctx, 1, tuple(1 if j in (w.v1, w.v4) else 0 for j in range(d))
-    )
+    """The certified witness for a violation already found in ctx.graph.
+    Only degrees 1 and 2 of Ann(b) are built, and the culprit's product
+    with b in degree 3, whatever the clique number."""
+    d, p, maps = ctx.dim(1), ctx.p, ctx.gen_maps
+    ends = (w.v1, w.v4)
+    b = from_coeffs(ctx, 1, tuple(1 if j in ends else 0 for j in range(d)))
     culprit = (w.v2, w.v3) if w.v2 < w.v3 else (w.v3, w.v2)
-    ann = annihilator(ctx, b)
     idx = ctx.index[2][culprit]
-    culprit_vec = tuple(1 if k == idx else 0 for k in range(ctx.dim(2)))
-    culprit_el = from_coeffs(ctx, 2, culprit_vec)
-    in_ann = element_in_ideal(culprit_el, ann)
-    generated = ideal_from_degree_one(ctx, ann.piece(1))
-    outside = not element_in_ideal(culprit_el, generated)
+    # b times the culprit; nothing lives above the clique number
+    product = [t for v in ends for t in maps[2][v][idx]] if ctx.D > 2 else []
+    in_ann = zero_space(p, ctx.dim(3)).member_sparse(product)
+    # Ann(b)_1, the kernel of x -> b x into A_2, and A_1 Ann(b)_1
+    ann = image_kernel(
+        p, d, [[t for v in ends for t in maps[1][v][j]] for j in range(d)],
+        zero_space(p, ctx.dim(2)),
+    )
+    generated = span(p, ctx.dim(2), [
+        [(k, sign * c) for j, c in row for k, sign in maps[1][g][j]]
+        for row in ann.sparse_rows()
+        for g in range(d)
+    ])
+    outside = not generated.member_sparse([(idx, 1)])
     if not (in_ann and outside):
         raise RuntimeError("witness certificate failed exact verification")
     return NonUKWitness(w, b, culprit, in_ann, outside)

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -390,15 +391,20 @@ def test_census_non_ascii_input(capsys, tmp_path):
     assert "not ASCII" in err
 
 
-def run_cli_process(*argv, timeout=20):
+def run_cli_process(*argv, timeout=20, address_space=None):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
         [sys.executable, "-m", "koszulity.cli", *argv],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=timeout,
+        preexec_fn=None if address_space is None else limit,
     )
 
 
@@ -441,3 +447,20 @@ def test_forty_vertex_graph_lists_its_cliques_without_testing_subsets(tmp_path):
     out = run_cli_process("witness", "-i", path)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("pattern: P4\nv1=0 v2=7 v3=8 v4=9\n")
+
+
+def test_witness_at_odd_p_reads_only_the_low_degrees(tmp_path):
+    # K16 plus a disjoint P4: 20 vertices, 65,544 cliques up to degree 16.
+    # At p = 3 the certificate once built Ann(b) in every degree in dense
+    # rows and exited 1 after about a minute under a 2 GB address-space
+    # limit; it needs degrees 1 and 2, and building the algebra takes
+    # about a second
+    edges = list(itertools.combinations(range(16), 2)) + [(16, 17), (17, 18), (18, 19)]
+    path = write(tmp_path, "k16p4.txt", "20\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    lines = {}
+    for p in ("2", "3"):
+        out = run_cli_process("witness", "-i", path, "-p", p, timeout=10, address_space=2**31)
+        assert out.returncode == 0, out.stderr
+        lines[p] = [line for line in out.stdout.splitlines() if not line.startswith("b = ")]
+    assert lines["3"] == lines["2"] and len(lines["2"]) == 5
+    assert lines["2"][:2] == ["pattern: P4", "v1=16 v2=17 v3=18 v4=19"]

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import os
 import random
@@ -24,10 +25,10 @@ from conftest import (
     strong_koszul_by_colons,
     subspace_count,
 )
-from koszulity import graphs, koszul
-from koszulity.algebra import build_algebra, element_string, monomial_string
+from koszulity import graphs, ideals, koszul
+from koszulity.algebra import build_algebra, element_string, from_coeffs, monomial_string
 from koszulity.errors import InputError, ResourceLimitError
-from koszulity.gfp import count_text, enumerate_subspaces, span
+from koszulity.gfp import count_text, enumerate_subspaces, rref, span
 from koszulity.graphs import (
     ConeNode,
     DiagonalViolation,
@@ -40,6 +41,7 @@ from koszulity.ideals import (
     colon_ideal,
     element_in_ideal,
     ideal_from_degree_one,
+    is_one_generated,
     monomial_ideal_basis,
 )
 from koszulity.koszul import (
@@ -344,11 +346,16 @@ def test_classify_empty_graph_rejected():
         classify(build_graph(0, []))
 
 
-def forbid_colons(monkeypatch):
-    def no_colon(*args):
-        raise AssertionError("colon computed before the budget check")
+def forbid(monkeypatch, module, name, what):
+    def refuse(*args):
+        raise AssertionError(f"{what} before the budget check")
 
-    monkeypatch.setattr(koszul, "colon_ideal", no_colon)
+    monkeypatch.setattr(module, name, refuse)
+
+
+def forbid_colons(monkeypatch):
+    # koszul no longer binds colon_ideal; its definition is forbidden
+    forbid(monkeypatch, ideals, "colon_ideal", "colon computed")
 
 
 def test_strong_check_refuses_over_budget_before_any_colon(monkeypatch):
@@ -408,6 +415,8 @@ def test_brute_divisor_count_is_exact():
 
 def test_brute_refuses_over_budget_before_any_colon(monkeypatch):
     forbid_colons(monkeypatch)
+    forbid(monkeypatch, koszul, "_quotient_maps", "quotient maps built")
+    forbid(monkeypatch, koszul, "enumerate_subspaces", "subspaces enumerated")
     for n, p in ((8, 2), (4, 31), (13, 2)):
         with pytest.raises(ResourceLimitError, match="exceed 2\\*\\*20"):
             universal_koszul_bruteforce(build_algebra(build_graph(n, []), p))
@@ -430,6 +439,8 @@ def _brute_cases():
             yield g, 2
             if n <= 4:
                 yield g, 3
+            if n == 3:
+                yield g, 7
     yield complete(3), 5
 
 
@@ -581,3 +592,42 @@ def test_brute_star7_completes_under_a_time_bound():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["True", "29212", "358775", "5715"]
+
+
+def test_quotient_divisor_test_matches_the_colon_route():
+    # Ann_{A/I}(b) tested in the quotient against is_one_generated of
+    # colon_ideal, verdict and failure degree: random graphs on <= 6
+    # vertices with an induced C4 or P4, sparse random U and b outside U,
+    # at p = 2, 3, 5, and the octahedron's failure in degree 3 at U = 0,
+    # which the brute route never reaches (it fails in degree 2 first)
+    rng = random.Random(5)
+    cases = []
+    while len(cases) < 240:
+        p = (2, 3, 5)[len(cases) % 3]
+        g = random_graph(rng, rng.randint(4, 6), rng.choice((0.6, 0.8)))
+        if universal_koszul_fast(g):
+            continue
+
+        def sparse(q):
+            return [rng.randrange(1, p) if rng.random() < q else 0 for _ in range(g.n)]
+
+        u = rref([sparse(0.3) for _ in range(rng.randrange(3))], p, ambient_dim=g.n)
+        b = sparse(0.4)
+        if any(u.reduce(b)):
+            cases.append((g, p, u, b))
+    pairs = itertools.combinations(range(6), 2)
+    octahedron = build_graph(6, [e for e in pairs if e not in ((0, 1), (2, 3), (4, 5))])
+    for p in (2, 3, 5):
+        cases.append((octahedron, p, rref([], p, ambient_dim=6), [1, 0, 0, 1, 0, 1]))
+    seen = collections.Counter()
+    for g, p, u, b in cases:
+        ctx = build_algebra(g, p)
+        ideal = ideal_from_degree_one(ctx, u)
+        ok, degree, _ = is_one_generated(ctx, colon_ideal(ctx, ideal, from_coeffs(ctx, 1, b)))
+        dims, maps = koszul._quotient_maps(ctx, ideal)
+        residue = u.reduce(b)
+        coords = [residue[c] for c in range(g.n) if c not in set(u.pivots)]
+        got = koszul._failure_degree(p, dims, maps, coords)
+        assert got == (None if ok else degree), (g.edges, p, u.rows, b)
+        seen[degree, u.rank > 0] += 1
+    assert seen[2, True] >= 10 and seen[None, True] >= 50 and seen[3, False] == 3, seen

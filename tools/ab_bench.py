@@ -14,10 +14,18 @@ The end-to-end metrics and their directions come from the change's
 BENCHMARK.json.
 
 Prints one line per pair, then per metric the base and change medians,
-the base's quartiles and the number of pairs the change won (strictly
-better).  With --out, the workload's result is merged into that JSON file
-under "workloads", next to the refs, their commits and the machine.
-Standard library only.
+the base's quartiles, the number of pairs the change won (strictly
+better) and a verdict:
+
+- gain: the change won at least nine tenths of the pairs, and its median
+  is better than the base's by more than the base's interquartile range;
+- worse: the change's median is worse than the base's by more than the
+  metric's bound in BENCHMARK.json, read as a fraction of the base median;
+- unresolved: otherwise (a metric that did not move reads unresolved).
+
+With --out, the workload's result is merged into that JSON file under
+"workloads", next to the refs, their commits and the machine.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -65,6 +73,34 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, statistics.median(values), q3
 
 
+def compare(base: list[float], change: list[float], better: str, bound: float) -> dict:
+    """One metric's summary: medians, the base's quartiles, the pairs the
+    change won and the verdict, by the rule in the module docstring."""
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+    q1, base_median, q3 = quartiles(base)
+    change_median = statistics.median(change)
+    gap = sign * (base_median - change_median)  # > 0: the change is better
+    if 10 * wins >= 9 * len(base) and gap > q3 - q1:
+        verdict = "gain"
+    elif -gap > bound * abs(base_median):
+        verdict = "worse"
+    else:
+        verdict = "unresolved"
+    return {
+        "better": better,
+        "base": base,
+        "change": change,
+        "base_median": base_median,
+        "base_q1": q1,
+        "base_q3": q3,
+        "change_median": change_median,
+        "change_wins": wins,
+        "bound": bound,
+        "verdict": verdict,
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git ref of the parent")
@@ -81,6 +117,7 @@ def main(argv=None) -> int:
         commits = {side: extract(getattr(args, side), tree) for side, tree in trees.items()}
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
         values = {side: {k: [] for k in better} for side in trees}
         correct = {side: [] for side in trees}
         machine = None
@@ -104,23 +141,13 @@ def main(argv=None) -> int:
     for k, direction in better.items():
         base, change = values["base"][k], values["change"][k]
         if None in base or None in change:
-            summary[k] = {"base": base, "change": change}
+            summary[k] = {"base": base, "change": change, "verdict": "unresolved"}
+            print(f"{k:12s} missing in some runs  verdict unresolved")
             continue
-        sign = 1 if direction == "lower" else -1
-        wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
-        q1, base_median, q3 = quartiles(base)
-        summary[k] = {
-            "better": direction,
-            "base": base,
-            "change": change,
-            "base_median": base_median,
-            "base_q1": q1,
-            "base_q3": q3,
-            "change_median": statistics.median(change),
-            "change_wins": wins,
-        }
-        print(f"{k:12s} median {base_median:.4g} -> {summary[k]['change_median']:.4g}"
-              f"  base IQR {q1:.4g}..{q3:.4g}  change better in {wins}/{len(base)} pairs")
+        m = summary[k] = compare(base, change, direction, bounds[k])
+        print(f"{k:12s} median {m['base_median']:.4g} -> {m['change_median']:.4g}"
+              f"  base IQR {m['base_q1']:.4g}..{m['base_q3']:.4g}"
+              f"  change better in {m['change_wins']}/{len(base)} pairs  verdict {m['verdict']}")
     print(f"correct: base {correct['base']}, change {correct['change']}")
 
     if args.out:
