@@ -26,6 +26,16 @@ interface, which works for every p and converts straight into the native
 form: coordinate_space, span, image_kernel, RowSpace.sparse_rows and
 RowSpace.member_sparse.
 
+Hot loops that never need a canonical subspace work on native vectors
+instead: an int (bit j = coordinate j) at p = 2, a tuple of residues at
+odd p.  A native map is a tuple of native vectors, the images of the
+standard basis.  quotient_maps induces native maps between quotients
+F_p^m / S, whose coordinates are the non-pivot columns of S;
+combine_maps forms linear combinations of maps; map_kernel, map_rank
+and image_basis answer what a kernel, rank or span needs, with bases
+that need not be reduced.  permute_coordinates acts on RowSpace.basis,
+the native RREF basis, and returns the image's.
+
 The package needs only the standard library.  A vectorised route for odd
 p that uses numpy must import it inside that route, so that importing the
 package, and every p = 2 computation, still loads no numpy.
@@ -477,14 +487,13 @@ def _classes(s: RowSpace) -> list:
     pivots = s.pivots
     pivot_set = set(pivots)
     pos = {c: i for i, c in enumerate(c for c in range(m) if c not in pivot_set)}
+    # e_c = row - (row - e_c) for the row with pivot c, and row lies in s
     if p == 2:
         classes = [1 << pos[c] if c in pos else 0 for c in range(m)]
         for row, c in zip(s._basis, pivots):
-            # e_c = row - (row - e_c), and row lies in s
             classes[c] = sum(1 << pos[j] for j in _bits(row) if j != c)
         return classes
-    unit = [tuple(int(i == k) for k in range(len(pos))) for i in range(len(pos))]
-    classes = [unit[pos[c]] if c in pos else None for c in range(m)]
+    classes = [tuple(int(i == pos.get(c)) for i in range(len(pos))) for c in range(m)]
     for row, c in zip(s._basis, pivots):
         classes[c] = tuple(-row[j] % p for j in pos)
     return classes
@@ -523,19 +532,14 @@ def quotient_maps(
 
 def combine_maps(p: int, coeffs: Sequence[int], maps: Sequence[tuple]) -> tuple:
     """The native map sum_g coeffs[g] * maps[g], for native maps of one
-    shape (at least one map)."""
-    if p == 2:
-        chosen = [m for c, m in zip(coeffs, maps) if c & 1]
-        if not chosen:
-            return (0,) * len(maps[0])
-        if len(chosen) == 1:
-            return chosen[0]
-        return tuple(reduce(xor, col) for col in zip(*chosen))
+    shape and coefficients not all zero mod p."""
     terms = [(c % p, m) for c, m in zip(coeffs, maps) if c % p]
     if not terms:
-        return tuple(tuple(0 for _ in v) for v in maps[0])
+        raise InputError("a combination of maps needs a nonzero coefficient")
     if len(terms) == 1 and terms[0][0] == 1:
         return terms[0][1]
+    if p == 2:
+        return tuple(reduce(xor, col) for col in zip(*(m for _, m in terms)))
     cs = [c for c, _ in terms]
     return tuple(
         tuple(sum(c * x for c, x in zip(cs, xs)) % p for xs in zip(*vs))
@@ -585,31 +589,20 @@ def permute_coordinates(p: int, perm: Sequence[int]):
     """The action of e_j -> e_{perm[j]} on subspaces of F_p^len(perm), as
     a function from a native RREF basis (RowSpace.basis) to the native
     RREF basis of the image; perm is a permutation of 0..len(perm)-1.  At
-    p = 2 the packed rows go through tables of 256 entries, one per byte
-    of a row, built here once."""
+    p = 2 the packed rows go through tables built here once: the image of
+    every byte value, one table per byte of a row."""
     d = len(perm)
     if p == 2:
-        tables = []
-        for base in range(0, d, 8):
-            t = [0] * 256
-            for v in range(1, 256):
-                low = v & -v
-                j = base + low.bit_length() - 1
-                t[v] = t[v ^ low] | (1 << perm[j] if j < d else 0)
-            tables.append(t)
-        if len(tables) == 1:
-            (t,) = tables
+        tables = [
+            (base, [sum(1 << perm[base + j] for j in _bits(v) if base + j < d) for v in range(256)])
+            for base in range(0, d, 8)
+        ]
+        if d <= 8:
+            ((_, t),) = tables
             return lambda basis: _echelon2([t[r] for r in basis])
-
-        def act(basis: tuple) -> tuple:
-            rows = []
-            for r in basis:
-                v = 0
-                for i, t in enumerate(tables):
-                    v |= t[(r >> (8 * i)) & 255]
-                rows.append(v)
-            return _echelon2(rows)
-        return act
+        return lambda basis: _echelon2(
+            [sum(t[r >> base & 255] for base, t in tables) for r in basis]
+        )
     inv = [0] * d
     for j, k in enumerate(perm):
         inv[k] = j

@@ -37,7 +37,20 @@ in enumeration order is tested divisor by divisor, so the first failure
 is the one a test of every subspace would meet.  Its later members are
 counted, with their divisor classes, but not tested: ideals_enumerated
 and divisors_checked count what the verdict covers, divisors_tested the
-colons computed.
+divisors tested.
+
+Universal Koszulity is Conca's notion ("Universally Koszul algebras",
+Math. Ann. 317, 2000).  Each divisor is tested in the quotient B = A/I:
+since I lies in I:(b), (I:b)/I is Ann_B(b), the annihilator of the class of b.
+The ideal J that (I:b)_1 generates contains I too, so J = I:(b) iff
+J/I = Ann_B(b), and J/I is the ideal of B that Ann_B(b)_1 generates:
+I:(b) is generated in degree one iff Ann_B(b) is, and both first fail in
+the same degree.  B's generator maps are built once per tested
+subspace, in the coordinates of the monomials off the pivots of each
+I_n, so no divisor reduces anything modulo I.  Ann_B(b)_n is the kernel
+of multiplication by b, and it contains the ideal that Ann_B(b)_1
+generates, so dimensions decide.  colon_ideal and is_one_generated stay
+as the independent route the tests compare against.
 
 The strong and brute-force checks count their (ideal, divisor) pairs
 exactly before any work and refuse with ResourceLimitError past 2**20
@@ -45,7 +58,8 @@ pairs.
 
 When the fast universal verdict is false, certify_witness builds the
 certified counterexample: b = a_{v1} + a_{v4} annihilates the culprit
-monomial a_{v2} a_{v3}, which Ann(b)_1 cannot generate.
+monomial a_{v2} a_{v3}, which Ann(b)_1 cannot generate.  Only degrees 1
+and 2 of Ann(b) are built, whatever the clique number.
 """
 
 from __future__ import annotations
@@ -258,7 +272,7 @@ class BruteFailure:
 @dataclass(frozen=True)
 class BruteResult:
     """ideals_enumerated and divisors_checked count what the verdict
-    covers; divisors_tested counts the colons actually computed, one
+    covers; divisors_tested counts the divisors actually tested, one
     orbit representative's divisors at a time."""
 
     verdict: bool
@@ -335,10 +349,11 @@ def _quotient_maps(ctx: AlgebraContext, ideal: GradedIdeal):
     B_{n+1}, x -> a_g x, for n = 1..D-1.  B_n's basis is the non-pivot
     monomials of ideal_n."""
     pieces = ideal.pieces
-    free = set(range(ctx.dim(1))) - set(pieces[1].pivots)
+    pivots = set(pieces[1].pivots)
+    free = [g for g in range(ctx.dim(1)) if g not in pivots]
     dims = tuple(ctx.dim(n) - pieces[n].rank for n in range(ctx.D + 1))
     maps = tuple(
-        quotient_maps(pieces[n], pieces[n + 1], [ctx.gen_maps[n][g] for g in sorted(free)])
+        quotient_maps(pieces[n], pieces[n + 1], [ctx.gen_maps[n][g] for g in free])
         for n in range(1, ctx.D)
     )
     return dims, maps

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +14,19 @@ from koszulity.gfp import (
     _eliminate,
     _kernel_dense,
     _reduce_dense,
+    combine_maps,
     coordinate_space,
     enumerate_coset_reps_mod_scalar,
     enumerate_subspaces,
     enumerate_vectors_mod_scalar,
     full_space,
+    image_basis,
     image_kernel,
     kernel,
+    map_kernel,
+    map_rank,
+    permute_coordinates,
+    quotient_maps,
     rref,
     span,
     zero_space,
@@ -409,3 +416,81 @@ def test_rowspace_is_immutable_and_picklable():
             s.p = 5
         assert pickle.loads(pickle.dumps(s)) == s
         assert copy.deepcopy(s) == s
+
+
+def dense(p, v, width):
+    # a native vector as a tuple of residues
+    return tuple((v >> j) & 1 for j in range(width)) if p == 2 else tuple(v)
+
+
+def random_space(p, d, rng):
+    rows = [[rng.randrange(p) for _ in range(d)] for _ in range(rng.randrange(d + 1))]
+    return rref(rows, p, ambient_dim=d)
+
+
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 5),
+    st.integers(1, 6),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_native_quotient_maps_match_the_dense_reference(p, m, k, rng):
+    # source S in F_p^m, maps M_g : F_p^m -> F_p^k, target T containing
+    # every S M_g; quotient coordinates are the non-pivot columns
+    source = random_space(p, m, rng)
+    mats = [[[rng.randrange(p) for _ in range(k)] for _ in range(m)] for _ in range(3)]
+    images = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*mat)]
+              for mat in mats for row in source.rows]
+    target = rref(images + list(random_space(p, k, rng).rows), p, ambient_dim=k)
+    free_s = [c for c in range(m) if c not in source.pivots]
+    free_t = [c for c in range(k) if c not in target.pivots]
+    w = len(free_t)
+    maps = quotient_maps(source, target, [[list(enumerate(row)) for row in mat] for mat in mats])
+
+    def cls(vec):  # the class of vec in F_p^k / T, in quotient coordinates
+        residue = target.reduce(vec)
+        return tuple(residue[c] for c in free_t)
+
+    for mat, q in zip(mats, maps):
+        assert [dense(p, v, w) for v in q] == [cls(mat[c]) for c in free_s]
+    if not free_s:
+        return
+    coeffs = [rng.randrange(p) for _ in mats]
+    if not any(coeffs):
+        with pytest.raises(InputError):
+            combine_maps(p, coeffs, maps)
+        coeffs[0] = 1
+    mb = combine_maps(p, coeffs, maps)
+    want = [cls([sum(c * mat[col][j] for c, mat in zip(coeffs, mats)) for j in range(k)])
+            for col in free_s]
+    assert [dense(p, v, w) for v in mb] == want
+    rows = [dense(p, v, w) for v in mb]
+    ker = map_kernel(p, mb, w)
+    assert rref([dense(p, x, len(free_s)) for x in ker], p, ambient_dim=len(free_s)) == kernel(
+        rows, p, codomain_dim=w
+    )
+    assert map_rank(p, mb, w) == rref(rows, p, ambient_dim=w).rank
+    # the span of m(x) over the maps and the kernel vectors
+    spanned = [
+        [sum(x[c] * dense(p, q[c], w)[j] for c in range(len(free_s))) % p for j in range(w)]
+        for x in (dense(p, v, len(free_s)) for v in ker)
+        for q in maps
+    ]
+    got = image_basis(p, maps, ker, w)
+    assert len(got) == rref(spanned, p, ambient_dim=w).rank
+    assert rref([dense(p, v, w) for v in got], p, ambient_dim=w) == rref(spanned, p, ambient_dim=w)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_permute_coordinates_matches_permuted_spans(p):
+    # past 8 coordinates a packed row spans more than one table
+    rng = random.Random(p)
+    for d in (1, 3, 6, 8, 9, 12, 17):
+        perm = list(range(d))
+        rng.shuffle(perm)
+        act = permute_coordinates(p, perm)
+        for _ in range(20):
+            u = random_space(p, d, rng)
+            want = span(p, d, [[(perm[j], c) for j, c in row] for row in u.sparse_rows()])
+            assert act(u.basis) == want.basis
