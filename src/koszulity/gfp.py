@@ -21,7 +21,7 @@ alone:
   packed route is tested against.
 
 RowSpace.rows is a tuple view of the basis, built on demand.  Code outside
-this module that builds subspaces from algebra data uses the sparse
+this module that builds subspaces from algebra data mostly uses the sparse
 interface, which works for every p and converts straight into the native
 form: coordinate_space, span, image_kernel, RowSpace.sparse_rows and
 RowSpace.member_sparse.
@@ -33,8 +33,12 @@ standard basis.  quotient_maps induces native maps between quotients
 F_p^m / S, whose coordinates are the non-pivot columns of S;
 combine_maps forms linear combinations of maps; map_kernel, map_rank
 and image_basis answer what a kernel, rank or span needs, with bases
-that need not be reduced.  permute_coordinates acts on RowSpace.basis,
-the native RREF basis, and returns the image's.
+that need not be reduced.  image_span is the one primitive for the span
+of the images of native vectors under native maps as a canonical
+RowSpace; image_basis is the same span with the final reduction skipped
+at p = 2.  quotient_maps from a zero space to a zero space turns
+sparse maps into native ones.  permute_coordinates acts on
+RowSpace.basis, the native RREF basis, and returns the image's.
 
 The package needs only the standard library.  A vectorised route for odd
 p that uses numpy must import it inside that route, so that importing the
@@ -562,12 +566,12 @@ def map_rank(p: int, images: Sequence, width: int) -> int:
     return len(_eliminate([list(v) for v in images], width, p))
 
 
-def image_basis(p: int, maps: Sequence[tuple], vectors: Sequence, width: int) -> tuple:
-    """Native basis, not necessarily reduced, of the span in F_p^width of
-    m(x) for every native map m in maps and native vector x in
-    vectors."""
+def _images(p: int, maps: Sequence[tuple], vectors: Sequence) -> list:
+    """m(x) for every native vector x in vectors and native map m in maps,
+    as native vectors (lists of residues at odd p), zero ones possibly
+    left out.  Only the columns of x's nonzero coordinates are read."""
+    images = []
     if p == 2:
-        images = []
         for x in vectors:
             cols = list(_bits(x))
             for m in maps:
@@ -575,14 +579,36 @@ def image_basis(p: int, maps: Sequence[tuple], vectors: Sequence, width: int) ->
                 for c in cols:
                     v ^= m[c]
                 images.append(v)
-        return tuple(_leads2(images).values())
-    rows = [list(zip(*m)) for m in maps]  # m's coordinate rows
-    images = (
-        [sum(a * b for a, b in zip(x, row)) % p for row in m]
-        for x in vectors
-        for m in rows
-    )
-    return tuple(_eliminate(list(images), width, p))
+        return images
+    for x in vectors:
+        terms = [(c, a) for c, a in enumerate(x) if a]
+        if not terms:
+            continue
+        (c0, a0), *rest = terms
+        for m in maps:
+            v = [a0 * y for y in m[c0]]
+            for c, a in rest:
+                v = [s + a * y for s, y in zip(v, m[c])]
+            if any(v):
+                images.append([s % p for s in v])
+    return images
+
+
+def image_basis(p: int, maps: Sequence[tuple], vectors: Sequence, width: int) -> tuple:
+    """Native basis, not necessarily reduced, of the span in F_p^width of
+    m(x) for every native map m in maps and native vector x in
+    vectors."""
+    if p == 2:
+        return tuple(_leads2(_images(p, maps, vectors)).values())
+    return image_span(p, maps, vectors, width).basis
+
+
+def image_span(p: int, maps: Sequence[tuple], vectors: Sequence, width: int) -> RowSpace:
+    """The span that image_basis spans, as a RowSpace."""
+    images = _images(p, maps, vectors)
+    if p == 2:
+        return _space(p, width, _echelon2(images))
+    return _space(p, width, tuple(_eliminate(images, width, p)))
 
 
 def permute_coordinates(p: int, perm: Sequence[int]):
@@ -631,12 +657,25 @@ def enumerate_subspaces(p: int, d: int) -> Iterator[RowSpace]:
 
     Order: rank ascending, then pivot-column pattern lexicographic, then the
     free entries filled row-major with values 0..p-1.  The total count is the
-    Galois number (sum of Gaussian binomial coefficients).
+    Galois number (sum of Gaussian binomial coefficients).  At p = 2 the
+    packed rows are built directly: row i takes its 2**k fillings in that
+    order, and the product over rows, row 0 slowest, is row-major.
     """
     _guard(p, d)
     for r in range(d + 1):
         for pivots in itertools.combinations(range(d), r):
             pivot_set = set(pivots)
+            if p == 2:
+                fillings = []
+                for c in pivots:
+                    row = [1 << c]
+                    for j in range(c + 1, d):
+                        if j not in pivot_set:
+                            row = [v | e for v in row for e in (0, 1 << j)]
+                    fillings.append(row)
+                for basis in itertools.product(*fillings):
+                    yield _space(p, d, basis)
+                continue
             free = [
                 (i, j)
                 for i in range(r)

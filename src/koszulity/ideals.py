@@ -6,7 +6,11 @@ has every piece full, including degree 0.
 
 Two independent routes build ideals generated in degree one:
 
-- ideal_from_degree_one iterates multiplication by the generators;
+- ideal_from_degree_one iterates multiplication by the generators on
+  native vectors: the generator maps of each degree are turned into
+  native maps once per context (gfp.quotient_maps between zero spaces),
+  and piece n+1 is gfp.image_span of those maps on piece n's native
+  basis;
 - monomial_ideal_basis, available when the generators are a subset S of
   the vertex generators, spans each degree by the basis monomials whose
   support meets S.
@@ -27,7 +31,8 @@ from .gfp import (
     coordinate_space,
     full_space,
     image_kernel,
-    span,
+    image_span,
+    quotient_maps,
     zero_space,
 )
 
@@ -53,37 +58,35 @@ def unit_ideal(ctx: AlgebraContext) -> GradedIdeal:
     )
 
 
-def _lmul_vector(ctx: AlgebraContext, gen: int, n: int, vec) -> list:
-    """a_gen times the sparse degree-n vector vec, as a sparse vector."""
-    image = ctx.gen_maps[n][gen]
-    return [(k, sign * c) for j, c in vec for k, sign in image[j]]
-
-
-# ideal_from_degree_one's pieces per context and subspace; a cached
-# GradedIdeal would hold its context and keep it alive here
+# ideal_from_degree_one's state per context: the native generator maps
+# and the pieces per subspace; a cached GradedIdeal would hold its context
+# and keep it alive here
 _PIECES = weakref.WeakKeyDictionary()
 
 
 def ideal_from_degree_one(ctx: AlgebraContext, u: RowSpace) -> GradedIdeal:
     """The ideal generated by the degree-one subspace u: piece n+1 is
-    spanned by the generator multiples of piece n."""
+    spanned by the generator multiples of piece n, taken on native
+    vectors with the generator maps of each degree, built once per
+    context."""
     if u.p != ctx.p or u.ambient_dim != ctx.dim(1):
         raise InputError("degree-one subspace does not match the algebra")
-    cache = _PIECES.get(ctx)
-    if cache is None:
-        cache = _PIECES[ctx] = {}
+    p = ctx.p
+    entry = _PIECES.get(ctx)
+    if entry is None:
+        spaces = [zero_space(p, ctx.dim(n)) for n in range(ctx.D + 1)]
+        maps = tuple(
+            quotient_maps(spaces[n], spaces[n + 1], ctx.gen_maps[n])
+            for n in range(1, ctx.D)
+        )
+        entry = _PIECES[ctx] = (maps, {})
+    maps, cache = entry
     cached = cache.get(u)
     if cached is not None:
         return GradedIdeal(ctx, cached)
-    d = ctx.dim(1)
-    pieces = [zero_space(ctx.p, 1), u]
+    pieces = [zero_space(p, 1), u]
     for n in range(1, ctx.D):
-        images = [
-            _lmul_vector(ctx, gen, n, vec)
-            for vec in pieces[n].sparse_rows()
-            for gen in range(d)
-        ]
-        pieces.append(span(ctx.p, ctx.dim(n + 1), images))
+        pieces.append(image_span(p, maps[n - 1], pieces[n].basis, ctx.dim(n + 1)))
     cache[u] = pieces = tuple(pieces)
     return GradedIdeal(ctx, pieces)
 

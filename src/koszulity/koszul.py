@@ -37,7 +37,14 @@ in enumeration order is tested divisor by divisor, so the first failure
 is the one a test of every subspace would meet.  Its later members are
 counted, with their divisor classes, but not tested: ideals_enumerated
 and divisors_checked count what the verdict covers, divisors_tested the
-divisors tested.
+divisors that went through the quotient test below.
+
+A tested subspace U whose ideal I = (U) has I_2 = A_2 (or D < 2) passes
+with no divisor tested.  A is generated in degree one, so I contains
+A_{>=2}.  For b in A_1 outside U, (I:b)_1 = A_1 because A_1 b lies in
+A_2 = I_2, and (I:b)_0 = 0 because b is not in I_1 = U; so I:(b) = A_{>=1},
+which is generated in degree one.  Such a U is still enumerated and its
+orbit closed; its divisors count in divisors_checked only.
 
 Universal Koszulity is Conca's notion ("Universally Koszul algebras",
 Math. Ann. 317, 2000).  Each divisor is tested in the quotient B = A/I:
@@ -272,8 +279,9 @@ class BruteFailure:
 @dataclass(frozen=True)
 class BruteResult:
     """ideals_enumerated and divisors_checked count what the verdict
-    covers; divisors_tested counts the divisors actually tested, one
-    orbit representative's divisors at a time."""
+    covers; divisors_tested counts the divisors that went through the
+    quotient test: those of the first member of each twin orbit whose
+    quotient A/(U) is not zero in degree 2."""
 
     verdict: bool
     failure: BruteFailure | None
@@ -285,14 +293,17 @@ class BruteResult:
 def _brute_divisor_count(p: int, d: int) -> int:
     """The divisors universal_koszul_bruteforce checks on d vertices:
     sum over r of [d choose r]_p subspaces of rank r, times the
-    (p**(d-r) - 1) / (p - 1) divisor classes of each."""
-    total = 0
+    (p**(d-r) - 1) / (p - 1) divisor classes of each.  Each Gaussian
+    binomial comes from the last, [d r] = [d r-1] (p**(d-r+1) - 1) /
+    (p**r - 1), exactly, so the count takes O(d) big-int products."""
+    powers = [1]
+    for _ in range(d):
+        powers.append(powers[-1] * p)
+    total, subspaces = 0, 1
     for r in range(d + 1):
-        num = den = 1
-        for i in range(r):
-            num *= p ** (d - i) - 1
-            den *= p ** (i + 1) - 1
-        total += num // den * ((p ** (d - r) - 1) // (p - 1))
+        if r:
+            subspaces = subspaces * (powers[d - r + 1] - 1) // (powers[r] - 1)
+        total += subspaces * ((powers[d - r] - 1) // (p - 1))
     return total
 
 
@@ -392,7 +403,9 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
     tested in B = A/I, as Ann_B(b) (_failure_degree), on generator maps
     built once per tested subspace.  The first subspace met in each orbit
     has all its divisors tested; the later members are counted as
-    covered.  Returns the first failure in enumeration order, if any.
+    covered.  A first member whose ideal is all of A_2 in degree 2 passes
+    with no divisor tested (see the module docstring).  Returns the first
+    failure in enumeration order, if any.
     Refuses with ResourceLimitError before the first subspace when the
     predicted divisor count exceeds 2**20.
     """
@@ -409,13 +422,18 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
     ideals = divisors = tested = 0
     for u in enumerate_subspaces(p, d):
         ideals += 1
+        classes = (p ** (d - u.rank) - 1) // (p - 1)
         if u.basis in ahead:
             # its orbit's first member passed, so it passes too
             ahead.remove(u.basis)
-            divisors += (p ** (d - u.rank) - 1) // (p - 1)
+            divisors += classes
             continue
         ahead |= _orbit_rest(u.basis, actions)
         ideal = ideal_from_degree_one(ctx, u)
+        if ctx.D < 2 or ideal.piece(2).rank == ctx.dim(2):
+            # B = A/I vanishes from degree 2 on: every divisor passes
+            divisors += classes
+            continue
         dims, maps = _quotient_maps(ctx, ideal)
         free = [c for c in range(d) if c not in set(u.pivots)]
         for vec in enumerate_coset_reps_mod_scalar(u):

@@ -1,18 +1,25 @@
 """Shared graph constructors (also union, cone, induced subgraph and the
 graph of a decomposition tree), element arithmetic, test oracles (the
 brute-force canonical form, clique listing by k-subsets, subspace counts
-and containment, the strong check by colon ideals, the brute universal
-check over every subspace and the product laws), and the
-acceptance-summary hook."""
+and containment, the generated ideal by sparse vectors, the strong check
+by colon ideals, the brute universal check over every subspace and the
+product laws), and the acceptance-summary hook."""
 
 import itertools
 
 from koszulity import build_graph, parse_edge_list
 from koszulity.algebra import AlgebraContext, Element, from_coeffs
 from koszulity.errors import InputError
-from koszulity.gfp import enumerate_coset_reps_mod_scalar, enumerate_subspaces, rref
+from koszulity.gfp import (
+    enumerate_coset_reps_mod_scalar,
+    enumerate_subspaces,
+    rref,
+    span,
+    zero_space,
+)
 from koszulity.graphs import Graph, LeafNode, UnionNode
 from koszulity.ideals import (
+    GradedIdeal,
     colon_ideal,
     ideal_from_degree_one,
     is_one_generated,
@@ -243,6 +250,22 @@ def strong_koszul_by_colons(ctx):
                     prefix, u, computed, predicted, degree
                 ))
     return StrongKoszulReport(not failures, pairs, tuple(failures))
+
+
+def ideal_from_degree_one_by_sparse_vectors(ctx, u):
+    """Reference generated ideal: piece n+1 is the span of a_g x for every
+    generator a_g and basis row x of piece n, each product a sparse vector
+    read off ctx.gen_maps."""
+    pieces = [zero_space(ctx.p, 1), u]
+    for n in range(1, ctx.D):
+        maps = ctx.gen_maps[n]
+        images = [
+            [(k, sign * c) for j, c in vec for k, sign in maps[gen][j]]
+            for vec in pieces[n].sparse_rows()
+            for gen in range(ctx.dim(1))
+        ]
+        pieces.append(span(ctx.p, ctx.dim(n + 1), images))
+    return GradedIdeal(ctx, tuple(pieces))
 
 
 def brute_by_all_subspaces(ctx):

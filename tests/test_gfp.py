@@ -22,6 +22,7 @@ from koszulity.gfp import (
     full_space,
     image_basis,
     image_kernel,
+    image_span,
     kernel,
     map_kernel,
     map_rank,
@@ -157,6 +158,37 @@ def test_subspace_counts_match_gaussian_binomials():
             spaces = list(enumerate_subspaces(p, d))
             assert len(spaces) == subspace_count(p, d)
             assert len({s.rows for s in spaces}) == len(spaces)
+
+
+def _subspaces_by_dense_rows(p, d):
+    # the enumeration order built from dense rows, one RowSpace each
+    for r in range(d + 1):
+        for pivots in itertools.combinations(range(d), r):
+            free = [
+                (i, j)
+                for i in range(r)
+                for j in range(pivots[i] + 1, d)
+                if j not in pivots
+            ]
+            for values in itertools.product(range(p), repeat=len(free)):
+                rows = [[0] * d for _ in range(r)]
+                for i, c in enumerate(pivots):
+                    rows[i][c] = 1
+                for (i, j), v in zip(free, values):
+                    rows[i][j] = v
+                yield RowSpace(p, d, rows)
+
+
+def test_subspace_enumeration_matches_the_dense_construction():
+    # at p = 2 the packed rows are built directly; the order must not move
+    for p, top in ((2, 6), (3, 4), (5, 3)):
+        for d in range(top + 1):
+            got = list(enumerate_subspaces(p, d))
+            want = list(_subspaces_by_dense_rows(p, d))
+            assert [s.basis for s in got] == [s.basis for s in want], (p, d)
+            assert got == want and len(got) == subspace_count(p, d)
+            # each is a canonical RREF: re-eliminating its rows changes nothing
+            assert all(rref(s.rows, p, ambient_dim=d) == s for s in got)
 
 
 def test_subspace_enumeration_guard():
@@ -480,6 +512,9 @@ def test_native_quotient_maps_match_the_dense_reference(p, m, k, rng):
     got = image_basis(p, maps, ker, w)
     assert len(got) == rref(spanned, p, ambient_dim=w).rank
     assert rref([dense(p, v, w) for v in got], p, ambient_dim=w) == rref(spanned, p, ambient_dim=w)
+    # the same span as a canonical RowSpace, its basis the RREF's
+    assert image_span(p, maps, ker, w) == rref(spanned, p, ambient_dim=w)
+    assert image_span(p, maps, ker, w).basis == rref(spanned, p, ambient_dim=w).basis
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

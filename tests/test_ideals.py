@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
@@ -10,7 +11,9 @@ from conftest import (
     cone_over_path,
     contains,
     degree_one_span,
+    ideal_from_degree_one_by_sparse_vectors,
     monomial_element,
+    random_graph,
     multiply,
     scale,
     square4,
@@ -87,6 +90,27 @@ def test_monomial_ideal_matches_generated_ideal():
                         u = degree_one_span(ctx, *[(v,) for v in s])
                         generated = ideal_from_degree_one(ctx, u)
                         assert direct.pieces == generated.pieces
+
+
+def test_native_ideal_matches_the_sparse_oracle():
+    # random graphs and random degree-one subspaces at p = 2, 3, 5, 7; the
+    # pieces must be the same canonical RowSpaces
+    rng = random.Random(14)
+    ranks = set()
+    for p, top in ((2, 7), (3, 6), (5, 5), (7, 5)):
+        for _ in range(12):
+            g = random_graph(rng, rng.randint(1, top), rng.choice((0.4, 0.7, 0.9)))
+            ctx = build_algebra(g, p)
+            for _ in range(6):
+                rows = [
+                    [rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(g.n)]
+                    for _ in range(rng.randrange(g.n + 1))
+                ]
+                u = span_of(ctx, rows)
+                want = ideal_from_degree_one_by_sparse_vectors(ctx, u)
+                assert ideal_from_degree_one(ctx, u).pieces == want.pieces, (g.edges, p, u)
+                ranks.add((p, u.rank > 0, ctx.D > 2))
+    assert len(ranks) == 16, ranks
 
 
 def test_colon_of_edge_algebra():

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,13 @@ from conftest import (
 from koszulity import graphs, ideals, koszul
 from koszulity.algebra import build_algebra, element_string, from_coeffs, monomial_string
 from koszulity.errors import InputError, ResourceLimitError
-from koszulity.gfp import count_text, enumerate_subspaces, rref, span
+from koszulity.gfp import (
+    count_text,
+    enumerate_coset_reps_mod_scalar,
+    enumerate_subspaces,
+    rref,
+    span,
+)
 from koszulity.graphs import (
     ConeNode,
     DiagonalViolation,
@@ -413,6 +420,39 @@ def test_brute_divisor_count_is_exact():
     assert koszul._brute_divisor_count(31, 4) == 61198592
 
 
+def test_brute_divisor_count_matches_the_product_formula():
+    # each Gaussian binomial now comes from the previous one
+    for p in (2, 3, 5, 7):
+        for d in range(9):
+            want = sum(
+                gaussian_binomial(p, d, r) * ((p ** (d - r) - 1) // (p - 1))
+                for r in range(d + 1)
+            )
+            assert koszul._brute_divisor_count(p, d) == want, (p, d)
+
+
+def test_brute_refusal_is_cheap_and_keeps_its_wording():
+    # 300 isolated vertices at p = 97 took about 10 s with a product
+    # formula per rank; the count's wording is the one the exact count gives
+    ctx = build_algebra(build_graph(300, []), 97)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as err:
+        universal_koszul_bruteforce(ctx)
+    assert time.perf_counter() - start < 0.5
+    count = count_text(koszul._brute_divisor_count(97, 300))
+    assert count.startswith("more than 2**")
+    assert str(err.value) == (
+        f"brute-force universal check refused: {count} (ideal, divisor) "
+        "pairs over F_97 with 300 vertices exceed 2**20"
+    )
+    want = sum(
+        gaussian_binomial(97, 20, r) * ((97 ** (20 - r) - 1) // 96) for r in range(21)
+    )
+    with pytest.raises(ResourceLimitError) as err:
+        universal_koszul_bruteforce(build_algebra(build_graph(20, []), 97))
+    assert f"refused: {count_text(want)} (ideal" in str(err.value)
+
+
 def test_brute_refuses_over_budget_before_any_colon(monkeypatch):
     forbid_colons(monkeypatch)
     forbid(monkeypatch, koszul, "_quotient_maps", "quotient maps built")
@@ -569,12 +609,15 @@ def test_brute_tests_one_subspace_per_twin_orbit():
     out = universal_koszul_bruteforce(build_algebra(star(5), 2))
     assert out.verdict is True
     assert (out.ideals_enumerated, out.divisors_checked) == (2825, 23562)
-    assert out.divisors_tested == 1498
+    # twin orbits leave 1,498 divisors; 1,045 of them belong to subspaces
+    # U with (U)_2 = A_2, which pass untested
+    assert out.divisors_tested == 453
 
 
 def test_brute_star7_completes_under_a_time_bound():
-    # 358,775 divisors; testing every one takes about 16 s on a 2-vCPU VM,
-    # one subspace per twin orbit (5,715 divisors) about 3 s
+    # 358,775 divisors; testing every one takes about 16 s on a 2-vCPU VM.
+    # One subspace per twin orbit leaves 5,715, and skipping the subspaces
+    # U with (U)_2 = A_2 leaves 1,461, tested in well under a second
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(q for q in (src, os.environ.get("PYTHONPATH")) if q)
     code = (
@@ -591,7 +634,73 @@ def test_brute_star7_completes_under_a_time_bound():
         timeout=12,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["True", "29212", "358775", "5715"]
+    assert out.stdout.split() == ["True", "29212", "358775", "1461"]
+
+
+def test_vanishing_quotient_passes_by_the_colon_route():
+    # every divisor b outside U passes when (U)_2 = A_2: I:(b) = A_{>=1},
+    # checked with colon_ideal and is_one_generated on random graphs on
+    # <= 6 vertices with an induced C4 or P4, at p = 2, 3, 5; each graph
+    # still fails for the witness divisor at U = 0, so none is vacuous
+    rng = random.Random(14)
+    graphs_seen, colons = 0, 0
+    while graphs_seen < 24:
+        p = (2, 3, 5)[graphs_seen % 3]
+        g = random_graph(rng, rng.randint(4, 6), rng.choice((0.5, 0.7)))
+        if universal_koszul_fast(g):
+            continue
+        graphs_seen += 1
+        ctx = build_algebra(g, p)
+        w = non_universal_witness(ctx)
+        ok, _, _ = is_one_generated(ctx, annihilator(ctx, w.b))
+        assert not ok, g.edges
+        found = 0
+        while found < 2:
+            rows = [[rng.randrange(p) for _ in range(g.n)] for _ in range(rng.randrange(1, g.n))]
+            u = rref(rows, p, ambient_dim=g.n)
+            ideal = ideal_from_degree_one(ctx, u)
+            if u.rank == g.n or ideal.piece(2).rank < ctx.dim(2):
+                continue
+            found += 1
+            for vec in enumerate_coset_reps_mod_scalar(u):
+                # a scaled and translated representative of the same class
+                shift = [rng.randrange(p) for _ in range(u.rank)]
+                c = rng.randrange(1, p)
+                b = [
+                    (c * x + sum(s * row[j] for s, row in zip(shift, u.rows))) % p
+                    for j, x in enumerate(vec)
+                ]
+                for coeffs in (vec, b):
+                    colon = colon_ideal(ctx, ideal, from_coeffs(ctx, 1, coeffs))
+                    assert is_one_generated(ctx, colon)[0], (g.edges, p, u.rows, coeffs)
+                    colons += 1
+    assert colons >= 200, colons
+
+
+def test_brute_builds_no_quotient_for_a_vanishing_one(monkeypatch):
+    # the shortcut: no quotient maps and no divisor enumeration for U with
+    # (U)_2 = A_2, and every other tested subspace gets both
+    built, vanishing = [], []
+    original = koszul._quotient_maps
+
+    def record(ctx, ideal):
+        assert ideal.piece(2).rank < ctx.dim(2)
+        built.append(ideal.piece(1))
+        return original(ctx, ideal)
+
+    monkeypatch.setattr(koszul, "_quotient_maps", record)
+    for g, p in ((star(5), 2), (complete(3), 7), (star(4), 3)):
+        built.clear()
+        ctx = build_algebra(g, p)
+        out = universal_koszul_bruteforce(ctx)
+        assert out.verdict is True
+        # divisors of the subspaces that reached the quotient test
+        assert out.divisors_tested == sum(
+            (p ** (g.n - u.rank) - 1) // (p - 1) for u in built
+        )
+        assert len(set(built)) == len(built)
+        vanishing.append(out.divisors_tested < out.divisors_checked)
+    assert all(vanishing)
 
 
 def test_quotient_divisor_test_matches_the_colon_route():
