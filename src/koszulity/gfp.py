@@ -20,25 +20,22 @@ alone:
   modular inverses.  Run at p = 2, this dense route is the reference the
   packed route is tested against.
 
-RowSpace.rows is a tuple view of the basis, built on demand.  Code outside
-this module that builds subspaces from algebra data mostly uses the sparse
-interface, which works for every p and converts straight into the native
-form: coordinate_space, span, image_kernel, RowSpace.sparse_rows and
-RowSpace.member_sparse.
+RowSpace.rows is a tuple view of the basis, built on demand.
 
-Hot loops that never need a canonical subspace work on native vectors
-instead: an int (bit j = coordinate j) at p = 2, a tuple of residues at
-odd p.  A native map is a tuple of native vectors, the images of the
-standard basis.  quotient_maps induces native maps between quotients
-F_p^m / S, whose coordinates are the non-pivot columns of S;
-combine_maps forms linear combinations of maps; map_kernel, map_rank
-and image_basis answer what a kernel, rank or span needs, with bases
-that need not be reduced.  image_span is the one primitive for the span
-of the images of native vectors under native maps as a canonical
-RowSpace; image_basis is the same span with the final reduction skipped
-at p = 2.  quotient_maps from a zero space to a zero space turns
-sparse maps into native ones.  permute_coordinates acts on
-RowSpace.basis, the native RREF basis, and returns the image's.
+One native core computes every subspace.  A native vector is an int (bit
+j = coordinate j) at p = 2 and a tuple or list of residues at odd p; a
+native map is a tuple of native vectors, the images of the standard
+basis.  Every canonical basis comes from one private canonicaliser,
+_echelon2 at p = 2 and _eliminate at odd p, and every kernel from
+map_kernel.  rref and kernel take dense rows; span, image_kernel,
+quotient_maps and RowSpace.sparse_rows are the sparse fronts, which
+convert at the boundary.  quotient_maps induces native maps between
+quotients F_p^m / S, in the coordinates of the non-pivot columns of S;
+combine_maps, map_kernel, map_rank and image_basis answer what a kernel,
+rank or span needs, with bases that need not be reduced; image_span is
+a span of images as a canonical RowSpace.  swap_coordinates maps the
+native RREF basis of a subspace to that of its image under swapping two
+coordinates.
 
 The package needs only the standard library.  A vectorised route for odd
 p that uses numpy must import it inside that route, so that importing the
@@ -174,15 +171,6 @@ class RowSpace:
             tuple((j, x) for j, x in enumerate(r) if x) for r in self._basis
         )
 
-    def member_sparse(self, vec: Sparse) -> bool:
-        """Whether the sparse vector vec (indices below ambient_dim) lies
-        in this space."""
-        p = self.p
-        if p == 2:
-            return not _reduce2(self._basis, _pack_sparse(vec))
-        v = _densify(vec, self.ambient_dim, p)
-        return not any(_reduce_dense(self._basis, self.pivots, v, p))
-
 
 def _init(s: RowSpace, p: int, ambient_dim: int, basis: tuple) -> None:
     _set(s, "p", p)
@@ -205,14 +193,6 @@ def _pack(vec: Iterable[int]) -> int:
     for j, x in enumerate(vec):
         if x & 1:
             v |= 1 << j
-    return v
-
-
-def _pack_sparse(vec: Sparse) -> int:
-    v = 0
-    for j, c in vec:
-        if c & 1:
-            v ^= 1 << j
     return v
 
 
@@ -278,9 +258,8 @@ def _back_substitute(rows: list[int]) -> tuple[int, ...]:
     return tuple(reversed(done.values()))
 
 
-def _kernel2(images: Sequence[int], width: int, modulo: tuple[int, ...] = ()) -> tuple[int, ...]:
-    """RREF basis of the kernel of e_i -> images[i], into F_2^width modulo
-    the span of the RREF rows in modulo.
+def _kernel2(images: Sequence[int], width: int) -> tuple[int, ...]:
+    """RREF basis of the kernel of e_i -> images[i], into F_2^width.
 
     Each image carries a tag bit above width that records which inputs it
     combines.  An image reduced to zero leaves its tag as a kernel vector.
@@ -288,7 +267,7 @@ def _kernel2(images: Sequence[int], width: int, modulo: tuple[int, ...] = ()) ->
     input's, and the vectors come out highest pivot first.
     """
     limit = 1 << width
-    lead = {row & -row: row for row in modulo}
+    lead: dict[int, int] = {}
     kern = []
     for i in range(len(images) - 1, -1, -1):
         v = images[i] | (limit << i)
@@ -308,13 +287,6 @@ def _kernel2(images: Sequence[int], width: int, modulo: tuple[int, ...] = ()) ->
 # -- odd p (and the p = 2 reference): dense rows ------------------------------
 
 
-def _densify(vec: Sparse, dim: int, p: int) -> list[int]:
-    v = [0] * dim
-    for j, c in vec:
-        v[j] = (v[j] + c) % p
-    return v
-
-
 def _dense_pivots(rows) -> tuple[int, ...]:
     return tuple(next(i for i, x in enumerate(r) if x) for r in rows)
 
@@ -327,8 +299,9 @@ def _reduce_dense(rows, pivots, v: list[int], p: int) -> list[int]:
     return v
 
 
-def _eliminate(mat: list[list[int]], ambient_dim: int, p: int) -> list[tuple[int, ...]]:
-    # In-place Gauss-Jordan to canonical RREF; returns the nonzero rows.
+def _eliminate(mat: list, ambient_dim: int, p: int) -> list[tuple[int, ...]]:
+    # Gauss-Jordan to canonical RREF; returns the nonzero rows.  mat is a
+    # list of rows of residues; its rows are replaced, never written to.
     npiv = 0
     nrows = len(mat)
     for col in range(ambient_dim):
@@ -376,8 +349,35 @@ def _null_basis(matrix, a: int, b: int, p: int) -> list[list[int]]:
     return basis
 
 
-def _kernel_dense(matrix, a: int, b: int, p: int) -> list[tuple[int, ...]]:
-    return _eliminate(_null_basis(matrix, a, b, p), a, p)
+def _canonical(p: int, dim: int, rows: list) -> RowSpace:
+    """The RowSpace that the native rows span, in canonical RREF."""
+    if p == 2:
+        return _space(p, dim, _echelon2(rows))
+    return _space(p, dim, tuple(_eliminate(rows, dim, p)))
+
+
+def _from_dense(p: int, rows) -> list:
+    """Native rows from dense ones, entries taken mod p."""
+    if p == 2:
+        return [_pack(r) for r in rows]
+    return [[x % p for x in r] for r in rows]
+
+
+def _from_sparse(p: int, dim: int, vectors: Iterable[Sparse]) -> list:
+    """Native rows from sparse vectors in F_p^dim; InputError for an index
+    outside [0, dim)."""
+    rows = []
+    for vec in vectors:
+        v = 0 if p == 2 else [0] * dim
+        for j, c in vec:
+            if not 0 <= j < dim:
+                raise InputError(f"sparse index {j} outside [0, {dim})")
+            if p == 2:
+                v ^= (c & 1) << j
+            else:
+                v[j] = (v[j] + c) % p
+        rows.append(v)
+    return rows
 
 
 # -- public constructors and maps ---------------------------------------------
@@ -402,7 +402,7 @@ def rref(matrix: Sequence[Sequence[int]], p: int, ambient_dim: int | None = None
         ambient_dim = width
     elif ambient_dim is None:
         raise InputError("ambient dimension required for an empty matrix")
-    return span(p, ambient_dim, map(enumerate, rows))
+    return _canonical(p, ambient_dim, _from_dense(p, rows))
 
 
 def zero_space(p: int, ambient_dim: int) -> RowSpace:
@@ -424,11 +424,9 @@ def full_space(p: int, ambient_dim: int) -> RowSpace:
 
 
 def span(p: int, ambient_dim: int, vectors: Iterable[Sparse]) -> RowSpace:
-    """The span of sparse vectors in F_p^ambient_dim."""
-    if p == 2:
-        return _space(p, ambient_dim, _echelon2(_pack_sparse(v) for v in vectors))
-    mat = [_densify(v, ambient_dim, p) for v in vectors]
-    return _space(p, ambient_dim, tuple(_eliminate(mat, ambient_dim, p)))
+    """The span of sparse vectors in F_p^ambient_dim.  An index outside
+    [0, ambient_dim) is an InputError."""
+    return _canonical(p, ambient_dim, _from_sparse(p, ambient_dim, vectors))
 
 
 def kernel(
@@ -455,7 +453,7 @@ def kernel(
         if codomain_dim is None:
             raise InputError("codomain dimension required for an empty matrix")
         b = codomain_dim
-    return image_kernel(p, a, [tuple(enumerate(r)) for r in matrix], zero_space(p, b))
+    return _canonical(p, a, list(map_kernel(p, _from_dense(p, matrix), b)))
 
 
 def image_kernel(
@@ -463,25 +461,24 @@ def image_kernel(
 ) -> RowSpace:
     """Kernel of the map F_p^domain_dim -> F_p^m / target sending e_i to
     the sparse vector images[i], where m is target.ambient_dim.  Each
-    image is a list or tuple of (index, coeff) pairs."""
+    image is a list or tuple of (index, coeff) pairs; an index outside
+    [0, m) is an InputError.
+
+    The target's rows are stacked under the images; they are independent,
+    so the first domain_dim coordinates of the stacked kernel are exactly
+    this kernel."""
     if len(images) != domain_dim:
         raise InputError(f"{len(images)} images for domain dimension {domain_dim}")
     width = target.ambient_dim
+    rows = _from_sparse(p, width, images) + list(target._basis)
+    kern = map_kernel(p, rows, width)
     if p == 2:
-        packed = [_pack_sparse(v) for v in images]
-        return _space(p, domain_dim, _kernel2(packed, width, target._basis))
-    # The quotient keeps the non-pivot coordinates of each reduced image.
-    rows, pivots = target._basis, target.pivots
-    pivot_set = set(pivots)
-    keep = [c for c in range(width) if c not in pivot_set]
-    matrix = []
-    for v in images:
-        red = _reduce_dense(rows, pivots, _densify(v, width, p), p)
-        matrix.append([red[c] for c in keep])
-    return _space(p, domain_dim, tuple(_kernel_dense(matrix, domain_dim, len(keep), p)))
+        mask = (1 << domain_dim) - 1
+        return _canonical(p, domain_dim, [v & mask for v in kern])
+    return _canonical(p, domain_dim, [v[:domain_dim] for v in kern])
 
 
-# -- native vectors: maps between quotients, permutations -------------------
+# -- native vectors: maps between quotients, coordinate swaps ---------------
 
 
 def _classes(s: RowSpace) -> list:
@@ -508,10 +505,12 @@ def quotient_maps(
 ) -> tuple[tuple, ...]:
     """The maps F_p^m / source -> F_p^k / target induced by e_i ->
     images[i], one for each images in maps (m and k are the ambient
-    dimensions).  Each linear map must send source into target; that is
-    not checked.  Each comes back as a native map: the class of the image
-    of each non-pivot column of source, in column order, as a native
-    vector in the quotient coordinates of target."""
+    dimensions).  Each linear map must send source into target, and each
+    index in images must lie in [0, k); neither is checked, since the
+    maps come from the algebra's own generator maps.  Each comes back as
+    a native map: the class of the image of each non-pivot column of
+    source, in column order, as a native vector in the quotient
+    coordinates of target."""
     p = source.p
     pivot_set = set(source.pivots)
     cols = [c for c in range(source.ambient_dim) if c not in pivot_set]
@@ -563,7 +562,7 @@ def map_rank(p: int, images: Sequence, width: int) -> int:
     """Rank of the native vectors images in F_p^width."""
     if p == 2:
         return len(_leads2(images))
-    return len(_eliminate([list(v) for v in images], width, p))
+    return len(_eliminate(list(images), width, p))
 
 
 def _images(p: int, maps: Sequence[tuple], vectors: Sequence) -> list:
@@ -605,34 +604,32 @@ def image_basis(p: int, maps: Sequence[tuple], vectors: Sequence, width: int) ->
 
 def image_span(p: int, maps: Sequence[tuple], vectors: Sequence, width: int) -> RowSpace:
     """The span that image_basis spans, as a RowSpace."""
-    images = _images(p, maps, vectors)
-    if p == 2:
-        return _space(p, width, _echelon2(images))
-    return _space(p, width, tuple(_eliminate(images, width, p)))
+    return _canonical(p, width, _images(p, maps, vectors))
 
 
-def permute_coordinates(p: int, perm: Sequence[int]):
-    """The action of e_j -> e_{perm[j]} on subspaces of F_p^len(perm), as
-    a function from a native RREF basis (RowSpace.basis) to the native
-    RREF basis of the image; perm is a permutation of 0..len(perm)-1.  At
-    p = 2 the packed rows go through tables built here once: the image of
-    every byte value, one table per byte of a row."""
-    d = len(perm)
+def swap_coordinates(p: int, i: int, j: int):
+    """The action of the swap of e_i and e_j on subspaces, as a function
+    from a native RREF basis (RowSpace.basis) to the native RREF basis of
+    the image.  A basis none of whose rows the swap moves comes back as
+    the same object, with no elimination."""
     if p == 2:
-        tables = [
-            (base, [sum(1 << perm[base + j] for j in _bits(v) if base + j < d) for v in range(256)])
-            for base in range(0, d, 8)
-        ]
-        if d <= 8:
-            ((_, t),) = tables
-            return lambda basis: _echelon2([t[r] for r in basis])
-        return lambda basis: _echelon2(
-            [sum(t[r >> base & 255] for base, t in tables) for r in basis]
-        )
-    inv = [0] * d
-    for j, k in enumerate(perm):
-        inv[k] = j
-    return lambda basis: tuple(_eliminate([[row[j] for j in inv] for row in basis], d, p))
+        flip = 1 << i | 1 << j
+        # r & flip for the rows the swap moves: exactly one of the two bits
+        mixed = (1 << i, 1 << j) if i != j else ()
+
+        def swap(basis):
+            rows = [r ^ flip if r & flip in mixed else r for r in basis]
+            return basis if tuple(rows) == basis else _echelon2(rows)
+        return swap
+
+    def swap(basis):
+        if all(r[i] == r[j] for r in basis):
+            return basis
+        rows = [list(r) for r in basis]
+        for r in rows:
+            r[i], r[j] = r[j], r[i]
+        return tuple(_eliminate(rows, len(rows[0]), p))
+    return swap
 
 
 def count_text(count: int) -> str:
@@ -657,38 +654,23 @@ def enumerate_subspaces(p: int, d: int) -> Iterator[RowSpace]:
 
     Order: rank ascending, then pivot-column pattern lexicographic, then the
     free entries filled row-major with values 0..p-1.  The total count is the
-    Galois number (sum of Gaussian binomial coefficients).  At p = 2 the
-    packed rows are built directly: row i takes its 2**k fillings in that
-    order, and the product over rows, row 0 slowest, is row-major.
+    Galois number (sum of Gaussian binomial coefficients).  Each pivot's
+    row lists its fillings in that order, as native rows, and the product
+    over rows, row 0 slowest, is row-major.
     """
     _guard(p, d)
     for r in range(d + 1):
         for pivots in itertools.combinations(range(d), r):
-            pivot_set = set(pivots)
-            if p == 2:
-                fillings = []
-                for c in pivots:
-                    row = [1 << c]
-                    for j in range(c + 1, d):
-                        if j not in pivot_set:
-                            row = [v | e for v in row for e in (0, 1 << j)]
-                    fillings.append(row)
-                for basis in itertools.product(*fillings):
-                    yield _space(p, d, basis)
-                continue
-            free = [
-                (i, j)
-                for i in range(r)
-                for j in range(pivots[i] + 1, d)
-                if j not in pivot_set
-            ]
-            for values in itertools.product(range(p), repeat=len(free)):
-                rows = [[0] * d for _ in range(r)]
-                for i, c in enumerate(pivots):
-                    rows[i][c] = 1
-                for (i, j), v in zip(free, values):
-                    rows[i][j] = v
-                yield RowSpace(p, d, rows)
+            fillings = []
+            for c in pivots:
+                # 1 at the pivot, any value at a free column past it, else 0
+                rows = itertools.product(*(
+                    (1,) if k == c else range(p) if k > c and k not in pivots else (0,)
+                    for k in range(d)
+                ))
+                fillings.append([_pack(r) for r in rows] if p == 2 else list(rows))
+            for basis in itertools.product(*fillings):
+                yield _space(p, d, basis)
 
 
 def enumerate_vectors_mod_scalar(p: int, d: int) -> Iterator[tuple[int, ...]]:

@@ -58,10 +58,8 @@ def unit_ideal(ctx: AlgebraContext) -> GradedIdeal:
     )
 
 
-# ideal_from_degree_one's state per context: the native generator maps
-# and the pieces per subspace; a cached GradedIdeal would hold its context
-# and keep it alive here
-_PIECES = weakref.WeakKeyDictionary()
+# ideal_from_degree_one's native generator maps per context, held weakly
+_MAPS = weakref.WeakKeyDictionary()
 
 
 def ideal_from_degree_one(ctx: AlgebraContext, u: RowSpace) -> GradedIdeal:
@@ -72,23 +70,17 @@ def ideal_from_degree_one(ctx: AlgebraContext, u: RowSpace) -> GradedIdeal:
     if u.p != ctx.p or u.ambient_dim != ctx.dim(1):
         raise InputError("degree-one subspace does not match the algebra")
     p = ctx.p
-    entry = _PIECES.get(ctx)
-    if entry is None:
+    maps = _MAPS.get(ctx)
+    if maps is None:
         spaces = [zero_space(p, ctx.dim(n)) for n in range(ctx.D + 1)]
-        maps = tuple(
+        maps = _MAPS[ctx] = tuple(
             quotient_maps(spaces[n], spaces[n + 1], ctx.gen_maps[n])
             for n in range(1, ctx.D)
         )
-        entry = _PIECES[ctx] = (maps, {})
-    maps, cache = entry
-    cached = cache.get(u)
-    if cached is not None:
-        return GradedIdeal(ctx, cached)
     pieces = [zero_space(p, 1), u]
     for n in range(1, ctx.D):
         pieces.append(image_span(p, maps[n - 1], pieces[n].basis, ctx.dim(n + 1)))
-    cache[u] = pieces = tuple(pieces)
-    return GradedIdeal(ctx, pieces)
+    return GradedIdeal(ctx, tuple(pieces))
 
 
 def monomial_ideal_basis(ctx: AlgebraContext, s) -> GradedIdeal:
@@ -117,9 +109,9 @@ def colon_ideal(ctx: AlgebraContext, ideal: GradedIdeal, b: Element) -> GradedId
         raise InputError("ideal, divisor, and context must match")
     if b.degree != 1:
         raise InputError(f"divisor must have degree 1, got {b.degree}")
-    bsupp = [(g, c) for g, c in enumerate(b.coeffs) if c]
-    if ideal.piece(1).member_sparse(bsupp):
+    if ideal.piece(1).member(b.coeffs):
         return unit_ideal(ctx)
+    bsupp = [(g, c) for g, c in enumerate(b.coeffs) if c]
     p = ctx.p
     pieces = [zero_space(p, 1)]
     for n in range(1, ctx.D):

@@ -30,13 +30,14 @@ Three graded properties are decided exactly:
 The brute-force route tests one subspace I_1 per orbit of the twin group:
 the permutations generated by swapping twins u and v, vertices with
 N(u) - {v} = N(v) - {u}.  Such a swap maps edges to edges, so it extends
-to an algebra automorphism s, and I:(b) is generated in degree one iff
-sI:(sb) is; since s also permutes the divisors outside I_1, a subspace
-passes iff every member of its orbit does.  The first member of an orbit
-in enumeration order is tested divisor by divisor, so the first failure
-is the one a test of every subspace would meet.  Its later members are
-counted, with their divisor classes, but not tested: ideals_enumerated
-and divisors_checked count what the verdict covers, divisors_tested the
+to an algebra automorphism s, which acts on A_1, and so on the subspaces
+I_1, as the swap of coordinates u and v.  I:(b) is generated in degree
+one iff sI:(sb) is; since s also permutes the divisors outside I_1, a
+subspace passes iff every member of its orbit does.  The first member of an orbit
+in enumeration order is tested divisor by divisor, so the first failure is
+the one a test of every subspace would meet.  Its later members are
+counted, with their divisor classes, but not tested: ideals_enumerated and
+divisors_checked count what the verdict covers, divisors_tested the
 divisors that went through the quotient test below.
 
 A tested subspace U whose ideal I = (U) has I_2 = A_2 (or D < 2) passes
@@ -95,9 +96,9 @@ from .gfp import (
     image_kernel,
     map_kernel,
     map_rank,
-    permute_coordinates,
     quotient_maps,
     span,
+    swap_coordinates,
     zero_space,
 )
 from .graphs import (
@@ -307,11 +308,12 @@ def _brute_divisor_count(p: int, d: int) -> int:
     return total
 
 
-def _twin_transpositions(g: Graph) -> list[tuple[int, ...]]:
-    """Generators of the twin group of g as vertex permutations: the
-    transposition of each two consecutive members of a twin class, where
-    u and v are twins when N(u) - {v} = N(v) - {u}.  Each one is checked
-    to map the edge set onto itself; RuntimeError otherwise."""
+def _twin_transpositions(g: Graph) -> list[tuple[int, int]]:
+    """Generators of the twin group of g, as the pairs (u, v) of vertices
+    it swaps: each two consecutive members of a twin class, where u and
+    v are twins when N(u) - {v} = N(v) - {u}.  On A_1 each acts as the
+    swap of coordinates u and v.  Each swap is checked to map the edge
+    set onto itself; RuntimeError otherwise."""
     adj = g.adj
     classes: list[list[int]] = []
     for v in range(g.n):
@@ -322,24 +324,23 @@ def _twin_transpositions(g: Graph) -> list[tuple[int, ...]]:
                 break
         else:
             classes.append([v])
-    perms = []
+    pairs = []
     for members in classes:
         for u, v in zip(members, members[1:]):
-            perm = list(range(g.n))
-            perm[u], perm[v] = v, u
-            moved = {tuple(sorted((perm[a], perm[b]))) for a, b in g.edges}
+            swap = {u: v, v: u}
+            moved = {tuple(sorted((swap.get(a, a), swap.get(b, b)))) for a, b in g.edges}
             if moved != g.edges:
                 raise RuntimeError(
                     f"swapping a{u} and a{v} is not a graph automorphism"
                 )
-            perms.append(tuple(perm))
-    return perms
+            pairs.append((u, v))
+    return pairs
 
 
 def _orbit_rest(basis, actions) -> set:
     """The native bases of the other members of the orbit of the subspace
-    with native basis basis, under the group that the coordinate
-    permutations actions generate, closed depth-first."""
+    with native basis basis, under the group that the coordinate swaps
+    actions generate, closed depth-first."""
     orbit = {basis}
     stack = [basis]
     while stack:
@@ -417,7 +418,7 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
             f"divisor) pairs over F_{ctx.p} with {d} vertices exceed 2**20"
         )
     p = ctx.p
-    actions = [permute_coordinates(p, perm) for perm in _twin_transpositions(ctx.graph)]
+    actions = [swap_coordinates(p, u, v) for u, v in _twin_transpositions(ctx.graph)]
     ahead = set()  # native bases of later members of the orbits already met
     ideals = divisors = tested = 0
     for u in enumerate_subspaces(p, d):
@@ -485,7 +486,7 @@ def certify_witness(ctx: AlgebraContext, w: DiagonalViolation) -> NonUKWitness:
     idx = ctx.index[2][culprit]
     # b times the culprit; nothing lives above the clique number
     product = [t for v in ends for t in maps[2][v][idx]] if ctx.D > 2 else []
-    in_ann = zero_space(p, ctx.dim(3)).member_sparse(product)
+    in_ann = span(p, ctx.dim(3), [product]).rank == 0
     # Ann(b)_1, the kernel of x -> b x into A_2, and A_1 Ann(b)_1
     ann = image_kernel(
         p, d, [[t for v in ends for t in maps[1][v][j]] for j in range(d)],
@@ -496,7 +497,7 @@ def certify_witness(ctx: AlgebraContext, w: DiagonalViolation) -> NonUKWitness:
         for row in ann.sparse_rows()
         for g in range(d)
     ])
-    outside = not generated.member_sparse([(idx, 1)])
+    outside = not generated.member(tuple(int(k == idx) for k in range(ctx.dim(2))))
     if not (in_ann and outside):
         raise RuntimeError("witness certificate failed exact verification")
     return NonUKWitness(w, b, culprit, in_ann, outside)

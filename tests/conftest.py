@@ -237,7 +237,9 @@ def strong_koszul_by_colons(ctx):
             pairs += 1
             colon = colon_ideal(ctx, ideal, divisors[u])
             j1 = colon.piece(1)
-            computed = tuple(j for j in range(d) if j1.member_sparse(((j, 1),)))
+            computed = tuple(
+                j for j in range(d) if j1.member(tuple(int(i == j) for i in range(d)))
+            )
             predicted = tuple(sorted(prefix_set | killed_by[u]))
             regenerated = monomial_ideal_basis(ctx, computed)
             degree = None

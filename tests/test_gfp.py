@@ -12,7 +12,6 @@ from koszulity.gfp import (
     RowSpace,
     _dense_pivots,
     _eliminate,
-    _kernel_dense,
     _reduce_dense,
     combine_maps,
     coordinate_space,
@@ -26,10 +25,10 @@ from koszulity.gfp import (
     kernel,
     map_kernel,
     map_rank,
-    permute_coordinates,
     quotient_maps,
     rref,
     span,
+    swap_coordinates,
     zero_space,
 )
 
@@ -289,6 +288,42 @@ def sparse(vec):
     return [(j, x) for j, x in enumerate(vec) if x]
 
 
+BRUTE_POINTS = 4096
+
+
+def kernel_by_brute_force(p, images, target):
+    """Every x in F_p^a whose image sum_i x_i images[i] (dense rows of
+    length target.ambient_dim) lies in target, found by trying all p**a
+    of them, as one RREF."""
+    a = len(images)
+    assert p**a <= BRUTE_POINTS
+    points = [((), (0,) * target.ambient_dim)]
+    for row in images:
+        points = [
+            (x + (c,), tuple((s + c * r) % p for s, r in zip(v, row)))
+            for x, v in points
+            for c in range(p)
+        ]
+    return rref([x for x, v in points if target.member(v)], p, ambient_dim=a)
+
+
+def check_image_kernel(p, got, images, target):
+    """got is the kernel of x -> sum_i x_i images[i] (dense rows) into
+    F_p^m / target: a canonical RREF whose rows all map into target, of
+    rank a - rank(images mod target), and equal to the brute-force
+    kernel when F_p^a has at most BRUTE_POINTS points."""
+    a, width = len(images), target.ambient_dim
+    assert got.ambient_dim == a and rref(got.rows, p, ambient_dim=a) == got
+    for x in got.rows:
+        assert target.member(
+            [sum(x[i] * images[i][j] for i in range(a)) % p for j in range(width)]
+        )
+    spanned = rref(list(images) + list(target.rows), p, ambient_dim=width)
+    assert got.rank == a - (spanned.rank - target.rank)
+    if p**a <= BRUTE_POINTS:
+        assert got == kernel_by_brute_force(p, images, target)
+
+
 # Widths run past 64, the size of one machine word (dim A_4 of K8 is 70).
 # Rows are sums of a few random base rows, so that dependent rows and
 # nonzero kernels are common.
@@ -329,10 +364,9 @@ def test_packed_f2_matches_dense_reference(case):
     for v in probes:
         assert s.reduce(v) == dense_reduce(ref, v)
         assert s.member(v) == (not any(dense_reduce(ref, v)))
-        assert s.member_sparse(sparse(v)) == s.member(v)
     if rows:
         k = kernel(rows, 2)
-        assert k.rows == tuple(_kernel_dense(rows, len(rows), width, 2))
+        check_image_kernel(2, k, rows, zero_space(2, width))
         assert k.rank + s.rank == len(rows)
 
 
@@ -343,33 +377,17 @@ def test_packed_image_kernel_matches_dense_quotient(case, nmod):
     images = f2_matrix(width, nrows, rng)
     target = rref(f2_matrix(width, nmod, rng), 2, width)
     got = image_kernel(2, nrows, [sparse(v) for v in images], target)
-    # reference: reduce against the target, keep its non-pivot columns
-    ref_rows = tuple(tuple(r) for r in target.rows)
-    keep = [c for c in range(width) if c not in set(target.pivots)]
-    matrix = [[dense_reduce(ref_rows, v)[c] for c in keep] for v in images]
-    assert got.rows == tuple(_kernel_dense(matrix, nrows, len(keep), 2))
-    for x in got.rows:
-        image = [sum(x[i] * images[i][j] for i in range(nrows)) % 2 for j in range(width)]
-        assert target.member(image)
+    check_image_kernel(2, got, images, target)
 
 
 # -- image_kernel on monomial-shaped inputs against a direct reference -------
 
 
-def quotient_kernel_reference(p, images, target):
-    """Reduce each image against the target, keep the target's non-pivot
-    columns, and take the dense kernel."""
-    width = target.ambient_dim
-    pivots = target.pivots
-    keep = [c for c in range(width) if c not in set(pivots)]
-    matrix = []
-    for v in images:
-        dense = [0] * width
-        for k, c in v:
-            dense[k] = (dense[k] + c) % p
-        red = _reduce_dense(target.rows, pivots, dense, p)
-        matrix.append([red[c] for c in keep])
-    return tuple(_kernel_dense(matrix, len(images), len(keep), p))
+def densify(p, v, width):
+    dense = [0] * width
+    for k, c in v:
+        dense[k] = (dense[k] + c) % p
+    return dense
 
 
 def monomial_case(p, width, nimages, rng):
@@ -417,21 +435,45 @@ def monomial_case(p, width, nimages, rng):
 def test_monomial_image_kernel_matches_elimination(p, width, nimages, rng):
     target, images = monomial_case(p, width, nimages, rng)
     got = image_kernel(p, nimages, images, target)
-    assert got.rows == quotient_kernel_reference(p, images, target)
+    check_image_kernel(p, got, [densify(p, v, width) for v in images], target)
     assert got.pivots == _dense_pivots(got.rows)
-    for x in got.rows:
-        image = [0] * width
-        for i, v in enumerate(images):
-            for k, c in v:
-                image[k] = (image[k] + x[i] * c) % p
-        assert target.member(image)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_kernels_match_brute_force(p):
+    # dense random images into F_p^width, modulo random nonzero targets
+    rng = random.Random(p)
+    top = max(a for a in range(13) if p**a <= BRUTE_POINTS)
+    for _ in range(40):
+        a, width = rng.randint(0, top), rng.randint(1, 6)
+        images = [[rng.randrange(p) for _ in range(width)] for _ in range(a)]
+        target = random_space(p, width, rng)
+        if not target.rank:
+            target = coordinate_space(p, width, [rng.randrange(width)])
+        got = image_kernel(p, a, [sparse(v) for v in images], target)
+        assert got == kernel_by_brute_force(p, images, target)
+        if a:
+            assert kernel(images, p) == kernel_by_brute_force(p, images, zero_space(p, width))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_sparse_fronts_reject_out_of_range_indices(p):
+    # a coefficient that vanishes mod p does not excuse its index
+    for bad in (2, -1):
+        for vec in ([(bad, 1)], [(0, 1), (bad, p)]):
+            with pytest.raises(InputError, match="outside"):
+                span(p, 2, [vec])
+            with pytest.raises(InputError, match="outside"):
+                image_kernel(p, 1, [vec], zero_space(p, 2))
+            with pytest.raises(InputError, match="outside"):
+                image_kernel(p, 1, [vec], full_space(p, 2))
 
 
 def test_sparse_interface_at_odd_p():
     s = span(3, 4, [[(0, 1), (2, 2)], [(1, 1), (1, 1)], [(0, 2), (2, 1)]])
     assert s == rref([(1, 0, 2, 0), (0, 2, 0, 0)], 3)
     assert s.sparse_rows() == (((0, 1), (2, 2)), ((1, 1),))
-    assert s.member_sparse([(0, 2), (2, 1)]) and not s.member_sparse([(3, 1)])
+    assert s.member((2, 0, 1, 0)) and not s.member((0, 0, 0, 1))
     assert coordinate_space(3, 4, [2, 0, 2]).rows == ((1, 0, 0, 0), (0, 0, 1, 0))
     # x -> (x0 + x1) e_0 modulo span(e_0) is zero, modulo nothing it is not
     assert image_kernel(3, 2, [[(0, 1)], [(0, 1)]], zero_space(3, 1)).rows == ((1, 2),)
@@ -518,14 +560,19 @@ def test_native_quotient_maps_match_the_dense_reference(p, m, k, rng):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_permute_coordinates_matches_permuted_spans(p):
-    # past 8 coordinates a packed row spans more than one table
+def test_swap_coordinates_matches_swapped_spans(p):
     rng = random.Random(p)
     for d in (1, 3, 6, 8, 9, 12, 17):
-        perm = list(range(d))
-        rng.shuffle(perm)
-        act = permute_coordinates(p, perm)
         for _ in range(20):
+            i, j = rng.randrange(d), rng.randrange(d)
+            swap, to = swap_coordinates(p, i, j), {i: j, j: i}
             u = random_space(p, d, rng)
-            want = span(p, d, [[(perm[j], c) for j, c in row] for row in u.sparse_rows()])
-            assert act(u.basis) == want.basis
+            want = span(p, d, [[(to.get(k, k), c) for k, c in row] for row in u.sparse_rows()])
+            got = swap(u.basis)
+            assert got == want.basis
+            # a basis whose rows the swap fixes comes back as itself
+            assert (got is u.basis) == all(row[i] == row[j] for row in u.rows)
+            fixed = span(p, d, [[(i, 1), (j, 1)]] + [
+                [(k, rng.randrange(1, p))] for k in range(d) if k not in to and rng.randrange(2)
+            ])
+            assert swap(fixed.basis) is fixed.basis

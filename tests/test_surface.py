@@ -6,7 +6,7 @@ or moving one of them breaks the benchmark, not the CLI, so these tests
 read the names without installing the tracer.  The package also promises
 to need only the standard library: importing the CLI loads no numpy.
 Conversely, every public name of the package has a caller outside the
-tests.
+tests.  The prime alone picks the native format, and only gfp reads it.
 """
 
 import ast
@@ -116,3 +116,30 @@ def test_every_public_name_has_a_product_caller():
         if qualname not in exempt and used[node.name] == _references(node)[node.name]
     ]
     assert not orphans, f"only the tests call {orphans}; move them to tests/conftest.py"
+
+
+def _is_prime(node) -> bool:
+    # p, or an attribute p such as ctx.p and self.p
+    return (isinstance(node, ast.Name) and node.id == "p") or (
+        isinstance(node, ast.Attribute) and node.attr == "p"
+    )
+
+
+def _is_two(node) -> bool:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_is_two(e) for e in node.elts)
+    return isinstance(node, ast.Constant) and node.value == 2
+
+
+def test_only_gfp_compares_the_prime_with_two():
+    src = Path(koszulity.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "gfp":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(map(_is_prime, operands)) and any(map(_is_two, operands)):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"the p = 2 format decision belongs to gfp: {found}"
