@@ -668,7 +668,7 @@ def enumerate_subspaces(p: int, d: int) -> Iterator[RowSpace]:
                     (1,) if k == c else range(p) if k > c and k not in pivots else (0,)
                     for k in range(d)
                 ))
-                fillings.append([_pack(r) for r in rows] if p == 2 else list(rows))
+                fillings.append([_pack(row) for row in rows] if p == 2 else list(rows))
             for basis in itertools.product(*fillings):
                 yield _space(p, d, basis)
 
