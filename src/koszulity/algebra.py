@@ -16,7 +16,7 @@ counts pairs (i in M, j in N) with i > j.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, ResourceLimitError
 from .gfp import Prime
@@ -101,8 +101,7 @@ def build_algebra(graph: Graph, p: int) -> AlgebraContext:
     return AlgebraContext(graph, p)
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     """Homogeneous element: a coefficient vector against one degree's basis.
 
     Degrees above the clique number carry the empty vector (the only such

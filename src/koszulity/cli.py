@@ -14,7 +14,6 @@ computation, 4 witness requested for a graph that has none.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -227,6 +226,8 @@ def cmd_census(args) -> int:
     ]
     workers = _census_workers()
     if workers > 1:
+        import concurrent.futures  # with logging: only a pool pays for it
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_census_row, work, chunksize=8))
     else:

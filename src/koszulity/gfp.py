@@ -410,8 +410,12 @@ def zero_space(p: int, ambient_dim: int) -> RowSpace:
 
 
 def coordinate_space(p: int, ambient_dim: int, indices: Iterable[int]) -> RowSpace:
-    """The span of the standard basis vectors e_i for i in indices."""
+    """The span of the standard basis vectors e_i for i in indices.  An
+    index outside [0, ambient_dim) is an InputError."""
     cols = sorted(set(indices))
+    if cols and not 0 <= cols[0] <= cols[-1] < ambient_dim:
+        bad = cols[0] if cols[0] < 0 else cols[-1]
+        raise InputError(f"coordinate index {bad} outside [0, {ambient_dim})")
     if p == 2:
         return _space(p, ambient_dim, tuple(1 << i for i in cols))
     return _space(p, ambient_dim, tuple(

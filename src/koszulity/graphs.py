@@ -1,19 +1,20 @@
 """Finite simple graphs: parsing, cliques, the diagonal property, and
 elementary-type decompositions.
 
-Vertices are 0..n-1.  Graphs are immutable; edges are stored as a frozenset
-of (u, v) pairs with u < v.  The "diagonal property" holds when no four
-vertices induce a square (C4) or a path (P4); graphs with the property are
-exactly those built from single vertices by disjoint unions and cones, and
-elementary_type_decomposition recovers such a construction or reports a
-violating 4-set.
+Vertices are 0..n-1.  Graphs, violations and decomposition nodes are
+typing.NamedTuple records, so immutable; a Graph stores its edges as a
+frozenset of (u, v) pairs with u < v and caches its adjacency.  The
+"diagonal property" holds when no four vertices induce a square (C4) or a
+path (P4); graphs with the property are exactly those built from single
+vertices by disjoint unions and cones, and elementary_type_decomposition
+recovers such a construction or reports a violating 4-set.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import InputError, ResourceLimitError
 from .gfp import ENUMERATION_GUARD
@@ -21,11 +22,13 @@ from .gfp import ENUMERATION_GUARD
 CANONICAL_MAX_VERTICES = 8
 
 
-@dataclass(frozen=True)
-class Graph:
+class _GraphFields(NamedTuple):
     n: int
     edges: frozenset
 
+
+class Graph(_GraphFields):
+    # unlike a NamedTuple, the subclass has an instance dict to cache adj in
     @cached_property
     def adj(self) -> tuple[frozenset, ...]:
         nbrs: list[set[int]] = [set() for _ in range(self.n)]
@@ -165,8 +168,7 @@ def enumerate_cliques(g: Graph) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(levels)
 
 
-@dataclass(frozen=True)
-class DiagonalViolation:
+class DiagonalViolation(NamedTuple):
     """Four vertices inducing a square or a path, labeled so that
     v1-v2, v2-v3, v3-v4 are edges (and v4-v1 as well for kind C4) while
     v1-v3 and v2-v4 are non-edges (and v1-v4 for kind P4)."""
@@ -226,18 +228,15 @@ def diagonal_violation(g: Graph) -> DiagonalViolation | None:
     return None
 
 
-@dataclass(frozen=True)
-class LeafNode:
+class LeafNode(NamedTuple):
     vertex: int
 
 
-@dataclass(frozen=True)
-class UnionNode:
+class UnionNode(NamedTuple):
     children: tuple
 
 
-@dataclass(frozen=True)
-class ConeNode:
+class ConeNode(NamedTuple):
     apex: int
     base: object
 

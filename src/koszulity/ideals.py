@@ -22,7 +22,7 @@ not an assumption: keep both routes intact.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import AlgebraContext, Element, from_coeffs
 from .errors import InputError
@@ -37,8 +37,7 @@ from .gfp import (
 )
 
 
-@dataclass(frozen=True)
-class GradedIdeal:
+class GradedIdeal(NamedTuple):
     ctx: AlgebraContext
     pieces: tuple  # RowSpace per degree 0..D
 

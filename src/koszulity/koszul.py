@@ -68,13 +68,16 @@ When the fast universal verdict is false, certify_witness builds the
 certified counterexample: b = a_{v1} + a_{v4} annihilates the culprit
 monomial a_{v2} a_{v3}, which Ann(b)_1 cannot generate.  Only degrees 1
 and 2 of Ann(b) are built, whatever the clique number.
+
+The reports and results are typing.NamedTuple records: immutable, equal
+and hashed by their field values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
+from typing import NamedTuple
 
 from .algebra import (
     AlgebraContext,
@@ -110,8 +113,7 @@ from .graphs import (
 from .ideals import GradedIdeal, ideal_from_degree_one
 
 
-@dataclass(frozen=True)
-class StrongPairFailure:
+class StrongPairFailure(NamedTuple):
     prefix: tuple
     divisor: int
     computed_generators: tuple
@@ -119,8 +121,7 @@ class StrongPairFailure:
     discrepancy_degree: int | None
 
 
-@dataclass(frozen=True)
-class StrongKoszulReport:
+class StrongKoszulReport(NamedTuple):
     passed: bool
     pairs_checked: int
     failures: tuple
@@ -270,15 +271,13 @@ def universal_koszul_fast(g: Graph) -> bool:
     return diagonal_violation(g) is None
 
 
-@dataclass(frozen=True)
-class BruteFailure:
+class BruteFailure(NamedTuple):
     ideal: GradedIdeal
     divisor: Element
     degree: int
 
 
-@dataclass(frozen=True)
-class BruteResult:
+class BruteResult(NamedTuple):
     """ideals_enumerated and divisors_checked count what the verdict
     covers; divisors_tested counts the divisors that went through the
     quotient test: those of the first member of each twin orbit whose
@@ -450,8 +449,7 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
     return BruteResult(True, None, ideals, divisors, tested)
 
 
-@dataclass(frozen=True)
-class NonUKWitness:
+class NonUKWitness(NamedTuple):
     """Certified counterexample to universal Koszulity.
 
     b = a_{v1} + a_{v4} for the violation's labeling; the culprit monomial
@@ -503,8 +501,7 @@ def certify_witness(ctx: AlgebraContext, w: DiagonalViolation) -> NonUKWitness:
     return NonUKWitness(w, b, culprit, in_ann, outside)
 
 
-@dataclass(frozen=True)
-class KoszulReport:
+class KoszulReport(NamedTuple):
     graph: Graph
     p: int
     dims: tuple

@@ -3,9 +3,11 @@ graph of a decomposition tree), element arithmetic, test oracles (the
 brute-force canonical form, clique listing by k-subsets, subspace counts
 and containment, the generated ideal by sparse vectors, the strong check
 by colon ideals, the brute universal check over every subspace and the
-product laws), and the acceptance-summary hook."""
+product laws, the Koszul dual's dimensions counted as traces), and the
+acceptance-summary hook."""
 
 import itertools
+import operator
 
 from koszulity import build_graph, parse_edge_list
 from koszulity.algebra import AlgebraContext, Element, from_coeffs
@@ -209,6 +211,62 @@ def cliques_by_combinations(g, k):
         if ok:
             out.append(combo)
     return out
+
+
+def dual_dims_by_traces(g, order):
+    """dim A^!_k for k = 0..order, counted as traces, with no algebra.
+
+    The quadratic dual A^! is the partially commutative algebra on x_v with
+    x_u x_v = x_v x_u for each edge uv (Papadima & Suciu, Math. Ann. 334,
+    2006), so dim A^!_k is the number of traces of length k; A is Koszul,
+    so these are the coefficients of 1/H_A(-t).  Each trace has one
+    Cartier-Foata normal form F_1 ... F_s (LNM 85, 1969): every step a
+    nonempty clique, and every vertex of a step equal or non-adjacent to
+    some vertex of the step before.  A dynamic program over the last step
+    counts the forms, reading adjacency only."""
+    n, full = g.n, (1 << g.n) - 1
+    nbrs = [sum(1 << u for u in g.adj[v]) for v in range(n)]
+    # (mask, size, reach) per nonempty clique; the vertices of a step that
+    # may follow it are those in its reach
+    cliques = []
+    level = [(1 << v, v, nbrs[v]) for v in range(n)]  # mask, top, common nbrs
+    size = 1
+    while level:
+        for mask, _, _ in level:
+            reach = 0
+            for v in range(n):
+                if mask >> v & 1:
+                    reach |= full & ~nbrs[v]
+            cliques.append((mask, size, reach))
+        level = [
+            (mask | 1 << u, u, common & nbrs[u])
+            for mask, top, common in level
+            for u in range(top + 1, n)
+            if common >> u & 1
+        ]
+        size += 1
+    # ends[k][mask]: the normal forms of length k whose last step is mask
+    ends = [[0] * (1 << n) for _ in range(order + 1)]
+    for mask, size, _ in cliques:
+        if size <= order:
+            ends[size][mask] += 1
+    dims = [1] + [0] * order
+    for k in range(1, order + 1):
+        after = [0] * (1 << n)  # after[r]: forms of length k with reach r
+        for mask, _, reach in cliques:
+            dims[k] += ends[k][mask]
+            after[reach] += ends[k][mask]
+        # superset sums: after[s] becomes the number of forms of length k
+        # that a step s may follow.  Each pass adds over the top index bit,
+        # then rotates the index bits right, so n passes cover every bit.
+        for _ in range(n):
+            half = 1 << n - 1
+            after[:half] = map(operator.add, after[:half], after[half:])
+            after = after[::2] + after[1::2]
+        for mask, size, _ in cliques:
+            if k + size <= order:
+                ends[k + size][mask] += after[mask]
+    return dims
 
 
 def strong_koszul_by_colons(ctx):

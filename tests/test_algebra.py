@@ -3,6 +3,7 @@ import itertools
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from conftest import (
     cone,
     cone_over_path,
     disjoint_union,
+    dual_dims_by_traces,
     monomial_element,
     multiply,
     path4,
@@ -34,6 +36,8 @@ from koszulity.algebra import (
 )
 from koszulity.errors import InputError
 from koszulity.graphs import build_graph, enumerate_cliques, nonisomorphic_graphs
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 
 def inverse_series_oracle(h, order):
@@ -220,6 +224,44 @@ def test_numerical_check_matches_oracle_on_small_classes():
             inv = inverse_series_oracle(plus_minus_alternating(h), 12)
             expect = all(c >= 0 for c in inv)
             assert koszul_numerical_check(h, order=12) is expect
+
+
+def _dual_series_matches_traces(g, h) -> bool:
+    """Whether 1/H(-t), through the default order, is the trace count of
+    g's Koszul dual, coefficient by coefficient."""
+    order = max(12, len(h) - 1)
+    inv = inverse_series_oracle(plus_minus_alternating(h), order)
+    return inv == dual_dims_by_traces(g, order)
+
+
+def _golden_graphs():
+    """The graphs of the analyze goldens: K7, C8 and P10."""
+    return [
+        build_graph(7, itertools.combinations(range(7), 2)),
+        build_graph(8, [(i, (i + 1) % 8) for i in range(8)]),
+        build_graph(10, [(i, i + 1) for i in range(9)]),
+    ]
+
+
+def test_dual_series_counts_the_traces_of_the_koszul_dual():
+    goldens = _golden_graphs()
+    assert len(goldens) == len(list(GOLDEN_DIR.glob("analyze_*.txt")))
+    graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    graphs += [complete(n) for n in range(1, 15)] + goldens
+    for g in graphs:
+        h = build_algebra(g, 2).dims
+        assert _dual_series_matches_traces(g, h), (g, h)
+        assert koszul_numerical_check(h) is True
+
+
+def test_dual_series_comparison_sees_one_changed_coefficient():
+    for g in [square4(), cone_over_path(), complete(5)] + _golden_graphs():
+        h = build_algebra(g, 3).dims
+        assert _dual_series_matches_traces(g, h)
+        for k in range(1, len(h)):
+            for delta in (1, -1):
+                changed = h[:k] + (h[k] + delta,) + h[k + 1:]
+                assert not _dual_series_matches_traces(g, changed), (g, k, delta)
 
 
 def test_numerical_check_default_order_covers_the_top_degree():

@@ -460,6 +460,9 @@ def test_kernels_match_brute_force(p):
 def test_sparse_fronts_reject_out_of_range_indices(p):
     # a coefficient that vanishes mod p does not excuse its index
     for bad in (2, -1):
+        for indices in ([bad], [0, bad], [bad, 1]):
+            with pytest.raises(InputError, match="outside"):
+                coordinate_space(p, 2, indices)
         for vec in ([(bad, 1)], [(0, 1), (bad, p)]):
             with pytest.raises(InputError, match="outside"):
                 span(p, 2, [vec])

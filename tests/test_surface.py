@@ -4,9 +4,12 @@ perfbench/spans.py wraps the callables it lists in TRACED by name, and
 perfbench/child.py calls public functions on the root package.  Removing
 or moving one of them breaks the benchmark, not the CLI, so these tests
 read the names without installing the tracer.  The package also promises
-to need only the standard library: importing the CLI loads no numpy.
+to need only the standard library: importing the CLI loads no numpy,
+nor the modules only a process pool or a dataclass would pull in.
 Conversely, every public name of the package has a caller outside the
 tests.  The prime alone picks the native format, and only gfp reads it.
+The records (NamedTuples) keep their fields, are immutable, compare and
+hash by value, pickle, and print as Name(field=value, ...).
 """
 
 import ast
@@ -14,12 +17,18 @@ import importlib
 import importlib.util
 import inspect
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import koszulity
+from koszulity import build_graph, classify, elementary_type_decomposition
+from koszulity.algebra import AlgebraContext
+from koszulity.koszul import StrongPairFailure
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -67,10 +76,18 @@ def test_benchmark_child_names_are_exported():
         assert callable(getattr(cli, name, None)), name
 
 
+# loaded by a pool (concurrent.futures pulls in logging) or by dataclasses
+# (which pulls in inspect); a serial run needs none of them
+_NOT_AT_START = ("numpy", "dataclasses", "inspect", "concurrent.futures", "logging")
+
+
 def test_importing_the_cli_loads_no_numpy():
     src = str(Path(koszulity.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import sys, koszulity.cli; sys.exit('numpy' in sys.modules)"
+    code = (
+        "import sys, koszulity.cli; "
+        f"print(' '.join(m for m in {_NOT_AT_START!r} if m in sys.modules))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
@@ -78,7 +95,8 @@ def test_importing_the_cli_loads_no_numpy():
         text=True,
         timeout=60,
     )
-    assert out.returncode == 0, out.stderr or "koszulity.cli imported numpy"
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [], f"koszulity.cli imported {out.stdout}"
 
 
 def _definitions(tree):
@@ -143,3 +161,77 @@ def test_only_gfp_compares_the_prime_with_two():
                 if any(map(_is_prime, operands)) and any(map(_is_two, operands)):
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, f"the p = 2 format decision belongs to gfp: {found}"
+
+
+# every record type of the package, with its fields in order
+_RECORD_FIELDS = {
+    "Graph": ("n", "edges"),
+    "DiagonalViolation": ("kind", "v1", "v2", "v3", "v4"),
+    "LeafNode": ("vertex",),
+    "UnionNode": ("children",),
+    "ConeNode": ("apex", "base"),
+    "Element": ("ctx", "degree", "coeffs"),
+    "GradedIdeal": ("ctx", "pieces"),
+    "StrongPairFailure": (
+        "prefix", "divisor", "computed_generators", "predicted_generators",
+        "discrepancy_degree",
+    ),
+    "StrongKoszulReport": ("passed", "pairs_checked", "failures"),
+    "BruteFailure": ("ideal", "divisor", "degree"),
+    "BruteResult": (
+        "verdict", "failure", "ideals_enumerated", "divisors_checked",
+        "divisors_tested",
+    ),
+    "NonUKWitness": (
+        "violation", "b", "culprit", "culprit_annihilated",
+        "culprit_outside_degree_one_part",
+    ),
+    "KoszulReport": (
+        "graph", "p", "dims", "diagonal_property", "decomposition", "strong",
+        "brute", "witness", "pbw", "dual_series_nonneg",
+    ),
+}
+
+
+def _same(a, b) -> bool:
+    """Equality, field by field, with algebra contexts (compared by
+    identity) matched by their graph, prime and bases instead."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, AlgebraContext):
+        return (a.graph, a.p, a.bases) == (b.graph, b.p, b.bases)
+    fields = _RECORD_FIELDS.get(type(a).__name__)
+    if fields:
+        return all(_same(getattr(a, f), getattr(b, f)) for f in fields)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def test_records_are_immutable_values_that_pickle():
+    path4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    report = classify(path4, 2, brute="on")
+    failure = report.brute.failure
+    records = [
+        report, report.graph, report.decomposition, report.strong, report.brute,
+        failure, failure.ideal, failure.divisor, report.witness,
+        StrongPairFailure((0,), 2, ((0,),), ((0,), (1,)), None),
+    ]
+    cone = elementary_type_decomposition(build_graph(3, [(0, 1), (1, 2)]))
+    records += [cone, cone.base, cone.base.children[0]]
+    assert sorted(type(r).__name__ for r in records) == sorted(_RECORD_FIELDS)
+    for r in records:
+        name = type(r).__name__
+        fields = _RECORD_FIELDS[name]
+        values = [getattr(r, f) for f in fields]
+        with pytest.raises(AttributeError):
+            setattr(r, fields[0], values[0])
+        for twin in (type(r)(*values), type(r)(**dict(zip(fields, values)))):
+            assert twin == r and hash(twin) == hash(r) and twin is not r
+        assert _same(pickle.loads(pickle.dumps(r)), r), name
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
+        assert repr(r) == f"{name}({shown})"
+    g = report.graph
+    assert g.adj is g.adj and g.adj[1] == {0, 2}
+    again = pickle.loads(pickle.dumps(g))
+    assert again == g and again.adj == g.adj
