@@ -414,8 +414,7 @@ def coordinate_space(p: int, ambient_dim: int, indices: Iterable[int]) -> RowSpa
     index outside [0, ambient_dim) is an InputError."""
     cols = sorted(set(indices))
     if cols and not 0 <= cols[0] <= cols[-1] < ambient_dim:
-        bad = cols[0] if cols[0] < 0 else cols[-1]
-        raise InputError(f"coordinate index {bad} outside [0, {ambient_dim})")
+        raise InputError(f"indices {cols[0]}..{cols[-1]} outside [0, {ambient_dim})")
     if p == 2:
         return _space(p, ambient_dim, tuple(1 << i for i in cols))
     return _space(p, ambient_dim, tuple(

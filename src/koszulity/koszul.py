@@ -69,8 +69,7 @@ certified counterexample: b = a_{v1} + a_{v4} annihilates the culprit
 monomial a_{v2} a_{v3}, which Ann(b)_1 cannot generate.  Only degrees 1
 and 2 of Ann(b) are built, whatever the clique number.
 
-The reports and results are typing.NamedTuple records: immutable, equal
-and hashed by their field values.
+The reports and results are typing.NamedTuple records, equal by value.
 """
 
 from __future__ import annotations
