@@ -27,15 +27,14 @@ j = coordinate j) at p = 2 and a tuple or list of residues at odd p; a
 native map is a tuple of native vectors, the images of the standard
 basis.  Every canonical basis comes from one private canonicaliser,
 _echelon2 at p = 2 and _eliminate at odd p, and every kernel from
-map_kernel.  rref and kernel take dense rows; span, image_kernel,
-quotient_maps and RowSpace.sparse_rows are the sparse fronts, which
-convert at the boundary.  quotient_maps induces native maps between
-quotients F_p^m / S, in the coordinates of the non-pivot columns of S;
-combine_maps, map_kernel, map_rank and image_basis answer what a kernel,
-rank or span needs, with bases that need not be reduced; image_span is
-a span of images as a canonical RowSpace.  swap_coordinates maps the
-native RREF basis of a subspace to that of its image under swapping two
-coordinates.
+map_kernel.  rref and kernel take dense rows; image_kernel and
+quotient_maps are the sparse fronts, which convert at the boundary.
+quotient_maps induces native maps between quotients F_p^m / S, in the
+coordinates of the non-pivot columns of S; combine_maps, map_kernel,
+map_rank and image_basis answer what a kernel, rank or span needs, with
+bases that need not be reduced; image_span is a span of images as a
+canonical RowSpace.  swap_coordinates maps the native RREF basis of a
+subspace to that of its image under swapping two coordinates.
 
 The package needs only the standard library.  A vectorised route for odd
 p that uses numpy must import it inside that route, so that importing the
@@ -162,14 +161,6 @@ class RowSpace:
 
     def member(self, vec: Sequence[int]) -> bool:
         return not any(self.reduce(vec))
-
-    def sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The basis rows as sparse vectors, in basis order."""
-        if self.p == 2:
-            return tuple(tuple((j, 1) for j in _bits(r)) for r in self._basis)
-        return tuple(
-            tuple((j, x) for j, x in enumerate(r) if x) for r in self._basis
-        )
 
 
 def _init(s: RowSpace, p: int, ambient_dim: int, basis: tuple) -> None:
@@ -424,12 +415,6 @@ def coordinate_space(p: int, ambient_dim: int, indices: Iterable[int]) -> RowSpa
 
 def full_space(p: int, ambient_dim: int) -> RowSpace:
     return coordinate_space(p, ambient_dim, range(ambient_dim))
-
-
-def span(p: int, ambient_dim: int, vectors: Iterable[Sparse]) -> RowSpace:
-    """The span of sparse vectors in F_p^ambient_dim.  An index outside
-    [0, ambient_dim) is an InputError."""
-    return _canonical(p, ambient_dim, _from_sparse(p, ambient_dim, vectors))
 
 
 def kernel(

@@ -1,7 +1,8 @@
 """Shared graph constructors (also union, cone, induced subgraph and the
 graph of a decomposition tree), element arithmetic, test oracles (the
 brute-force canonical form, clique listing by k-subsets, subspace counts
-and containment, the generated ideal by sparse vectors, the strong check
+and containment, sparse spans and rows on top of rref, the generated
+ideal by sparse vectors, the strong check
 by colon ideals, the brute universal check over every subspace and the
 product laws, the Koszul dual's dimensions counted as traces), and the
 acceptance-summary hook."""
@@ -16,7 +17,6 @@ from koszulity.gfp import (
     enumerate_coset_reps_mod_scalar,
     enumerate_subspaces,
     rref,
-    span,
     zero_space,
 )
 from koszulity.graphs import Graph, LeafNode, UnionNode
@@ -312,6 +312,24 @@ def strong_koszul_by_colons(ctx):
     return StrongKoszulReport(not failures, pairs, tuple(failures))
 
 
+def span(p, ambient_dim, vectors):
+    """The span of sparse vectors, iterables of (index, coeff) pairs with
+    repeated indices adding up, in F_p^ambient_dim: rref of their dense
+    rows."""
+    rows = []
+    for vec in vectors:
+        row = [0] * ambient_dim
+        for k, c in vec:
+            row[k] += c
+        rows.append(row)
+    return rref(rows, p, ambient_dim=ambient_dim)
+
+
+def sparse_rows(s):
+    """The basis rows of the RowSpace s as sparse vectors, in basis order."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in s.rows)
+
+
 def ideal_from_degree_one_by_sparse_vectors(ctx, u):
     """Reference generated ideal: piece n+1 is the span of a_g x for every
     generator a_g and basis row x of piece n, each product a sparse vector
@@ -321,7 +339,7 @@ def ideal_from_degree_one_by_sparse_vectors(ctx, u):
         maps = ctx.gen_maps[n]
         images = [
             [(k, sign * c) for j, c in vec for k, sign in maps[gen][j]]
-            for vec in pieces[n].sparse_rows()
+            for vec in sparse_rows(pieces[n])
             for gen in range(ctx.dim(1))
         ]
         pieces.append(span(ctx.p, ctx.dim(n + 1), images))

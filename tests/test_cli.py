@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import random
 import re
 import resource
 import subprocess
@@ -11,7 +12,7 @@ from unittest.mock import Mock
 
 import pytest
 
-from conftest import complete, path4, square4
+from conftest import complete, path4, random_graph, square4
 from koszulity.algebra import build_algebra, koszul_numerical_check
 from koszulity import cli, koszul
 from koszulity.cli import main
@@ -453,8 +454,8 @@ def test_witness_at_odd_p_reads_only_the_low_degrees(tmp_path):
     # K16 plus a disjoint P4: 20 vertices, 65,544 cliques up to degree 16.
     # At p = 3 the certificate once built Ann(b) in every degree in dense
     # rows and exited 1 after about a minute under a 2 GB address-space
-    # limit; it needs degrees 1 and 2, and building the algebra takes
-    # about a second
+    # limit; it reads three rows of the generator maps in degrees 1 and 2,
+    # and building the algebra takes about a second
     edges = list(itertools.combinations(range(16), 2)) + [(16, 17), (17, 18), (18, 19)]
     path = write(tmp_path, "k16p4.txt", "20\n" + "".join(f"{u} {v}\n" for u, v in edges))
     lines = {}
@@ -464,3 +465,18 @@ def test_witness_at_odd_p_reads_only_the_low_degrees(tmp_path):
         lines[p] = [line for line in out.stdout.splitlines() if not line.startswith("b = ")]
     assert lines["3"] == lines["2"] and len(lines["2"]) == 5
     assert lines["2"][:2] == ["pattern: P4", "v1=16 v2=17 v3=18 v4=19"]
+
+
+def test_witness_at_odd_p_eliminates_nothing_on_a_sparse_graph(tmp_path):
+    # seeded G(300, 0.02), 951 edges: spanning A_1 Ann(b)_1 densely in A_2
+    # at p = 3 took 32 s and 671 MB; the certificate reads three rows
+    g = random_graph(random.Random(1), 300, 0.02)
+    edges = "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
+    path = write(tmp_path, "g300.txt", f"300\n{edges}")
+    outs = {}
+    for p in ("2", "3"):
+        out = run_cli_process("witness", "-i", path, "-p", p, timeout=10, address_space=2**31)
+        assert out.returncode == 0, out.stderr
+        outs[p] = out.stdout
+    assert outs["3"] == outs["2"]
+    assert outs["2"].startswith("pattern: P4\nv1=0 v2=258 v3=90 v4=1\n")

@@ -21,6 +21,8 @@ from conftest import (
     multiply,
     path4,
     random_graph,
+    sparse_rows,
+    span,
     square4,
     star,
     strong_koszul_by_colons,
@@ -34,7 +36,6 @@ from koszulity.gfp import (
     enumerate_coset_reps_mod_scalar,
     enumerate_subspaces,
     rref,
-    span,
 )
 from koszulity.graphs import (
     ConeNode,
@@ -270,20 +271,80 @@ def test_witness_five_vertex_graph():
     assert monomial_string(w.culprit) == "a2*a4"
 
 
+def _annihilator_route(ctx, ends):
+    """b = the sum of a_v over ends, Ann(b) by annihilator, and the ideal
+    Ann(b)_1 generates by ideal_from_degree_one."""
+    b = from_coeffs(ctx, 1, [int(j in ends) for j in range(ctx.dim(1))])
+    ann = annihilator(ctx, b)
+    return b, ann, ideal_from_degree_one(ctx, ann.piece(1))
+
+
+def _witness_facts(route, culprit):
+    """Whether Ann(b) holds the culprit monomial (also decided by multiply)
+    and whether the ideal Ann(b)_1 generates misses it."""
+    b, ann, regen = route
+    culprit = monomial_element(b.ctx, tuple(sorted(culprit)))
+    in_ann = element_in_ideal(culprit, ann)
+    assert in_ann is not any(multiply(b, culprit).coeffs)
+    return in_ann, not element_in_ideal(culprit, regen)
+
+
 def test_witness_certificate_is_exact():
-    for n in (4, 5):
+    # every class on <= 7 vertices without the diagonal property, p = 2, 3
+    cases = 0
+    for n in range(4, 8):
         for g in nonisomorphic_graphs(n):
-            if universal_koszul_fast(g):
+            v = graphs.diagonal_violation(g)
+            if v is None:
                 continue
             for p in (2, 3):
                 ctx = build_algebra(g, p)
-                w = non_universal_witness(ctx)
-                culprit = monomial_element(ctx, w.culprit)
-                assert not any(multiply(w.b, culprit).coeffs)
-                ann = annihilator(ctx, w.b)
-                regen = ideal_from_degree_one(ctx, ann.piece(1))
-                assert element_in_ideal(culprit, ann)
-                assert not element_in_ideal(culprit, regen)
+                w = koszul.certify_witness(ctx, v)
+                facts = (w.culprit_annihilated, w.culprit_outside_degree_one_part)
+                route = _annihilator_route(ctx, (v.v1, v.v4))
+                assert w.b == route[0]
+                assert facts == _witness_facts(route, (v.v2, v.v3)) == (True, True)
+                cases += 1
+    assert cases == 2106
+
+
+def test_certificate_of_a_mislabelled_violation_raises():
+    # every ordered 4-tuple of distinct vertices whose middle pair is an
+    # edge, labelled as a violation, on every class on <= 5 vertices at
+    # p = 2, 3: certify_witness raises iff a fact fails by the annihilator
+    # route, and otherwise returns the facts
+    named = [
+        (complete(4), DiagonalViolation("C4", 0, 1, 2, 3), (False, True)),
+        (path4(), DiagonalViolation("P4", 1, 2, 3, 0), (True, False)),
+    ]
+    outcomes = collections.Counter()
+    for p in (2, 3):
+        for g, w, facts in named:
+            ctx = build_algebra(g, p)
+            assert _witness_facts(_annihilator_route(ctx, (w.v1, w.v4)), (w.v2, w.v3)) == facts
+            with pytest.raises(RuntimeError, match="failed exact verification"):
+                koszul.certify_witness(ctx, w)
+        for n in range(4, 6):
+            for g in nonisomorphic_graphs(n):
+                ctx, routes = build_algebra(g, p), {}
+                for v1, v2, v3, v4 in itertools.permutations(range(n), 4):
+                    if v3 not in g.adj[v2]:
+                        continue
+                    w = DiagonalViolation("C4" if v4 in g.adj[v1] else "P4", v1, v2, v3, v4)
+                    ends = frozenset((v1, v4))
+                    if ends not in routes:
+                        routes[ends] = _annihilator_route(ctx, ends)
+                    facts = _witness_facts(routes[ends], (v2, v3))
+                    outcomes[facts] += 1
+                    if facts != (True, True):
+                        with pytest.raises(RuntimeError, match="failed exact verification"):
+                            koszul.certify_witness(ctx, w)
+                        continue
+                    out = koszul.certify_witness(ctx, w)
+                    assert (out.culprit_annihilated, out.culprit_outside_degree_one_part) == facts
+    # (False, False) cannot occur: an end adjacent to v2 and v3 (which
+    # b a_{v2} a_{v3} != 0 needs) keeps both a_{v2} and a_{v3} out of Ann(b)
+    assert outcomes == {(False, True): 2248, (True, False): 1608, (True, True): 488}
 
 
 def test_classify_scans_for_a_violation_once_and_keeps_the_witness(monkeypatch):
@@ -592,7 +653,7 @@ def test_brute_tests_exactly_the_first_member_of_each_orbit(monkeypatch):
         for u in enumerate_subspaces(p, g.n):
             if u in seen:
                 continue
-            rows = u.sparse_rows()
+            rows = sparse_rows(u)
             seen |= {
                 span(p, g.n, [[(perm[j], c) for j, c in row] for row in rows])
                 for perm in group
