@@ -68,17 +68,17 @@ When the fast universal verdict is false, certify_witness builds the
 certified counterexample: b = a_{v1} + a_{v4} annihilates the culprit
 monomial a_{v2} a_{v3}, which Ann(b)_1 cannot generate.  Both facts are
 read off three rows of the generator maps, with no elimination.  Grade A
-by Z^(V/~), where v1 ~ v4: it coarsens the fine Z^V grading, for which
+by Z^(V/~), where v1 ~ v4: this coarsens the fine Z^V grading, for which
 the relations are homogeneous.  b is homogeneous, so Ann(b)_1 and
-A_1 Ann(b)_1 are graded, and the culprit lies in A_1 Ann(b)_1 iff it
-lies in its component of degree e_{v2} + e_{v3}, which is
-a_{v2} Ann(b)_1[e_{v3}] + a_{v3} Ann(b)_1[e_{v2}].  For c outside
-{v1, v4}, Ann(b)_1[e_c] is <a_c> when b a_c = 0 and 0 otherwise.  For
-any x, a_{v1} x and a_{v4} x are distinct monomials or zero, so they
-never cancel.  Hence the culprit is annihilated iff D < 3 or both
-a_{v1} and a_{v4} send it to zero (two rows of gen_maps[2]), and it lies
-outside A_1 Ann(b)_1 iff neither a_{v2} nor a_{v3} is killed by both
-a_{v1} and a_{v4} (gen_maps[1]).
+A_1 Ann(b)_1 are graded.  The culprit has degree e_{v2} + e_{v3}, and
+that component of A_1 Ann(b)_1 is a_{v2} Ann(b)_1[e_{v3}] +
+a_{v3} Ann(b)_1[e_{v2}].  For a monomial x containing neither v1 nor v4,
+a_{v1} x and a_{v4} x are zero or +-1 times distinct monomials, so
+b x = 0 iff both vanish.  Hence, for c outside {v1, v4}, Ann(b)_1[e_c]
+is <a_c> when a_{v1} and a_{v4} both kill a_c and 0 otherwise; the
+culprit lies in Ann(b) iff D < 3 or a_{v1} and a_{v4} both kill it (two
+entries of gen_maps[2]), and outside A_1 Ann(b)_1 iff neither a_{v2} nor
+a_{v3} is killed by both (gen_maps[1]).
 
 The reports and results are typing.NamedTuple records, equal by value.
 """

@@ -469,7 +469,7 @@ def test_witness_at_odd_p_reads_only_the_low_degrees(tmp_path):
 
 def test_witness_at_odd_p_eliminates_nothing_on_a_sparse_graph(tmp_path):
     # seeded G(300, 0.02), 951 edges: spanning A_1 Ann(b)_1 densely in A_2
-    # at p = 3 took 32 s and 671 MB; the certificate reads three rows
+    # at p = 3 took over 30 s and 671 MB; the certificate reads three rows
     g = random_graph(random.Random(1), 300, 0.02)
     edges = "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
     path = write(tmp_path, "g300.txt", f"300\n{edges}")
