@@ -272,24 +272,31 @@ def _decompose(g: Graph, verts: tuple[int, ...]):
                 return None
             children.append(child)
         return UnionNode(tuple(children))
+    # Peel every universal vertex at once, lowest outermost: each is still
+    # universal once the lower ones are gone, and no other vertex becomes
+    # so.  A clique keeps its highest vertex as the leaf; any other rest is
+    # disconnected or has no universal vertex.
     vset = set(verts)
-    apex = None
-    for v in verts:  # verts sorted ascending: the lowest universal vertex wins
-        if len(g.adj[v] & vset) == len(verts) - 1:
-            apex = v
-            break
-    if apex is None:
+    apexes = [v for v in verts if len(g.adj[v] & vset) == len(verts) - 1]
+    if not apexes:
         return None
-    rest = tuple(v for v in verts if v != apex)
-    base = _decompose(g, rest)
-    return None if base is None else ConeNode(apex, base)
+    if len(apexes) == len(verts):
+        base = LeafNode(apexes.pop())
+    else:
+        vset.difference_update(apexes)
+        base = _decompose(g, tuple(v for v in verts if v in vset))
+        if base is None:
+            return None
+    for apex in reversed(apexes):
+        base = ConeNode(apex, base)
+    return base
 
 
 def elementary_type_decomposition(g: Graph):
     """Decomposition tree (LeafNode / UnionNode / ConeNode) when the graph
     has the diagonal property, otherwise the DiagonalViolation witnessing
-    failure.  Peeling: split disconnected graphs, strip the lowest universal
-    vertex of connected ones."""
+    failure.  Peeling: split disconnected graphs, strip the universal
+    vertices of connected ones, lowest outermost."""
     if g.n == 0:
         raise InputError("cannot decompose the empty graph")
     tree = _decompose(g, tuple(range(g.n)))
@@ -307,13 +314,31 @@ def canonical_graph(g: Graph) -> Graph:
 
     Placing vertex v at position j of a vertex order fixes column j of the
     bit string: v's bits to the vertices placed before it, the first placed
-    most significant.  The search goes level by level and keeps only the
-    partial orders whose columns equal the least ones; a larger column
-    never leads to the minimum.  It skips v when a smaller unplaced twin u
-    exists (N(u) - {v} == N(v) - {u}), since the automorphism (u v) fixes
-    the placed vertices, and it merges partial orders that give every
-    unplaced vertex the same column so far, since later columns depend on
-    nothing else.  The result equals the n! minimum bit for bit.
+    most significant.  The first k columns are zero exactly when the first
+    k vertices are independent, so the minimum opens with alpha zero
+    columns, alpha the independence number, and any order of any maximum
+    independent set I gives them.  The search has two phases.
+
+    Phase 1 grows independent sets as sets, each in ascending vertex order,
+    until they are maximum.  Phase 2 places the other vertices one per
+    level and keeps only the partial orders whose columns equal the least
+    ones; a larger column never leads to the minimum.  The order of I is
+    left open: I is held as an ordered partition into cells, and placing u
+    splits each cell into its non-neighbours of u, then its neighbours of
+    u.  So every cell is homogeneous for every vertex placed after I, no
+    order inside a cell changes a placed column, and a candidate's least
+    column over I reads, cell by cell, its zeros and then its ones; the
+    split keeps exactly the orders of I that give that least column.  Then
+    come its bits to the vertices placed after I, the first most
+    significant.
+
+    Both phases skip v while a smaller twin u is unplaced
+    (N(u) - {v} == N(v) - {u}), since the automorphism (u v) fixes the
+    placed vertices; in phase 1 such swaps turn every maximum independent
+    set into one that is kept.  Phase 2 merges partial orders with the
+    same cells that give every unplaced vertex the same column so far,
+    since later columns depend on nothing else.  The result equals the n!
+    minimum bit for bit.
     """
     n = g.n
     if n > CANONICAL_MAX_VERTICES:
@@ -322,14 +347,14 @@ def canonical_graph(g: Graph) -> Graph:
             "(vertex-order search, exponential in the worst case)"
         )
     if n <= 1 or not g.edges:
-        return build_graph(n, [])
-    # A state packs one n-bit field per vertex: for an unplaced vertex, a
-    # marker bit above its column so far (bits to the placed vertices, in
-    # placement order); for a placed vertex, zero.  At level j every marker
-    # sits at bit j, so fields compare as columns do, and placing v is one
-    # shift plus the bits of v's neighbours.  Each state maps to the set of
-    # its unplaced vertices, one bit at the bottom of each of their fields,
-    # which is also how neighbourhoods are held.
+        return Graph(n, frozenset())
+    # Vertex v owns the n-bit field at bit n*v.  A set of vertices (a cell,
+    # a neighbourhood, the unplaced vertices) is one bit at the bottom of
+    # each member's field.  In phase 2 a state packs, for each unplaced
+    # vertex, a marker bit above its bits to the vertices placed after I,
+    # in placement order, and zero for a placed vertex.  At level j every
+    # marker sits at bit j - alpha, so fields compare as columns do, and
+    # placing v is one shift plus the bits of v's neighbours.
     field = (1 << n) - 1
     shift = range(0, n * n, n)
     unit = [1 << s for s in shift]
@@ -343,31 +368,63 @@ def canonical_graph(g: Graph) -> Graph:
             if spread[u] & ~unit[v] == spread[v] & ~unit[u]:
                 smaller_twins[v] |= unit[u]
     verts = list(zip(shift, unit, spread, smaller_twins))
-    start = sum(unit)
-    states = {start: start}
-    columns = []
-    for j in range(n):
-        best = field + 1
-        nxt = {}
-        for codes, unplaced in states.items():
+    everyone = sum(unit)
+    # Phase 1: each independent set with the vertices above its last one
+    # that it may still take
+    grown = [(0, everyone)]
+    while grown:
+        sets, grown = grown, []
+        for chosen, free in sets:
+            while free:
+                bit = free & -free
+                free ^= bit
+                v = bit.bit_length() // n  # bit is 1 << n*v and n >= 2
+                if not smaller_twins[v] & ~chosen:
+                    grown.append((chosen | bit, free & ~spread[v]))
+    alpha = sets[0][0].bit_count()
+    states = {(everyone ^ chosen, (chosen,)): everyone ^ chosen for chosen, _ in sets}
+    # Phase 2: each state, (codes, cells), maps to its unplaced vertices
+    columns = [0] * alpha
+    for j in range(alpha, n):
+        after = j - alpha  # vertices placed after I
+        marker = 1 << after
+        best = 1 << j
+        winners = []
+        for (codes, cells), unplaced in states.items():
             for s, bit, nb, twins in verts:
-                col = codes >> s & field
-                if not col or col > best or twins & unplaced:
+                code = codes >> s & field
+                if not code or twins & unplaced:
+                    continue
+                over_i = 0
+                for c in cells:
+                    over_i = over_i << c.bit_count() | (1 << (c & nb).bit_count()) - 1
+                col = over_i << after | code ^ marker
+                if col > best:
                     continue
                 if col < best:
                     best = col
-                    nxt = {}
-                rest = unplaced ^ bit
-                nxt[(codes ^ col << s) << 1 | nb & rest] = rest
-        states = nxt
-        columns.append(best ^ 1 << j)
-    edges = [
-        (i, j)
-        for j, col in enumerate(columns)
-        for i in range(j)
-        if col >> (j - 1 - i) & 1
-    ]
-    return build_graph(n, edges)
+                    winners = []
+                winners.append((codes ^ code << s, cells, unplaced ^ bit, nb))
+        columns.append(best)
+        if j == n - 1:
+            break
+        states = {}
+        for codes, cells, rest, nb in winners:
+            split = []
+            for c in cells:
+                inside = c & nb
+                if inside != c:
+                    split.append(c ^ inside)
+                if inside:
+                    split.append(inside)
+            states[codes << 1 | nb & rest, tuple(split)] = rest
+    edges = []
+    for j, col in enumerate(columns):
+        while col:  # bit j - 1 - i of column j is the pair (i, j)
+            top = col.bit_length()
+            edges.append((j - top, j))
+            col ^= 1 << top - 1
+    return Graph(n, frozenset(edges))
 
 
 def canonical_form(g: Graph) -> str:
@@ -389,11 +446,10 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
         raise InputError("class enumeration needs n >= 1")
     if n == 1:
         return (build_graph(1, []),)
-    seen: dict[str, Graph] = {}
+    # candidates' edges are normalised already, so no build_graph
+    seen = set()
     for g in nonisomorphic_graphs(n - 1):
-        base = list(g.edges)
         for mask in range(2 ** (n - 1)):
             extra = [(v, n - 1) for v in range(n - 1) if (mask >> v) & 1]
-            h = canonical_graph(build_graph(n, base + extra))
-            seen.setdefault(to_graph6(h), h)
-    return tuple(seen[k] for k in sorted(seen))
+            seen.add(canonical_graph(Graph(n, g.edges.union(extra))))
+    return tuple(sorted(seen, key=to_graph6))

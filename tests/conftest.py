@@ -1,6 +1,7 @@
 """Shared graph constructors (also union, cone, induced subgraph and the
 graph of a decomposition tree), element arithmetic, test oracles (the
-brute-force canonical form, clique listing by k-subsets, subspace counts
+brute-force and level-by-level canonical forms, the decomposition by
+single peels, clique listing by k-subsets, subspace counts
 and containment, sparse spans and rows on top of rref, the generated
 ideal by sparse vectors, the strong check
 by colon ideals, the brute universal check over every subspace and the
@@ -19,7 +20,7 @@ from koszulity.gfp import (
     rref,
     zero_space,
 )
-from koszulity.graphs import Graph, LeafNode, UnionNode
+from koszulity.graphs import ConeNode, Graph, LeafNode, UnionNode
 from koszulity.ideals import (
     GradedIdeal,
     colon_ideal,
@@ -191,6 +192,92 @@ def lexmin_by_permutations(g):
         for p in itertools.permutations(range(g.n))
     )
     return build_graph(g.n, [e for e, bit in zip(pairs, best) if bit])
+
+
+def canonical_graph_by_levels(g):
+    """Reference canonical form: the level-by-level vertex-order search
+    that graphs.canonical_graph used before its independent prefix was
+    deferred.
+
+    Placing vertex v at position j of a vertex order fixes column j of the
+    bit string: v's bits to the vertices placed before it, the first placed
+    most significant.  The search keeps only the partial orders whose
+    columns equal the least ones, skips v when a smaller unplaced twin u
+    exists (N(u) - {v} == N(v) - {u}), and merges partial orders that give
+    every unplaced vertex the same column so far."""
+    n = g.n
+    if n <= 1 or not g.edges:
+        return build_graph(n, [])
+    # one n-bit field per vertex: for an unplaced vertex, a marker bit
+    # above its column so far; for a placed vertex, zero.  Each state maps
+    # to the set of its unplaced vertices, one bit at the bottom of each
+    # of their fields, which is also how neighbourhoods are held.
+    field = (1 << n) - 1
+    shift = range(0, n * n, n)
+    unit = [1 << s for s in shift]
+    spread = [0] * n
+    for u, v in g.edges:
+        spread[u] |= unit[v]
+        spread[v] |= unit[u]
+    smaller_twins = [0] * n
+    for v in range(n):
+        for u in range(v):
+            if spread[u] & ~unit[v] == spread[v] & ~unit[u]:
+                smaller_twins[v] |= unit[u]
+    verts = list(zip(shift, unit, spread, smaller_twins))
+    start = sum(unit)
+    states = {start: start}
+    columns = []
+    for j in range(n):
+        best = field + 1
+        nxt = {}
+        for codes, unplaced in states.items():
+            for s, bit, nb, twins in verts:
+                col = codes >> s & field
+                if not col or col > best or twins & unplaced:
+                    continue
+                if col < best:
+                    best = col
+                    nxt = {}
+                rest = unplaced ^ bit
+                nxt[(codes ^ col << s) << 1 | nb & rest] = rest
+        states = nxt
+        columns.append(best ^ 1 << j)
+    edges = [
+        (i, j)
+        for j, col in enumerate(columns)
+        for i in range(j)
+        if col >> (j - 1 - i) & 1
+    ]
+    return build_graph(n, edges)
+
+
+def decompose_by_single_peels(g, verts=None):
+    """Reference decomposition tree, one cone per call: split the vertices
+    into components in order of their least vertex, or else peel the lowest
+    universal vertex; None when neither applies."""
+    verts = tuple(range(g.n)) if verts is None else verts
+    if len(verts) == 1:
+        return LeafNode(verts[0])
+    todo = set(verts)
+    comps = []
+    for start in verts:
+        if start in todo:
+            comp = [start]
+            todo.remove(start)
+            for v in comp:
+                comp += [u for u in g.adj[v] if u in todo]
+                todo.difference_update(g.adj[v])
+            comps.append(tuple(sorted(comp)))
+    if len(comps) > 1:
+        children = tuple(decompose_by_single_peels(g, c) for c in comps)
+        return None if None in children else UnionNode(children)
+    vset = set(verts)
+    for apex in verts:
+        if len(g.adj[apex] & vset) == len(verts) - 1:
+            base = decompose_by_single_peels(g, tuple(v for v in verts if v != apex))
+            return None if base is None else ConeNode(apex, base)
+    return None
 
 
 def cliques_by_combinations(g, k):

@@ -5,10 +5,12 @@ import time
 import pytest
 
 from conftest import (
+    canonical_graph_by_levels,
     cliques_by_combinations,
     complete,
     cone,
     cone_over_path,
+    decompose_by_single_peels,
     disjoint_union,
     five_vertex_cone_like,
     induced_subgraph,
@@ -229,6 +231,28 @@ def test_decomposition_of_many_isolated_vertices_is_linear():
     assert t == UnionNode(tuple(LeafNode(v) for v in range(20_000)))
 
 
+def test_decomposition_matches_single_peels_on_small_classes():
+    rng = random.Random(1978)
+    for n in range(1, 8):
+        for g in nonisomorphic_graphs(n):
+            for h in (g, relabel(g, rng.sample(range(n), n))):
+                want = decompose_by_single_peels(h)
+                got = elementary_type_decomposition(h)
+                if want is None:
+                    assert isinstance(got, DiagonalViolation)
+                else:
+                    assert got == want
+
+
+def test_decomposition_of_a_large_clique_is_nested_cones():
+    # one Python frame per cone ran past the recursion limit near K_1000
+    t = elementary_type_decomposition(complete(1100))
+    for apex in range(1099):
+        assert isinstance(t, ConeNode) and t.apex == apex
+        t = t.base
+    assert t == LeafNode(1099)
+
+
 def test_decomposition_empty_graph_rejected():
     with pytest.raises(InputError):
         elementary_type_decomposition(build_graph(0, []))
@@ -348,3 +372,65 @@ def test_class_counts():
     ]
     with pytest.raises(InputError):
         nonisomorphic_graphs(0)
+
+
+def classes_candidates(n):
+    """Every graph nonisomorphic_graphs(n) passes to canonical_graph: each
+    class on n - 1 vertices plus a new last vertex with every neighbourhood."""
+    for g in nonisomorphic_graphs(n - 1):
+        for mask in range(2 ** (n - 1)):
+            extra = [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
+            yield build_graph(n, list(g.edges) + extra)
+
+
+def test_canonical_graph_matches_level_search_on_class_candidates():
+    for n in range(2, 7):
+        for g in classes_candidates(n):
+            assert canonical_graph(g) == canonical_graph_by_levels(g)
+
+
+def test_canonical_graph_matches_level_search_on_relabeled_seven_classes():
+    rng = random.Random(1981)
+    for g in nonisomorphic_graphs(7):
+        h = relabel(g, rng.sample(range(7), 7))
+        assert canonical_graph(h) == canonical_graph_by_levels(h)
+
+
+def test_canonical_graph_matches_level_search_at_extreme_independence():
+    cube = build_graph(8, [
+        (u, v) for u, v in itertools.combinations(range(8), 2)
+        if bin(u ^ v).count("1") == 1
+    ])
+    family = [
+        complete(8),  # independence number 1
+        build_graph(8, [(0, 1)]),  # 7
+        build_graph(8, [(2 * i, 2 * i + 1) for i in range(4)]),  # 4
+        star(7),  # 7
+        cycle(8),  # 4
+        cube,  # 4
+    ]
+    rng = random.Random(1234)
+    for g in family + [complement(g) for g in family]:
+        for _ in range(3):
+            h = relabel(g, rng.sample(range(8), 8))
+            assert canonical_graph(h) == canonical_graph_by_levels(h)
+            assert canonical_graph(h) == canonical_graph(g)
+
+
+def test_class_enumeration_makes_one_canonical_call_per_candidate(monkeypatch):
+    # the closed form the classes7 and census6 benchmarks compare against
+    calls = []
+    real = graphs.canonical_graph
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(graphs, "canonical_graph", counted)
+    nonisomorphic_graphs.cache_clear()
+    try:
+        assert len(nonisomorphic_graphs(6)) == 156
+    finally:
+        nonisomorphic_graphs.cache_clear()
+    # 2**(k - 1) neighbourhoods for each class on k - 1 vertices, k = 2..6
+    assert len(calls) == 1 * 2 + 2 * 4 + 4 * 8 + 11 * 16 + 34 * 32 == 1306
