@@ -312,6 +312,14 @@ def cycle(n):
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def cube3():
+    # the 3-cube: vertices 0..7, edges between labels one bit apart
+    return build_graph(8, [
+        (u, v) for u, v in itertools.combinations(range(8), 2)
+        if bin(u ^ v).count("1") == 1
+    ])
+
+
 def complement(g):
     return build_graph(g.n, [
         (u, v) for u, v in itertools.combinations(range(g.n), 2)
@@ -334,10 +342,7 @@ def test_canonical_graph_matches_permutation_search_on_relabeled_classes():
 
 
 def test_canonical_graph_matches_permutation_search_on_named_graphs():
-    cube = build_graph(8, [
-        (u, v) for u, v in itertools.combinations(range(8), 2)
-        if bin(u ^ v).count("1") == 1
-    ])
+    cube = cube3()
     moebius = build_graph(8, [(i, (i + 1) % 8) for i in range(8)]
                           + [(i, i + 4) for i in range(4)])
     # twin classes cover every vertex
@@ -397,10 +402,7 @@ def test_canonical_graph_matches_level_search_on_relabeled_seven_classes():
 
 
 def test_canonical_graph_matches_level_search_at_extreme_independence():
-    cube = build_graph(8, [
-        (u, v) for u, v in itertools.combinations(range(8), 2)
-        if bin(u ^ v).count("1") == 1
-    ])
+    cube = cube3()
     family = [
         complete(8),  # independence number 1
         build_graph(8, [(0, 1)]),  # 7
