@@ -31,6 +31,8 @@ from .graphs import (
     build_graph,
     canonical_form,
     diagonal_violation,
+    extend_class,
+    merge_classes,
     nonisomorphic_graphs,
     parse_edge_list,
     parse_graph6,
@@ -189,6 +191,7 @@ def _census_row(task):
 
 
 def _census_workers() -> int:
+    """KOSZUL_THREADS, validated; 1 where os.fork does not exist."""
     raw = os.environ.get("KOSZUL_THREADS", "1")
     try:
         workers = int(raw)
@@ -196,11 +199,75 @@ def _census_workers() -> int:
         raise InputError(f"KOSZUL_THREADS must be a positive integer, got {raw!r}")
     if workers < 1:
         raise InputError(f"KOSZUL_THREADS must be a positive integer, got {raw!r}")
-    return workers
+    return workers if hasattr(os, "fork") else 1
+
+
+def _stripe(fn, items, start, step):
+    """fn over items[start::step] in order, up to the first exception: the
+    results so far, and (index, exception) or None."""
+    results = []
+    for i in range(start, len(items), step):
+        try:
+            results.append(fn(items[i]))
+        except Exception as exc:
+            return results, (i, exc)
+    return results, None
+
+
+def _fork_map(fn, items, workers: int) -> list:
+    """[fn(x) for x in items], with item i computed in worker i % W, W =
+    min(workers, len(items)).  Worker 0 is this process; the others are
+    os.fork children, each sending its pickled stripe back through a pipe
+    and leaving by os._exit, so it flushes none of this process's buffers
+    and runs no atexit handler.  The census process starts no threads, so
+    forking it is safe.  Every child is reaped before this returns or
+    raises.  The exception raised is the one of the lowest failing index,
+    the one a serial run raises first, since each worker stops at its own
+    first failure."""
+    workers = max(1, min(workers, len(items)))
+    children = {}  # worker -> (pid, read end of its pipe)
+    try:
+        if workers > 1:
+            import pickle  # a serial run never pays for these
+            import signal
+
+            for w in range(1, workers):
+                read, write = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        os.close(read)
+                        data = pickle.dumps(_stripe(fn, items, w, workers))
+                        with os.fdopen(write, "wb") as out:  # all or nothing
+                            out.write(data)
+                    finally:
+                        os._exit(0)
+                os.close(write)
+                children[w] = (pid, read)
+        parts = [_stripe(fn, items, 0, workers)]
+        for w in range(1, workers):
+            pid, read = children[w]
+            with os.fdopen(read, "rb") as src:
+                data = src.read()
+            os.waitpid(pid, 0)
+            del children[w]
+            if not data:
+                raise RuntimeError(f"census worker {w} ended without a result")
+            parts.append(pickle.loads(data))
+    finally:
+        for pid, read in children.values():  # only when this process failed
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failures = [failure for _, failure in parts if failure is not None]
+    if failures:
+        raise min(failures)[1]  # indices differ, so no exceptions compared
+    return [parts[i % workers][0][i // workers] for i in range(len(items))]
 
 
 def cmd_census(args) -> int:
     Prime(args.p)  # a bad prime exits 2 before any class is enumerated
+    workers = _census_workers()
     if args.input is not None:
         classes: dict[str, Graph] = {}
         for line in _read_text(args.input).splitlines():
@@ -216,22 +283,18 @@ def cmd_census(args) -> int:
             raise InputError(
                 f"census self-generation supports 1 <= n <= {CENSUS_MAX_VERTICES}"
             )
-        tasks = [
-            (canonical_form(g), g.n, tuple(sorted(g.edges)))
-            for g in nonisomorphic_graphs(args.n)
-        ]
+        if workers > 1 and args.n > 1:
+            # the last level in the workers, one class on n - 1 vertices each
+            parents = nonisomorphic_graphs(args.n - 1)
+            graphs = merge_classes(_fork_map(extend_class, parents, workers))
+        else:
+            graphs = nonisomorphic_graphs(args.n)
+        tasks = [(canonical_form(g), g.n, tuple(sorted(g.edges))) for g in graphs]
     work = [
         (key, n, edges, args.p, n <= args.brute_max_d, args.dual_order)
         for key, n, edges in tasks
     ]
-    workers = _census_workers()
-    if workers > 1:
-        import concurrent.futures  # with logging: only a pool pays for it
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_census_row, work, chunksize=8))
-    else:
-        results = [_census_row(t) for t in work]
+    results = _fork_map(_census_row, work, workers)
     lines = [",".join(CENSUS_COLUMNS)]
     offenders = []
     for (row, violation) in results:

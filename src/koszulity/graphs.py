@@ -433,6 +433,23 @@ def canonical_form(g: Graph) -> str:
     return to_graph6(canonical_graph(g))
 
 
+def extend_class(g: Graph) -> set[Graph]:
+    """The canonical graphs of all 2**n one-vertex extensions of g, n its
+    vertex count: a new vertex n joined to each subset of g's vertices."""
+    n = g.n
+    # candidates' edges are normalised already, so no build_graph
+    found = set()
+    for mask in range(2 ** n):
+        extra = [(v, n) for v in range(n) if (mask >> v) & 1]
+        found.add(canonical_graph(Graph(n + 1, g.edges.union(extra))))
+    return found
+
+
+def merge_classes(extensions) -> tuple[Graph, ...]:
+    """The union of extend_class results, sorted by canonical key."""
+    return tuple(sorted(set().union(*extensions), key=to_graph6))
+
+
 @lru_cache(maxsize=None)
 def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     """All isomorphism classes on exactly n vertices, as canonical
@@ -446,10 +463,4 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
         raise InputError("class enumeration needs n >= 1")
     if n == 1:
         return (build_graph(1, []),)
-    # candidates' edges are normalised already, so no build_graph
-    seen = set()
-    for g in nonisomorphic_graphs(n - 1):
-        for mask in range(2 ** (n - 1)):
-            extra = [(v, n - 1) for v in range(n - 1) if (mask >> v) & 1]
-            seen.add(canonical_graph(Graph(n, g.edges.union(extra))))
-    return tuple(sorted(seen, key=to_graph6))
+    return merge_classes(map(extend_class, nonisomorphic_graphs(n - 1)))

@@ -300,18 +300,19 @@ class BruteResult(NamedTuple):
 def _brute_divisor_count(p: int, d: int) -> int:
     """The divisors universal_koszul_bruteforce checks on d vertices:
     sum over r of [d choose r]_p subspaces of rank r, times the
-    (p**(d-r) - 1) / (p - 1) divisor classes of each.  Each Gaussian
-    binomial comes from the last, [d r] = [d r-1] (p**(d-r+1) - 1) /
-    (p**r - 1), exactly, so the count takes O(d) big-int products."""
-    powers = [1]
+    (p**(d-r) - 1) / (p - 1) divisor classes of each.  That is
+    (H_d - G_d) / (p - 1), with G_n = sum_r [n r]_p the Galois numbers and
+    H_n = sum_r [n r]_p p**(n-r).  Goldman & Rota's recurrences give both
+    with no division, G_(n+1) = 2 G_n + (p**n - 1) G_(n-1) and
+    H_(n+1) = H_n + p**(n+1) G_n, from G_0 = H_0 = 1 ("On the
+    foundations of combinatorial theory IV", Stud. Appl. Math. 49, 1970);
+    so the count takes O(d) big-int products and one exact division."""
+    g_before, g, h, power = 0, 1, 1, 1  # G_(n-1), G_n, H_n, p**n at n = 0
     for _ in range(d):
-        powers.append(powers[-1] * p)
-    total, subspaces = 0, 1
-    for r in range(d + 1):
-        if r:
-            subspaces = subspaces * (powers[d - r + 1] - 1) // (powers[r] - 1)
-        total += subspaces * ((powers[d - r] - 1) // (p - 1))
-    return total
+        h += power * p * g
+        g_before, g = g, 2 * g + (power - 1) * g_before
+        power *= p
+    return (h - g) // (p - 1)
 
 
 def _twin_transpositions(g: Graph) -> list[tuple[int, int]]:

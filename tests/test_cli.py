@@ -257,10 +257,69 @@ def test_census_no_violations_through_five_vertices(capsys):
 
 
 def test_census_parallel_matches_serial(capsys, tmp_path, monkeypatch):
-    serial = census_lines(capsys, "-n", "4")
+    # fewer classes than workers (n = 1, 2), a full last level, another
+    # prime, and the --in route with duplicates and mixed sizes
+    graphs = [complete(4), square4(), path4(), build_graph(5, [(0, 1), (2, 3)])]
+    graphs.append(build_graph(4, [(1, 2), (2, 0), (0, 3), (3, 1)]))  # square4 again
+    path = write(tmp_path, "in.g6", "".join(to_graph6(g) + "\n" for g in graphs))
+    serial = {}
+    for argv in (("-n", "1"), ("-n", "2"), ("-n", "6"), ("-n", "5", "-p", "3"), ("--in", path)):
+        monkeypatch.setenv("KOSZUL_THREADS", "1")
+        serial[argv] = census_lines(capsys, *argv)
+        for threads in ("2", "3"):
+            monkeypatch.setenv("KOSZUL_THREADS", threads)
+            assert census_lines(capsys, *argv) == serial[argv], (argv, threads)
+    # where os.fork does not exist, census runs serially with the same bytes
+    monkeypatch.delattr(os, "fork")
     monkeypatch.setenv("KOSZUL_THREADS", "2")
-    parallel = census_lines(capsys, "-n", "4")
-    assert serial == parallel
+    assert census_lines(capsys, "-n", "5", "-p", "3") == serial[("-n", "5", "-p", "3")]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_census_workers_raise_the_serial_error_and_leave_no_child(capsys, monkeypatch):
+    # every row refuses brute at p = 97; the serial run reports the first
+    argv = ("census", "-n", "5", "-p", "97", "--brute-max-d", "5")
+    serial = run(capsys, *argv)
+    assert serial[0] == 3 and serial[1] == "" and serial[2].startswith("resource limit:")
+    monkeypatch.setenv("KOSZUL_THREADS", "2")
+    assert run(capsys, *argv) == serial
+    _no_child_left()
+    # items 1 and 2 fail in different workers; item 1's error is the one
+    keys = [to_graph6(g) for g in nonisomorphic_graphs(4)]
+    census_row = cli._census_row
+
+    def failing(task):
+        item = keys.index(task[0])
+        if item in (1, 2):
+            raise ResourceLimitError(f"item {item} refused")
+        return census_row(task)
+
+    monkeypatch.setattr(cli, "_census_row", failing)
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("KOSZUL_THREADS", threads)
+        assert run(capsys, "census", "-n", "4") == (3, "", "resource limit: item 1 refused\n")
+    _no_child_left()
+
+
+def test_census_forks_no_more_children_than_items_beyond_the_first(capsys, monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setenv("KOSZUL_THREADS", "8")
+    census_lines(capsys, "-n", "1")  # one class on 1 vertex, one row
+    assert forks == []
+    census_lines(capsys, "-n", "2")  # one class to extend, two rows
+    assert forks == [1]
+    _no_child_left()
 
 
 def test_census_six_matches_golden_rows(capsys):

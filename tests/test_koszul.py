@@ -482,9 +482,9 @@ def test_brute_divisor_count_is_exact():
 
 
 def test_brute_divisor_count_matches_the_product_formula():
-    # each Gaussian binomial now comes from the previous one
-    for p in (2, 3, 5, 7):
-        for d in range(9):
+    # the count comes from the Goldman-Rota recurrences, with no binomial
+    for p in (2, 3, 5, 7, 97):
+        for d in range(13):
             want = sum(
                 gaussian_binomial(p, d, r) * ((p ** (d - r) - 1) // (p - 1))
                 for r in range(d + 1)

@@ -76,8 +76,8 @@ def test_benchmark_child_names_are_exported():
         assert callable(getattr(cli, name, None)), name
 
 
-# loaded by a pool (concurrent.futures pulls in logging) or by dataclasses
-# (which pulls in inspect); a serial run needs none of them
+# loaded by a process pool (concurrent.futures pulls in logging) or by
+# dataclasses (which pulls in inspect); the package uses neither
 _NOT_AT_START = ("numpy", "dataclasses", "inspect", "concurrent.futures", "logging")
 
 
@@ -97,6 +97,26 @@ def test_importing_the_cli_loads_no_numpy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == [], f"koszulity.cli imported {out.stdout}"
+
+
+def test_census_workers_load_no_pool():
+    # the workers are os.fork children, so two of them load no pool
+    src = str(Path(koszulity.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import os, sys, koszulity.cli as cli; "
+        "assert cli.main(['census', '-n', '3', '-o', os.devnull]) == 0; "
+        "print(' '.join(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path, KOSZUL_THREADS="2"),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [], f"census with two workers imported {out.stdout}"
 
 
 def _definitions(tree):
