@@ -215,48 +215,46 @@ def _stripe(fn, items, start, step):
 
 
 def _fork_map(fn, items, workers: int) -> list:
-    """[fn(x) for x in items], with item i computed in worker i % W, W =
-    min(workers, len(items)).  Worker 0 is this process; the others are
-    os.fork children, each sending its pickled stripe back through a pipe
-    and leaving by os._exit, so it flushes none of this process's buffers
-    and runs no atexit handler.  The census process starts no threads, so
-    forking it is safe.  Every child is reaped before this returns or
-    raises.  The exception raised is the one of the lowest failing index,
-    the one a serial run raises first, since each worker stops at its own
-    first failure."""
+    """[fn(x) for x in items], item i computed in worker i % W, where W =
+    min(workers, len(items)).  Worker 0 is this process, which starts no
+    threads; the others are os.fork children.  Each child pickles its
+    stripe into a pipe and leaves by os._exit, flushing none of this
+    process's buffers and running no atexit handler.  Every child is
+    reaped before this returns or raises.  Each worker stops at its first
+    failure, so the lowest failing index, raised here, is the one a serial
+    run raises."""
     workers = max(1, min(workers, len(items)))
-    children = {}  # worker -> (pid, read end of its pipe)
+    if workers > 1:
+        import pickle  # a serial run never pays for these
+        import signal
+    children = []  # (pid, read end of its pipe) of each child not reaped
     try:
-        if workers > 1:
-            import pickle  # a serial run never pays for these
-            import signal
-
-            for w in range(1, workers):
-                read, write = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    try:
-                        os.close(read)
-                        data = pickle.dumps(_stripe(fn, items, w, workers))
-                        with os.fdopen(write, "wb") as out:  # all or nothing
-                            out.write(data)
-                    finally:
-                        os._exit(0)
-                os.close(write)
-                children[w] = (pid, read)
-        parts = [_stripe(fn, items, 0, workers)]
         for w in range(1, workers):
-            pid, read = children[w]
-            with os.fdopen(read, "rb") as src:
-                data = src.read()
-            os.waitpid(pid, 0)
-            del children[w]
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    data = pickle.dumps(_stripe(fn, items, w, workers))
+                    with os.fdopen(write, "wb") as out:  # all or nothing
+                        out.write(data)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        parts = [_stripe(fn, items, 0, workers)]
+        while children:
+            pid, src = children.pop(0)
+            try:
+                with src:
+                    data = src.read()
+            finally:
+                os.waitpid(pid, 0)
             if not data:
-                raise RuntimeError(f"census worker {w} ended without a result")
+                raise RuntimeError(f"census worker {len(parts)} ended without a result")
             parts.append(pickle.loads(data))
     finally:
-        for pid, read in children.values():  # only when this process failed
-            os.close(read)
+        for pid, src in children:  # left only when this process failed
+            src.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     failures = [failure for _, failure in parts if failure is not None]

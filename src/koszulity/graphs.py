@@ -446,8 +446,12 @@ def extend_class(g: Graph) -> set[Graph]:
 
 
 def merge_classes(extensions) -> tuple[Graph, ...]:
-    """The union of extend_class results, sorted by canonical key."""
-    return tuple(sorted(set().union(*extensions), key=to_graph6))
+    """The union of extend_class results, sorted by canonical key.  It
+    takes them one at a time, so a lazy iterable keeps one set alive."""
+    found = set()
+    for graphs in extensions:
+        found |= graphs
+    return tuple(sorted(found, key=to_graph6))
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,8 @@ perfbench/child.py calls public functions on the root package.  Removing
 or moving one of them breaks the benchmark, not the CLI, so these tests
 read the names without installing the tracer.  The package also promises
 to need only the standard library: importing the CLI loads no numpy,
-nor the modules only a process pool or a dataclass would pull in.
+nor the modules a process pool or a dataclass would pull in, and a
+census with two workers loads no pool either.
 Conversely, every public name of the package has a caller outside the
 tests.  The prime alone picks the native format, and only gfp reads it.
 The records (NamedTuples) keep their fields, are immutable, compare and
