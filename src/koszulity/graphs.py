@@ -446,11 +446,10 @@ def extend_class(g: Graph) -> set[Graph]:
 
 
 def merge_classes(extensions) -> tuple[Graph, ...]:
-    """The union of extend_class results, sorted by canonical key.  It
-    takes them one at a time, so a lazy iterable keeps one set alive."""
-    found = set()
-    for graphs in extensions:
-        found |= graphs
+    """The union of extend_class results, sorted by canonical key.  The
+    chain drops each set before it asks for the next, so a lazy iterable
+    keeps one alive at a time."""
+    found = set(itertools.chain.from_iterable(extensions))
     return tuple(sorted(found, key=to_graph6))
 
 

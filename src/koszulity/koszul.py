@@ -302,11 +302,12 @@ def _brute_divisor_count(p: int, d: int) -> int:
     sum over r of [d choose r]_p subspaces of rank r, times the
     (p**(d-r) - 1) / (p - 1) divisor classes of each.  That is
     (H_d - G_d) / (p - 1), with G_n = sum_r [n r]_p the Galois numbers and
-    H_n = sum_r [n r]_p p**(n-r).  Goldman & Rota's recurrences give both
-    with no division, G_(n+1) = 2 G_n + (p**n - 1) G_(n-1) and
-    H_(n+1) = H_n + p**(n+1) G_n, from G_0 = H_0 = 1 ("On the
-    foundations of combinatorial theory IV", Stud. Appl. Math. 49, 1970);
-    so the count takes O(d) big-int products and one exact division."""
+    H_n = sum_r [n r]_p p**(n-r).  Both follow with no division from
+    G_0 = H_0 = 1: Goldman & Rota's G_(n+1) = 2 G_n + (p**n - 1) G_(n-1)
+    ("On the foundations of combinatorial theory IV", Stud. Appl. Math.
+    49, 1970), and H_(n+1) = H_n + p**(n+1) G_n by the q-Pascal rule
+    [n+1 r] = [n r-1] + p**r [n r].  So the count takes O(d) big-int
+    products and one exact division."""
     g_before, g, h, power = 0, 1, 1, 1  # G_(n-1), G_n, H_n, p**n at n = 0
     for _ in range(d):
         h += power * p * g
