@@ -216,13 +216,13 @@ def _stripe(fn, items, start, step):
 
 def _fork_map(fn, items, workers: int) -> list:
     """[fn(x) for x in items], item i computed in worker i % W, where W =
-    min(workers, len(items)).  Worker 0 is this process, which starts no
-    threads; the others are os.fork children.  Each child pickles its
-    stripe into a pipe and leaves by os._exit, flushing none of this
-    process's buffers and running no atexit handler.  Every child is
-    reaped before this returns or raises.  Each worker stops at its first
-    failure, so the lowest failing index, raised here, is the one a serial
-    run raises."""
+    min(workers, len(items)).  Worker 0 is this process; the others are
+    os.fork children, which is safe as census starts no threads.  Each
+    child pickles its stripe into a pipe and leaves by os._exit, flushing
+    none of this process's buffers and running no atexit handler.  Every
+    child is reaped before this returns or raises.  Each worker stops at
+    its first failure, so the lowest failing index, raised here, is the
+    one a serial run raises."""
     workers = max(1, min(workers, len(items)))
     if workers > 1:
         import pickle  # a serial run never pays for these

@@ -82,42 +82,35 @@ def test_benchmark_child_names_are_exported():
 _NOT_AT_START = ("numpy", "dataclasses", "inspect", "concurrent.futures", "logging")
 
 
-def test_importing_the_cli_loads_no_numpy():
+def _loaded_at_the_end(run: str, **env) -> list[str]:
+    """The modules of _NOT_AT_START loaded after run, in a fresh
+    interpreter that imports the package from this tree."""
     src = str(Path(koszulity.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = (
-        "import sys, koszulity.cli; "
+    code = f"import os, sys, koszulity.cli as cli; {run}; " + (
         f"print(' '.join(m for m in {_NOT_AT_START!r} if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, **env),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == [], f"koszulity.cli imported {out.stdout}"
+    return out.stdout.split()
+
+
+def test_importing_the_cli_loads_no_numpy():
+    loaded = _loaded_at_the_end("pass")
+    assert loaded == [], f"koszulity.cli imported {loaded}"
 
 
 def test_census_workers_load_no_pool():
     # the workers are os.fork children, so two of them load no pool
-    src = str(Path(koszulity.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = (
-        "import os, sys, koszulity.cli as cli; "
-        "assert cli.main(['census', '-n', '3', '-o', os.devnull]) == 0; "
-        "print(' '.join(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path, KOSZUL_THREADS="2"),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == [], f"census with two workers imported {out.stdout}"
+    run = "assert cli.main(['census', '-n', '3', '-o', os.devnull]) == 0"
+    loaded = _loaded_at_the_end(run, KOSZUL_THREADS="2")
+    assert loaded == [], f"census with two workers imported {loaded}"
 
 
 def _definitions(tree):
