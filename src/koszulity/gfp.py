@@ -595,6 +595,66 @@ def image_span(p: int, maps: Sequence[tuple], vectors: Sequence, width: int) -> 
     return _canonical(p, width, _images(p, maps, vectors))
 
 
+def image_fills(p: int, maps: Sequence[Sequence[Sparse]], width: int):
+    """The test whether m(x), for every map m in maps and native vector x,
+    spans all of F_p^width, as a function from a sequence of native
+    vectors (such as RowSpace.basis) to bool.  Each map is the sequence
+    of the sparse images of the standard basis vectors, with indices in
+    [0, width); an index outside it is an InputError.  The test
+    eliminates each image against the rows met so far (packed at p = 2,
+    with leading coefficient 1 at odd p) and stops as soon as their rank
+    is width."""
+    if p == 2:
+        packed = [_from_sparse(p, width, m) for m in maps]
+
+        def fills(vectors) -> bool:
+            lead: dict[int, int] = {}
+            for x in vectors:
+                cols = list(_bits(x))
+                for m in packed:
+                    v = 0
+                    for c in cols:
+                        v ^= m[c]
+                    while v:
+                        low = v & -v
+                        row = lead.get(low)
+                        if row is None:
+                            lead[low] = v
+                            if len(lead) == width:
+                                return True
+                            break
+                        v ^= row
+            return len(lead) == width
+        return fills
+
+    for m in maps:
+        _from_sparse(p, width, m)  # the index check
+
+    def fills(vectors) -> bool:
+        lead: dict[int, list[int]] = {}  # pivot column -> row with 1 there
+        for x in vectors:
+            terms = [(c, a) for c, a in enumerate(x) if a]
+            for m in maps:
+                v = [0] * width
+                for c, a in terms:
+                    for k, s in m[c]:
+                        v[k] += a * s
+                for j in range(width):
+                    f = v[j] % p
+                    if not f:
+                        continue
+                    row = lead.get(j)
+                    if row is None:
+                        inv = pow(f, p - 2, p)
+                        lead[j] = [y * inv % p for y in v]
+                        if len(lead) == width:
+                            return True
+                        break
+                    v = [a - f * b for a, b in zip(v, row)]
+        return len(lead) == width
+    return fills
+
+
 def swap_coordinates(p: int, i: int, j: int):
     """The action of the swap of e_i and e_j on subspaces, as a function
     from a native RREF basis (RowSpace.basis) to the native RREF basis of

@@ -40,12 +40,18 @@ counted, with their divisor classes, but not tested: ideals_enumerated and
 divisors_checked count what the verdict covers, divisors_tested the
 divisors that went through the quotient test below.
 
-A tested subspace U whose ideal I = (U) has I_2 = A_2 (or D < 2) passes
+A subspace U whose ideal I = (U) has I_2 = A_1 U = A_2 (or D < 2) passes
 with no divisor tested.  A is generated in degree one, so I contains
 A_{>=2}.  For b in A_1 outside U, (I:b)_1 = A_1 because A_1 b lies in
 A_2 = I_2, and (I:b)_0 = 0 because b is not in I_1 = U; so I:(b) = A_{>=1},
-which is generated in degree one.  Such a U is still enumerated and its
-orbit closed; its divisors count in divisors_checked only.
+which is generated in degree one.  This test comes before the orbit is
+closed: a twin swap s is an algebra automorphism with s((U)) = (sU), so
+A_1 U = A_2 holds for every member of an orbit or for none.  A subspace
+met for the first time that passes it needs no orbit closure, since no
+member of its orbit will be tested; so only orbits whose quotient does
+not vanish are closed, and the subspaces tested are the same.  The
+divisors of a subspace that passes this way count in divisors_checked
+only.
 
 Universal Koszulity is Conca's notion ("Universally Koszul algebras",
 Math. Ann. 317, 2000).  Each divisor is tested in the quotient B = A/I:
@@ -106,6 +112,7 @@ from .gfp import (
     enumerate_coset_reps_mod_scalar,
     enumerate_subspaces,
     image_basis,
+    image_fills,
     map_kernel,
     map_rank,
     quotient_maps,
@@ -410,11 +417,11 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
     Colon ideals are invariant under scaling b and translating b by I_1, so
     one representative per class decides all of them.  The colon is
     tested in B = A/I, as Ann_B(b) (_failure_degree), on generator maps
-    built once per tested subspace.  The first subspace met in each orbit
-    has all its divisors tested; the later members are counted as
-    covered.  A first member whose ideal is all of A_2 in degree 2 passes
-    with no divisor tested (see the module docstring).  Returns the first
-    failure in enumeration order, if any.
+    built once per tested subspace.  A subspace U with A_1 U = A_2 passes
+    with no divisor tested, and its orbit is not closed (see the module
+    docstring).  Otherwise the first subspace met in each orbit has all
+    its divisors tested; the later members are counted as covered.
+    Returns the first failure in enumeration order, if any.
     Refuses with ResourceLimitError before the first subspace when the
     predicted divisor count exceeds 2**20.
     """
@@ -427,6 +434,8 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
         )
     p = ctx.p
     actions = [swap_coordinates(p, u, v) for u, v in _twin_transpositions(ctx.graph)]
+    # whether A_1 U = A_2, on the maps A_1 -> A_2 (none when A_2 = 0)
+    fills = image_fills(p, ctx.gen_maps[1] if ctx.D > 1 else (), ctx.dim(2))
     ahead = set()  # native bases of later members of the orbits already met
     ideals = divisors = tested = 0
     for u in enumerate_subspaces(p, d):
@@ -437,12 +446,12 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
             ahead.remove(u.basis)
             divisors += classes
             continue
-        ahead |= _orbit_rest(u.basis, actions)
-        ideal = ideal_from_degree_one(ctx, u)
-        if ctx.D < 2 or ideal.piece(2).rank == ctx.dim(2):
-            # B = A/I vanishes from degree 2 on: every divisor passes
+        if fills(u.basis):
+            # B = A/(U) vanishes from degree 2 on: every divisor passes
             divisors += classes
             continue
+        ahead |= _orbit_rest(u.basis, actions)
+        ideal = ideal_from_degree_one(ctx, u)
         dims, maps = _quotient_maps(ctx, ideal)
         free = [c for c in range(d) if c not in set(u.pivots)]
         for vec in enumerate_coset_reps_mod_scalar(u):

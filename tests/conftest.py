@@ -5,13 +5,20 @@ single peels, clique listing by k-subsets, subspace counts
 and containment, sparse spans and rows on top of rref, the generated
 ideal by sparse vectors, the strong check
 by colon ideals, the brute universal check over every subspace and the
-product laws, the Koszul dual's dimensions counted as traces), and the
-acceptance-summary hook."""
+product laws, the Koszul dual's dimensions counted as traces), the
+graphs and primes the brute route is checked on, and the
+acceptance-summary hook.
+
+Hypothesis runs derandomized: each property test draws the same examples
+on every run, so the suite's verdict and wall time do not depend on the
+run.  A test's own max_examples still sets how many."""
 
 import itertools
 import operator
 
-from koszulity import build_graph, parse_edge_list
+from hypothesis import settings
+
+from koszulity import build_graph, nonisomorphic_graphs, parse_edge_list
 from koszulity.algebra import AlgebraContext, Element, from_coeffs
 from koszulity.errors import InputError
 from koszulity.gfp import (
@@ -34,6 +41,9 @@ from koszulity.koszul import (
     StrongKoszulReport,
     StrongPairFailure,
 )
+
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 _ACCEPTANCE_LINES = []
 
@@ -452,6 +462,20 @@ def brute_by_all_subspaces(ctx):
                     False, BruteFailure(ideal, b, degree), ideals, divisors, divisors
                 )
     return BruteResult(True, None, ideals, divisors, divisors)
+
+
+def brute_cases():
+    """(graph, prime) pairs the brute route is checked on: every class on
+    <= 5 vertices at p = 2, on <= 4 at p = 3, on 3 at p = 7, and K3 at
+    p = 5."""
+    for n in range(1, 6):
+        for g in nonisomorphic_graphs(n):
+            yield g, 2
+            if n <= 4:
+                yield g, 3
+            if n == 3:
+                yield g, 7
+    yield complete(3), 5
 
 
 def gaussian_binomial(p, d, k):

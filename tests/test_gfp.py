@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import contains, sparse_rows, span, subspace_count
+from conftest import brute_cases, contains, sparse_rows, span, subspace_count
+from koszulity.algebra import build_algebra
 from koszulity.errors import InputError, ResourceLimitError
 from koszulity.gfp import (
     Prime,
@@ -20,6 +22,7 @@ from koszulity.gfp import (
     enumerate_vectors_mod_scalar,
     full_space,
     image_basis,
+    image_fills,
     image_kernel,
     image_span,
     kernel,
@@ -30,6 +33,7 @@ from koszulity.gfp import (
     swap_coordinates,
     zero_space,
 )
+from koszulity.ideals import ideal_from_degree_one
 
 
 def test_prime_accepts_primes():
@@ -573,3 +577,53 @@ def test_swap_coordinates_matches_swapped_spans(p):
                 [(k, rng.randrange(1, p))] for k in range(d) if k not in to and rng.randrange(2)
             ])
             assert swap(fixed.basis) is fixed.basis
+
+
+def random_sparse_map(p, m, width, rng):
+    # the sparse images of e_0..e_{m-1}, with repeated indices and
+    # coefficients not reduced mod p
+    return [
+        [(rng.randrange(width), rng.randrange(-p, 2 * p)) for _ in range(rng.randrange(3))]
+        if width else []
+        for _ in range(m)
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_image_fills_agrees_with_the_image_span(p):
+    rng = random.Random(20 + p)
+    kinds = collections.Counter()
+    for _ in range(400):
+        m, width = rng.randint(1, 5), rng.randint(0, 6)
+        maps = [random_sparse_map(p, m, width, rng) for _ in range(rng.randrange(4))]
+        vectors = random_space(p, m, rng).basis
+        native = quotient_maps(zero_space(p, m), zero_space(p, width), maps)
+        rank = image_span(p, native, vectors, width).rank
+        assert image_fills(p, maps, width)(vectors) is (rank == width)
+        kinds["full" if rank == width else "zero" if rank == 0 else "deficient"] += 1
+    # exactly full: the last image brings the rank to width, and one fewer
+    # vector falls one short
+    for width in range(1, 7):
+        perm = rng.sample(range(width), width)
+        maps = [[[(perm[i], rng.randrange(1, p))] for i in range(width)]]
+        basis = full_space(p, width).basis
+        assert image_fills(p, maps, width)(basis) is True
+        assert image_fills(p, maps, width)(basis[:-1]) is False
+        assert image_fills(p, maps, width)(()) is False
+    assert min(kinds["full"], kinds["zero"], kinds["deficient"]) >= 40, kinds
+    with pytest.raises(InputError, match="outside"):
+        image_fills(p, [[[(0, 1)], [(3, 1)]]], 3)
+
+
+def test_image_fills_decides_whether_an_ideal_fills_degree_two():
+    # A_1 U = A_2 exactly when the ideal (U) is all of A_2 in degree 2, on
+    # every subspace U of every graph the brute route is checked on
+    outcomes = collections.Counter()
+    for g, p in brute_cases():
+        ctx = build_algebra(g, p)
+        fills = image_fills(p, ctx.gen_maps[1] if ctx.D > 1 else (), ctx.dim(2))
+        for u in enumerate_subspaces(p, g.n):
+            want = ctx.D < 2 or ideal_from_degree_one(ctx, u).piece(2).rank == ctx.dim(2)
+            assert fills(u.basis) is want, (g.edges, p, u)
+            outcomes[want] += 1
+    assert outcomes[True] > 1000 and outcomes[False] > 1000, outcomes

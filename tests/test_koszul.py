@@ -11,6 +11,7 @@ import pytest
 
 from conftest import (
     brute_by_all_subspaces,
+    brute_cases,
     complete,
     cone,
     cone_over_path,
@@ -534,20 +535,9 @@ def test_brute_verdict_independent_of_prime():
 # -- brute route up to twin symmetry ------------------------------------------
 
 
-def _brute_cases():
-    for n in range(1, 6):
-        for g in nonisomorphic_graphs(n):
-            yield g, 2
-            if n <= 4:
-                yield g, 3
-            if n == 3:
-                yield g, 7
-    yield complete(3), 5
-
-
 def test_brute_matches_all_subspaces_oracle():
     failing = 0
-    for g, p in _brute_cases():
+    for g, p in brute_cases():
         out = universal_koszul_bruteforce(build_algebra(g, p))
         ref = brute_by_all_subspaces(build_algebra(g, p))
         key = (g.edges, p)
@@ -637,17 +627,29 @@ def test_twin_generators_are_checked_against_the_edges():
 
 
 def test_brute_tests_exactly_the_first_member_of_each_orbit(monkeypatch):
-    tested = []
-    original = koszul.ideal_from_degree_one
+    # the orbits come from the whole twin group; the loop closes the orbit
+    # of, and builds an ideal for, only a first member whose ideal is
+    # smaller than A_2 in degree 2 (the others pass on A_1 U = A_2, which
+    # holds for all of an orbit or none)
+    tested, closed = [], []
+    original, orbit_rest = koszul.ideal_from_degree_one, koszul._orbit_rest
 
     def record(ctx, u):
         tested.append(u)
         return original(ctx, u)
 
+    def record_orbit(basis, actions):
+        closed.append(basis)
+        return orbit_rest(basis, actions)
+
     monkeypatch.setattr(koszul, "ideal_from_degree_one", record)
-    for g, p, orbits in ((star(5), 2, 157), (complete(4), 5, 96), (_elementary(), 2, None)):
+    monkeypatch.setattr(koszul, "_orbit_rest", record_orbit)
+    cases = ((star(5), 2, 157, 31), (complete(4), 5, 96, 76), (_elementary(), 2, None, None))
+    for g, p, orbits, live in cases:
         tested.clear()
-        assert universal_koszul_bruteforce(build_algebra(g, p)).verdict is True
+        closed.clear()
+        ctx = build_algebra(g, p)
+        assert universal_koszul_bruteforce(ctx).verdict is True
         group = _twin_group(g)
         firsts, seen = [], set()
         for u in enumerate_subspaces(p, g.n):
@@ -659,8 +661,11 @@ def test_brute_tests_exactly_the_first_member_of_each_orbit(monkeypatch):
                 for perm in group
             }
             firsts.append(u)
-        assert tested == firsts, g.edges
+        nonvanishing = [u for u in firsts if original(ctx, u).piece(2).rank < ctx.dim(2)]
+        assert tested == nonvanishing, g.edges
+        assert closed == [u.basis for u in nonvanishing], g.edges
         assert orbits is None or len(firsts) == orbits
+        assert live is None or len(nonvanishing) == live
 
 
 def test_graph_without_twins_tests_every_divisor():
