@@ -33,8 +33,10 @@ quotient_maps induces native maps between quotients F_p^m / S, in the
 coordinates of the non-pivot columns of S; combine_maps, map_kernel,
 map_rank and image_basis answer what a kernel, rank or span needs, with
 bases that need not be reduced; image_span is a span of images as a
-canonical RowSpace.  swap_coordinates maps the native RREF basis of a
-subspace to that of its image under swapping two coordinates.
+canonical RowSpace, and image_fills tests whether images of sparse maps
+span the whole space, stopping at full rank.  swap_coordinates maps the
+native RREF basis of a subspace to that of its image under swapping two
+coordinates.
 
 The package needs only the standard library.  A vectorised route for odd
 p that uses numpy must import it inside that route, so that importing the

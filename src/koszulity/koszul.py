@@ -44,14 +44,13 @@ A subspace U whose ideal I = (U) has I_2 = A_1 U = A_2 (or D < 2) passes
 with no divisor tested.  A is generated in degree one, so I contains
 A_{>=2}.  For b in A_1 outside U, (I:b)_1 = A_1 because A_1 b lies in
 A_2 = I_2, and (I:b)_0 = 0 because b is not in I_1 = U; so I:(b) = A_{>=1},
-which is generated in degree one.  This test comes before the orbit is
-closed: a twin swap s is an algebra automorphism with s((U)) = (sU), so
-A_1 U = A_2 holds for every member of an orbit or for none.  A subspace
-met for the first time that passes it needs no orbit closure, since no
-member of its orbit will be tested; so only orbits whose quotient does
-not vanish are closed, and the subspaces tested are the same.  The
-divisors of a subspace that passes this way count in divisors_checked
-only.
+which is generated in degree one.  This test comes before the orbit
+closure: a twin swap s is an algebra automorphism with s((U)) = (sU), so
+A_1 U = A_2 holds for every member of an orbit or for none.  Each member
+of such an orbit passes on its own test, so only the orbits whose
+quotient does not vanish are closed, and the subspaces tested are the
+same.  The divisors of a subspace that passes this way count in
+divisors_checked only.
 
 Universal Koszulity is Conca's notion ("Universally Koszul algebras",
 Math. Ann. 317, 2000).  Each divisor is tested in the quotient B = A/I:
