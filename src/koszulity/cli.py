@@ -132,8 +132,11 @@ def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}")
 
 
 def cmd_analyze(args) -> int:

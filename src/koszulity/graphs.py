@@ -220,12 +220,26 @@ def _label_quad(g: Graph, quad: tuple[int, ...]) -> DiagonalViolation | None:
 
 
 def diagonal_violation(g: Graph) -> DiagonalViolation | None:
-    """First violating 4-set in lexicographic order, or None."""
-    for quad in itertools.combinations(range(g.n), 4):
-        w = _label_quad(g, quad)
-        if w is not None:
-            return w
-    return None
+    """First violating 4-set in lexicographic order, or None.
+
+    Edge lemma: an edge xy lies in an induced C4 or P4 iff X = N(x) - N[y]
+    and Y = N(y) - N[x] are both nonempty.  Any x' in X and y' in Y give
+    x'-x-y-y', a C4 if x'y' is an edge and a P4 if not; a P4's middle edge
+    and every edge of a C4 are such edges.  Putting min X and min Y in
+    place of x' and y' lowers the sorted 4-set coordinate by coordinate,
+    so the first one is the least sorted (x, y, min X, min Y) over these
+    edges: one pass, on open neighbourhoods as bitmasks.  The graphs
+    without such an edge are the trivially perfect ones (Golumbic,
+    Discrete Math. 24, 1978)."""
+    nbrs = [sum(1 << w for w in nb) for nb in g.adj]
+    best = (g.n,)  # after every 4-set
+    for x, y in g.edges:
+        only_x = (nbrs[x] & ~nbrs[y]) ^ (1 << y)  # y is in N(x), not in N(y)
+        only_y = (nbrs[y] & ~nbrs[x]) ^ (1 << x)
+        if only_x and only_y:
+            low = [(s & -s).bit_length() - 1 for s in (only_x, only_y)]
+            best = min(best, tuple(sorted((x, y, *low))))
+    return None if len(best) == 1 else _label_quad(g, best)
 
 
 class LeafNode(NamedTuple):
@@ -241,71 +255,53 @@ class ConeNode(NamedTuple):
     base: object
 
 
-def _components(g: Graph, verts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Components of the subgraph on verts (ascending), in order of their
-    least vertex: each unseen vertex, in turn, starts one."""
-    todo = set(verts)
-    comps = []
-    for start in verts:
-        if start not in todo:
-            continue
-        todo.remove(start)
-        comp = [start]
-        for v in comp:  # grows while it is walked
-            for u in g.adj[v]:
-                if u in todo:
-                    todo.remove(u)
-                    comp.append(u)
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
-def _decompose(g: Graph, verts: tuple[int, ...]):
-    if len(verts) == 1:
-        return LeafNode(verts[0])
-    comps = _components(g, verts)
-    if len(comps) > 1:
-        children = []
-        for comp in comps:
-            child = _decompose(g, comp)
-            if child is None:
-                return None
-            children.append(child)
-        return UnionNode(tuple(children))
-    # Peel every universal vertex at once, lowest outermost: each is still
-    # universal once the lower ones are gone, and no other vertex becomes
-    # so.  A clique keeps its highest vertex as the leaf; any other rest is
-    # disconnected or has no universal vertex.
-    vset = set(verts)
-    apexes = [v for v in verts if len(g.adj[v] & vset) == len(verts) - 1]
-    if not apexes:
-        return None
-    if len(apexes) == len(verts):
-        base = LeafNode(apexes.pop())
-    else:
-        vset.difference_update(apexes)
-        base = _decompose(g, tuple(v for v in verts if v in vset))
-        if base is None:
-            return None
-    for apex in reversed(apexes):
-        base = ConeNode(apex, base)
-    return base
-
-
 def elementary_type_decomposition(g: Graph):
     """Decomposition tree (LeafNode / UnionNode / ConeNode) when the graph
     has the diagonal property, otherwise the DiagonalViolation witnessing
-    failure.  Peeling: split disconnected graphs, strip the universal
-    vertices of connected ones, lowest outermost."""
+    failure: the rooted forest of Yan, Chen & Chang (Discrete Appl. Math.
+    69, 1996).  In the order by (-degree, vertex) each vertex's parent is
+    its last neighbour ahead of it, and the property holds iff N[v] lies
+    in N[parent] for every v.  Only if: closed neighbourhoods nest along
+    edges (the edge lemma of diagonal_violation), and the parent's degree
+    is at least v's.  If: by induction on the order, a neighbour of v
+    ahead of its parent lies in N[parent], so it is an ancestor of the
+    parent; the inclusions chain, so v is adjacent to all its ancestors,
+    and the graph is the forest's comparability graph.  Bottom-up, a
+    vertex is a leaf or a cone over its child's tree or the union of its
+    children's in order of least vertex, as are the roots: apexes nest
+    lowest outermost, and a clique keeps its highest vertex as the leaf.
+    """
     if g.n == 0:
         raise InputError("cannot decompose the empty graph")
-    tree = _decompose(g, tuple(range(g.n)))
-    if tree is not None:
-        return tree
-    w = diagonal_violation(g)
-    if w is None:  # unreachable: peeling fails only without the property
-        raise RuntimeError("decomposition failed yet no violating 4-set exists")
-    return w
+    adj, n = g.adj, g.n
+    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+    pos = sorted(range(n), key=order.__getitem__)  # pos[order[i]] == i
+    children: list[list[int]] = [[] for _ in range(n + 1)]  # [n]: the roots
+    for v in order:
+        ahead = [pos[u] for u in adj[v] if pos[u] < pos[v]]
+        parent = order[max(ahead)] if ahead else n
+        if parent < n and adj[v] - adj[parent] != {parent}:  # N[v] not in N[parent]
+            w = diagonal_violation(g)
+            if w is None:  # unreachable: the check fails only without the property
+                raise RuntimeError("decomposition failed yet no violating 4-set exists")
+            return w
+        children[parent].append(v)
+    node: list = [None] * n
+    least = list(range(n))  # the least vertex of each vertex's tree
+
+    def join(tops):
+        if len(tops) == 1:
+            return node[tops[0]]
+        tops.sort(key=least.__getitem__)
+        return UnionNode(tuple(node[t] for t in tops))
+
+    for v in reversed(order):  # children come after their parent
+        if children[v]:
+            node[v] = ConeNode(v, join(children[v]))
+            least[v] = min(v, least[children[v][0]])  # join sorted them
+        else:
+            node[v] = LeafNode(v)
+    return join(children[n])
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -1,13 +1,13 @@
-"""Shared graph constructors (also union, cone, induced subgraph and the
-graph of a decomposition tree), element arithmetic, test oracles (the
-brute-force and level-by-level canonical forms, the decomposition by
-single peels, clique listing by k-subsets, subspace counts
-and containment, sparse spans and rows on top of rref, the generated
-ideal by sparse vectors, the strong check
-by colon ideals, the brute universal check over every subspace and the
-product laws, the Koszul dual's dimensions counted as traces), the
-graphs and primes the brute route is checked on, and the
-acceptance-summary hook.
+"""Shared graph constructors (also union, cone, induced subgraph, random
+graphs with the diagonal property and the graph of a decomposition
+tree), element arithmetic, test oracles (the brute-force and
+level-by-level canonical forms, the violation search over 4-sets, the
+decomposition by single peels, clique listing by k-subsets, subspace
+counts and containment, sparse spans and rows on top of rref, the
+generated ideal by sparse vectors, the strong check by colon ideals, the
+brute universal check over every subspace and the product laws, the
+Koszul dual's dimensions counted as traces), the graphs and primes the
+brute route is checked on, and the acceptance-summary hook.
 
 Hypothesis runs derandomized: each property test draws the same examples
 on every run, so the suite's verdict and wall time do not depend on the
@@ -27,7 +27,7 @@ from koszulity.gfp import (
     rref,
     zero_space,
 )
-from koszulity.graphs import ConeNode, Graph, LeafNode, UnionNode
+from koszulity.graphs import ConeNode, DiagonalViolation, Graph, LeafNode, UnionNode
 from koszulity.ideals import (
     GradedIdeal,
     colon_ideal,
@@ -260,6 +260,70 @@ def canonical_graph_by_levels(g):
         if col >> (j - 1 - i) & 1
     ]
     return build_graph(n, edges)
+
+
+def _matches_pattern(g: Graph, w: DiagonalViolation) -> bool:
+    e = g.has_edge
+    req = [(w.v1, w.v2), (w.v2, w.v3), (w.v3, w.v4)]
+    forb = [(w.v1, w.v3), (w.v2, w.v4)]
+    if w.kind == "C4":
+        req.append((w.v4, w.v1))
+    else:
+        forb.append((w.v1, w.v4))
+    return all(e(a, b) for a, b in req) and not any(e(a, b) for a, b in forb)
+
+
+def _label_quad(g: Graph, quad: tuple[int, ...]) -> DiagonalViolation | None:
+    inside = [
+        (a, b) for a, b in itertools.combinations(quad, 2) if g.has_edge(a, b)
+    ]
+    deg = {v: 0 for v in quad}
+    for a, b in inside:
+        deg[a] += 1
+        deg[b] += 1
+    if len(inside) == 4 and all(d == 2 for d in deg.values()):
+        # Square.  Anchor at the smallest vertex as v4; its non-neighbor in
+        # the quad is v2; the two common neighbors become v1 < v3.
+        v4 = quad[0]
+        v2 = next(v for v in quad if v != v4 and not g.has_edge(v, v4))
+        rest = sorted(v for v in quad if v not in (v4, v2))
+        w = DiagonalViolation("C4", rest[0], v2, rest[1], v4)
+    elif len(inside) == 3 and sorted(deg.values()) == [1, 1, 2, 2]:
+        # Path.  v1 is the smaller endpoint, then walk along the path.
+        ends = sorted(v for v in quad if deg[v] == 1)
+        v1 = ends[0]
+        v2 = next(v for v in quad if deg[v] == 2 and g.has_edge(v, v1))
+        v3 = next(v for v in quad if deg[v] == 2 and v != v2)
+        w = DiagonalViolation("P4", v1, v2, v3, ends[1])
+    else:
+        return None
+    assert _matches_pattern(g, w)
+    return w
+
+
+def diagonal_violation_by_quads(g):
+    """Reference violation search: every 4-set in lexicographic order,
+    each labelled by this module's own copy of the package's labelling;
+    the first square or path, or None."""
+    for quad in itertools.combinations(range(g.n), 4):
+        w = _label_quad(g, quad)
+        if w is not None:
+            return w
+    return None
+
+
+def random_trivially_perfect(rng, n):
+    """A random graph on vertices 0..n-1 with the diagonal property, built
+    from single vertices by disjoint unions (of a random split of the
+    vertices) and cones (the apex the highest vertex), not yet
+    relabelled."""
+    if n == 1:
+        return build_graph(1, [])
+    if rng.random() < 0.5:
+        k = rng.randint(1, n - 1)
+        return disjoint_union(random_trivially_perfect(rng, k),
+                              random_trivially_perfect(rng, n - k))
+    return cone(random_trivially_perfect(rng, n - 1))
 
 
 def decompose_by_single_peels(g, verts=None):

@@ -101,6 +101,15 @@ def test_analyze_output_file(capsys, tmp_path):
     assert json.loads(dst.read_text())["dims"] == [1, 4, 4]
 
 
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    src = write(tmp_path, "g.txt", SQUARE)
+    dst = str(tmp_path / "missing" / "out.txt")
+    for argv in (["analyze", "-i", src], ["census", "-n", "3"]):
+        code, out, err = run(capsys, *argv, "-o", dst)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {dst}: ")
+
+
 def test_analyze_bad_inputs(capsys, tmp_path):
     loops = write(tmp_path, "loops.txt", "3\n1 1\n")
     code, _, err = run(capsys, "analyze", "-i", loops)
@@ -396,6 +405,17 @@ def test_witness_scans_for_the_violation_once(capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(module, "diagonal_violation", counting)
     code, _, _ = run(capsys, "witness", "-i", write(tmp_path, "sq.txt", SQUARE))
     assert code == 0 and counting.call_count == 1
+
+
+def test_witness_on_a_2000_vertex_star_exits_4_within_a_second(capsys, tmp_path):
+    # the scan over every 4-set ran past 30 s here
+    text = "2000\n" + "".join(f"0 {v}\n" for v in range(1, 2000))
+    path = write(tmp_path, "star.txt", text)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "witness", "-i", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and out == ""
+    assert err.startswith("no witness exists")
 
 
 def test_witness_refuses_more_than_2_20_cliques(capsys, tmp_path):

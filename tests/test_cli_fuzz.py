@@ -21,8 +21,9 @@ from koszulity.graphs import build_graph, parse_edge_list, to_graph6
 
 EXIT_CODES = {0, 2, 3, 4}
 
-# witness scans every 4-set of vertices with no budget, so it only gets
-# graphs of the size graph6 holds
+# witness builds the full algebra of a graph with a violation, and no
+# budget covers its generator maps, so it only gets graphs of the size
+# graph6 holds
 WITNESS_MAX_VERTICES = 62
 
 FUZZ = settings(

@@ -11,12 +11,14 @@ from conftest import (
     cone,
     cone_over_path,
     decompose_by_single_peels,
+    diagonal_violation_by_quads,
     disjoint_union,
     five_vertex_cone_like,
     induced_subgraph,
     lexmin_by_permutations,
     path4,
     random_graph,
+    random_trivially_perfect,
     reconstruct,
     relabel,
     square4,
@@ -27,6 +29,7 @@ from koszulity.errors import InputError, ResourceLimitError
 from koszulity.graphs import (
     ConeNode,
     DiagonalViolation,
+    Graph,
     LeafNode,
     UnionNode,
     build_graph,
@@ -194,6 +197,25 @@ def test_diagonal_property_closed_under_induced_subgraphs():
                     assert diagonal_violation(induced_subgraph(g, verts)) is None
 
 
+def test_violation_search_matches_the_scan_over_4_sets():
+    # every class on at most 7 vertices with three relabellings each, and
+    # random graphs of random density on 4-16 vertices
+    rng = random.Random(1962)
+    cases = []
+    for n in range(1, 8):
+        for g in nonisomorphic_graphs(n):
+            cases.append(g)
+            cases += [relabel(g, rng.sample(range(n), n)) for _ in range(3)]
+    for _ in range(3000):
+        cases.append(random_graph(rng, rng.randint(4, 16), rng.random()))
+    found = 0
+    for g in cases:
+        want = diagonal_violation_by_quads(g)
+        assert diagonal_violation(g) == want
+        found += want is not None
+    assert 1000 < found < len(cases) - 1000
+
+
 def test_decomposition_star():
     t = elementary_type_decomposition(star(3))
     assert t == ConeNode(0, UnionNode((LeafNode(1), LeafNode(2), LeafNode(3))))
@@ -251,6 +273,42 @@ def test_decomposition_of_a_large_clique_is_nested_cones():
         assert isinstance(t, ConeNode) and t.apex == apex
         t = t.base
     assert t == LeafNode(1099)
+
+
+def test_decomposition_of_random_trivially_perfect_graphs():
+    # beyond the classes, up to 30 vertices; a disjoint P4 on the highest
+    # labels fails the parent check after the rest of the forest is built
+    rng = random.Random(1996)
+    for k in range(400):
+        n = rng.randint(1, 30)
+        g = relabel(random_trivially_perfect(rng, n), rng.sample(range(n), n))
+        tree = elementary_type_decomposition(g)
+        assert tree == decompose_by_single_peels(g)
+        assert reconstruct(tree, n) == g
+        if k % 10 == 0:
+            h = disjoint_union(g, path4())
+            want = DiagonalViolation("P4", n, n + 1, n + 2, n + 3)
+            assert diagonal_violation_by_quads(h) == want
+            assert elementary_type_decomposition(h) == want
+
+
+def test_decomposition_of_the_alternating_threshold_graph_is_fast():
+    # vertex i is joined to every smaller vertex when i is odd: a union
+    # under every cone, 1,440,000 edges.  Peeling level by level and
+    # rescanning what is left took 8 s at 800 vertices.
+    n = 2400
+    g = Graph(n, frozenset((j, i) for i in range(1, n, 2) for j in range(i)))
+    g.adj  # part of building the graph
+    start = time.perf_counter()
+    t = elementary_type_decomposition(g)
+    assert time.perf_counter() - start < 2.0
+    # == and repr recurse, so the tree is walked in a loop
+    for apex in range(n - 1, 1, -2):
+        assert isinstance(t, ConeNode) and t.apex == apex
+        assert isinstance(t.base, UnionNode) and len(t.base.children) == 2
+        t, isolated = t.base.children
+        assert isolated == LeafNode(apex - 1)
+    assert t == ConeNode(0, LeafNode(1))
 
 
 def test_decomposition_empty_graph_rejected():
