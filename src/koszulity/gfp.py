@@ -36,7 +36,8 @@ bases that need not be reduced; image_span is a span of images as a
 canonical RowSpace, and image_fills tests whether images of sparse maps
 span the whole space, stopping at full rank.  swap_coordinates maps the
 native RREF basis of a subspace to that of its image under swapping two
-coordinates.
+coordinates, and scale_first to that of the first member of its orbit
+under the diagonal scalings, in enumeration order.
 
 The package needs only the standard library.  A vectorised route for odd
 p that uses numpy must import it inside that route, so that importing the
@@ -680,6 +681,66 @@ def swap_coordinates(p: int, i: int, j: int):
             r[i], r[j] = r[j], r[i]
         return tuple(_eliminate(rows, len(rows[0]), p))
     return swap
+
+
+def scale_first(p: int):
+    """The orbits of the diagonal scalings x_c -> t_c x_c, t in
+    (F_p^*)^m, on subspaces, as two functions of a native RREF basis
+    (RowSpace.basis): is_first, whether it is the first member of its
+    orbit in enumerate_subspaces order, and first, the native RREF basis
+    of that member, which is the same object when is_first holds.  At
+    p = 2 the scalings are trivial: every basis is first.
+
+    A scaling keeps the pivots and the zero entries and multiplies the
+    free entry of a row at column k by t_k / t_c, c the row's pivot, so
+    the orbit is ordered by the nonzero free entries, row-major.  Scan
+    them in that order with classes of columns, each row starting at its
+    pivot's class: an entry that joins two classes is made 1 by scaling
+    one of them, which leaves the earlier entries alone, and an entry
+    inside one class is then fixed.  So is_first, which needs no
+    arithmetic, holds iff every joining entry is already 1, and first
+    scales the joining entries to 1."""
+    if p == 2:
+        def is_first(basis):
+            return True
+
+        def first(basis):
+            return basis
+        return is_first, first
+
+    def is_first(basis):
+        label = list(range(len(basis[0]) if basis else 0))  # class of each column
+        for row in basis:
+            a = label[row.index(1)]  # the pivot is the row's first nonzero entry
+            for k, x in enumerate(row):
+                if x and label[k] != a:
+                    if x != 1:
+                        return False
+                    b = label[k]
+                    label = [a if y == b else y for y in label]
+        return True
+
+    def first(basis):
+        if is_first(basis):
+            return basis
+        m = len(basis[0])
+        label, t = list(range(m)), [1] * m  # the classes and the scaling so far
+        for row in basis:
+            c = row.index(1)
+            a = label[c]
+            for k, x in enumerate(row):
+                if x and label[k] != a:
+                    # scale the class of k so that the entry, x t_k / t_c, is 1
+                    b, f = label[k], t[c] * pow(x * t[k], -1, p) % p
+                    for j in range(m):
+                        if label[j] == b:
+                            label[j], t[j] = a, t[j] * f % p
+        rows = []
+        for row in basis:
+            inv = pow(t[row.index(1)], -1, p)
+            rows.append(tuple(x * s * inv % p for x, s in zip(row, t)))
+        return tuple(rows)
+    return is_first, first
 
 
 def count_text(count: int) -> str:

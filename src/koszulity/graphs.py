@@ -31,11 +31,11 @@ class Graph(_GraphFields):
     # unlike a NamedTuple, the subclass has an instance dict to cache adj in
     @cached_property
     def adj(self) -> tuple[frozenset, ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return tuple(map(frozenset, nbrs))
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]

@@ -27,25 +27,40 @@ Three graded properties are decided exactly:
   PBW check verifies that the basis is exactly the cliques, against
   adjacency, by double counting common neighbourhoods.
 
-The brute-force route tests one subspace I_1 per orbit of the twin group:
-the permutations generated by swapping twins u and v, vertices with
-N(u) - {v} = N(v) - {u}.  Such a swap maps edges to edges, so it extends
-to an algebra automorphism s, which acts on A_1, and so on the subspaces
-I_1, as the swap of coordinates u and v.  I:(b) is generated in degree
-one iff sI:(sb) is; since s also permutes the divisors outside I_1, a
-subspace passes iff every member of its orbit does.  The first member of an orbit
-in enumeration order is tested divisor by divisor, so the first failure is
-the one a test of every subspace would meet.  Its later members are
-counted, with their divisor classes, but not tested: ideals_enumerated and
+The brute-force route tests one subspace I_1 per orbit of the group G
+generated by the twin swaps and the diagonal scalings.  A twin swap
+exchanges twins u and v, vertices with N(u) - {v} = N(v) - {u}; it maps
+edges to edges, so it extends to an algebra automorphism, which acts on
+A_1, and so on the subspaces I_1, as the swap of coordinates u and v.  A
+diagonal scaling a_v -> t_v a_v, t in (F_p^*)^V, is an algebra
+automorphism because the relations are monomial (homogeneous for the
+fine Z^V grading below); at p = 2 it is the identity.  For an
+automorphism s, I:(b) is generated in degree one iff sI:(sb) is; since s
+also permutes the divisors outside I_1, a subspace passes iff every
+member of its orbit does.  The first member of an orbit in enumeration
+order is tested divisor by divisor, so the first failure is the one a
+test of every subspace would meet.  Its later members are counted, with
+their divisor classes, but not tested: ideals_enumerated and
 divisors_checked count what the verdict covers, divisors_tested the
 divisors that went through the quotient test below.
+
+The scalings form a torus T, normal in G because a swap conjugates a
+scaling to a scaling, so the G-orbit of U is the union of the T-orbits of
+its swap images.  gfp.scale_first characterises the first member of a
+T-orbit: the RREF in which every nonzero free entry that joins two
+classes of columns, scanned row-major, is 1.  A subspace that is not
+first in its T-orbit is counted as covered on that test alone, before
+anything else: the first member of its G-orbit comes earlier, and it is
+first in its own T-orbit.  The orbits are closed under each twin swap
+followed by the scaling to the first member, so the later members held
+are first members too, one per T-orbit, and each is met once.
 
 A subspace U whose ideal I = (U) has I_2 = A_1 U = A_2 (or D < 2) passes
 with no divisor tested.  A is generated in degree one, so I contains
 A_{>=2}.  For b in A_1 outside U, (I:b)_1 = A_1 because A_1 b lies in
 A_2 = I_2, and (I:b)_0 = 0 because b is not in I_1 = U; so I:(b) = A_{>=1},
 which is generated in degree one.  This test comes before the orbit
-closure: a twin swap s is an algebra automorphism with s((U)) = (sU), so
+closure: each s in G is an algebra automorphism with s((U)) = (sU), so
 A_1 U = A_2 holds for every member of an orbit or for none.  Each member
 of such an orbit passes on its own test, so only the orbits whose
 quotient does not vanish are closed, and the subspaces tested are the
@@ -115,6 +130,7 @@ from .gfp import (
     map_kernel,
     map_rank,
     quotient_maps,
+    scale_first,
     swap_coordinates,
 )
 from .graphs import (
@@ -293,8 +309,9 @@ class BruteFailure(NamedTuple):
 class BruteResult(NamedTuple):
     """ideals_enumerated and divisors_checked count what the verdict
     covers; divisors_tested counts the divisors that went through the
-    quotient test: those of the first member of each twin orbit whose
-    quotient A/(U) is not zero in degree 2."""
+    quotient test: those of the first member of each orbit of the twin
+    swaps and the diagonal scalings whose quotient A/(U) is not zero in
+    degree 2."""
 
     verdict: bool
     failure: BruteFailure | None
@@ -352,9 +369,10 @@ def _twin_transpositions(g: Graph) -> list[tuple[int, int]]:
 
 
 def _orbit_rest(basis, actions) -> set:
-    """The native bases of the other members of the orbit of the subspace
-    with native basis basis, under the group that the coordinate swaps
-    actions generate, closed depth-first."""
+    """The native bases of the other subspaces that the maps actions
+    reach from the subspace with native basis basis, closed depth-first:
+    with each twin swap followed by the scaling to the first member, the
+    first members of the scaling orbits in its orbit."""
     orbit = {basis}
     stack = [basis]
     while stack:
@@ -411,7 +429,7 @@ def _failure_degree(p: int, dims, maps, b) -> int | None:
 def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
     """Enumerate every degree-one-generated ideal I and every divisor class
     b (nonzero in A_1/I_1, modulo scalars) and test the colon, one
-    subspace I_1 per orbit of the twin group.
+    subspace I_1 per orbit of the twin swaps and the diagonal scalings.
 
     Colon ideals are invariant under scaling b and translating b by I_1, so
     one representative per class decides all of them.  The colon is
@@ -419,7 +437,8 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
     built once per tested subspace.  A subspace U with A_1 U = A_2 passes
     with no divisor tested, and its orbit is not closed (see the module
     docstring).  Otherwise the first subspace met in each orbit has all
-    its divisors tested; the later members are counted as covered.
+    its divisors tested; the later members, and every subspace that is not
+    the first of its scaling orbit, are counted as covered.
     Returns the first failure in enumeration order, if any.
     Refuses with ResourceLimitError before the first subspace when the
     predicted divisor count exceeds 2**20.
@@ -432,7 +451,13 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
             f"divisor) pairs over F_{ctx.p} with {d} vertices exceed 2**20"
         )
     p = ctx.p
-    actions = [swap_coordinates(p, u, v) for u, v in _twin_transpositions(ctx.graph)]
+    is_first, first = scale_first(p)
+    # each twin swap followed by the scaling to the first member, so that
+    # an orbit is closed over first members only
+    actions = [
+        lambda basis, swap=swap_coordinates(p, u, v): first(swap(basis))
+        for u, v in _twin_transpositions(ctx.graph)
+    ]
     # whether A_1 U = A_2, on the maps A_1 -> A_2 (none when A_2 = 0)
     fills = image_fills(p, ctx.gen_maps[1] if ctx.D > 1 else (), ctx.dim(2))
     ahead = set()  # native bases of later members of the orbits already met
@@ -440,6 +465,10 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
     for u in enumerate_subspaces(p, d):
         ideals += 1
         classes = (p ** (d - u.rank) - 1) // (p - 1)
+        if not is_first(u.basis):
+            # a scaling of an earlier subspace, so it passes iff that one does
+            divisors += classes
+            continue
         if u.basis in ahead:
             # its orbit's first member passed, so it passes too
             ahead.remove(u.basis)

@@ -530,8 +530,9 @@ def brute_by_all_subspaces(ctx):
 
 def brute_cases():
     """(graph, prime) pairs the brute route is checked on: every class on
-    <= 5 vertices at p = 2, on <= 4 at p = 3, on 3 at p = 7, and K3 at
-    p = 5."""
+    <= 5 vertices at p = 2, on <= 4 at p = 3, on 3 at p = 7, and at p = 5
+    K3, the two 4-vertex classes that fail (P4 and C4), the 4-vertex star
+    and 2K2."""
     for n in range(1, 6):
         for g in nonisomorphic_graphs(n):
             yield g, 2
@@ -540,6 +541,8 @@ def brute_cases():
             if n == 3:
                 yield g, 7
     yield complete(3), 5
+    for g in (path4(), square4(), star(3), disjoint_union(complete(2), complete(2))):
+        yield g, 5
 
 
 def gaussian_binomial(p, d, k):

@@ -30,6 +30,7 @@ from koszulity.gfp import (
     map_rank,
     quotient_maps,
     rref,
+    scale_first,
     swap_coordinates,
     zero_space,
 )
@@ -577,6 +578,36 @@ def test_swap_coordinates_matches_swapped_spans(p):
                 [(k, rng.randrange(1, p))] for k in range(d) if k not in to and rng.randrange(2)
             ])
             assert swap(fixed.basis) is fixed.basis
+
+
+@pytest.mark.parametrize("p, d", [(3, 4), (3, 5), (5, 3), (7, 3)])
+def test_scale_first_is_the_least_of_every_scaling(p, d):
+    # the least RREF over all (p - 1)**d scalings, which is also the first
+    # member of the orbit in enumeration order
+    is_first, first = scale_first(p)
+    order = {u.basis: i for i, u in enumerate(enumerate_subspaces(p, d))}
+    scalings = list(itertools.product(range(1, p), repeat=d))
+    firsts = 0
+    for basis in order:
+        orbit = {
+            rref([[x * t[j] for j, x in enumerate(row)] for row in basis], p, d).basis
+            for t in scalings
+        }
+        least = min(orbit)
+        assert least == min(orbit, key=order.get)
+        got = first(basis)
+        assert got == least, basis
+        assert (got is basis) == (basis == least) == is_first(basis), basis
+        assert first(got) is got and is_first(got)
+        firsts += basis == least
+    assert 1 < firsts < len(order)
+
+
+def test_scale_first_is_the_identity_at_p_2():
+    is_first, first = scale_first(2)
+    for u in enumerate_subspaces(2, 5):
+        assert is_first(u.basis) is True
+        assert first(u.basis) is u.basis
 
 
 def random_sparse_map(p, m, width, rng):

@@ -553,7 +553,8 @@ def test_brute_matches_all_subspaces_oracle():
         assert f.ideal.pieces == r.ideal.pieces, key
         assert f.divisor.coeffs == r.divisor.coeffs, key
         assert f.degree == r.degree, key
-    assert failing == 18
+    # 16 failing classes on <= 5 vertices at p = 2, and P4 and C4 at p = 3 and 5
+    assert failing == 20
 
 
 def _twin_classes(g):
@@ -627,10 +628,11 @@ def test_twin_generators_are_checked_against_the_edges():
 
 
 def test_brute_tests_exactly_the_first_member_of_each_orbit(monkeypatch):
-    # the orbits come from the whole twin group; the loop closes the orbit
-    # of, and builds an ideal for, only a first member whose ideal is
-    # smaller than A_2 in degree 2 (the others pass on A_1 U = A_2, which
-    # holds for all of an orbit or none)
+    # the orbits come from the whole twin group and, at odd p, every
+    # diagonal scaling; the loop closes the orbit of, and builds an ideal
+    # for, only a first member whose ideal is smaller than A_2 in degree 2
+    # (the others pass on A_1 U = A_2, which holds for all of an orbit or
+    # none)
     tested, closed = [], []
     original, orbit_rest = koszul.ideal_from_degree_one, koszul._orbit_rest
 
@@ -644,21 +646,28 @@ def test_brute_tests_exactly_the_first_member_of_each_orbit(monkeypatch):
 
     monkeypatch.setattr(koszul, "ideal_from_degree_one", record)
     monkeypatch.setattr(koszul, "_orbit_rest", record_orbit)
-    cases = ((star(5), 2, 157, 31), (complete(4), 5, 96, 76), (_elementary(), 2, None, None))
-    for g, p, orbits, live in cases:
+    cases = (
+        (star(5), 2, 157, 31, 453),
+        (complete(4), 5, 17, 12, 322),
+        (_elementary(), 2, None, None, None),
+    )
+    for g, p, orbits, live, divisors in cases:
         tested.clear()
         closed.clear()
         ctx = build_algebra(g, p)
-        assert universal_koszul_bruteforce(ctx).verdict is True
+        out = universal_koszul_bruteforce(ctx)
+        assert out.verdict is True
         group = _twin_group(g)
+        scalings = list(itertools.product(range(1, p), repeat=g.n))
         firsts, seen = [], set()
         for u in enumerate_subspaces(p, g.n):
             if u in seen:
                 continue
             rows = sparse_rows(u)
             seen |= {
-                span(p, g.n, [[(perm[j], c) for j, c in row] for row in rows])
+                span(p, g.n, [[(perm[j], c * t[perm[j]]) for j, c in row] for row in rows])
                 for perm in group
+                for t in scalings
             }
             firsts.append(u)
         nonvanishing = [u for u in firsts if original(ctx, u).piece(2).rank < ctx.dim(2)]
@@ -666,6 +675,10 @@ def test_brute_tests_exactly_the_first_member_of_each_orbit(monkeypatch):
         assert closed == [u.basis for u in nonvanishing], g.edges
         assert orbits is None or len(firsts) == orbits
         assert live is None or len(nonvanishing) == live
+        # every divisor class of a live first member is tested
+        want = sum((p ** (g.n - u.rank) - 1) // (p - 1) for u in nonvanishing)
+        assert out.divisors_tested == want, g.edges
+        assert divisors is None or want == divisors
 
 
 def test_graph_without_twins_tests_every_divisor():

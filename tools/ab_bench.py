@@ -3,17 +3,18 @@
 Usage (from the repository root):
 
     python3 tools/ab_bench.py --base <ref> --change <ref> --workload analyze \
-        --pairs 10 --seconds 20 [--seed 1] [--out BENCH_n.json]
+        [--workload brute ...] --pairs 10 --seconds 20 [--seed 1] [--out BENCH_n.json]
 
-Each ref is extracted with `git archive <ref> | tar -x` into a temporary
-directory, so the working tree, the index and HEAD are left alone.  Pair i
-runs `perfbench/run.py --workload W --seed SEED+i --seconds S --trace 0`
-once in each checkout, the base first in pairs 1, 3, 5, ... and the
-change first in the others, so that drift does not favour either side.
-The end-to-end metrics and their directions come from the change's
+Each ref is extracted once with `git archive <ref> | tar -x` into a
+temporary directory, so the working tree, the index and HEAD are left
+alone.  The workloads run one after another, in the order given.  Pair i
+of workload W runs `perfbench/run.py --workload W --seed SEED+i --seconds
+S --trace 0` once in each checkout, the base first in pairs 1, 3, 5, ...
+and the change first in the others, so that drift does not favour either
+side.  The end-to-end metrics and their directions come from the change's
 BENCHMARK.json.
 
-Prints one line per pair, then per metric the base and change medians,
+Prints, per workload, one line per pair, then per metric the base and change medians,
 the base's quartiles, the number of pairs the change won (strictly
 better) and a verdict:
 
@@ -23,9 +24,9 @@ better) and a verdict:
   metric's bound in BENCHMARK.json, read as a fraction of the base median;
 - unresolved: otherwise (a metric that did not move reads unresolved).
 
-With --out, the workload's result is merged into that JSON file under
-"workloads", next to the refs, their commits and the machine.  Standard
-library only.
+With --out, each workload's result is merged into that JSON file under
+"workloads", next to the refs, their commits and the machine, so one
+command can write a whole BENCH file.  Standard library only.
 """
 
 from __future__ import annotations
@@ -101,41 +102,27 @@ def compare(base: list[float], change: list[float], better: str, bound: float) -
     }
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--base", required=True, help="git ref of the parent")
-    ap.add_argument("--change", required=True, help="git ref of the change")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=3)
-    ap.add_argument("--seconds", type=int, default=20)
-    ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    ap.add_argument("--out", help="JSON file to merge the result into")
-    args = ap.parse_args(argv)
-
-    with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
-        trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
-        commits = {side: extract(getattr(args, side), tree) for side, tree in trees.items()}
-        spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-        bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-        values = {side: {k: [] for k in better} for side in trees}
-        correct = {side: [] for side in trees}
-        machine = None
-        seeds = [args.seed + i for i in range(args.pairs)]
-        for i, seed in enumerate(seeds):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            for side in order:
-                run = run_once(trees[side], args.workload, seed, args.seconds)
-                metrics = run["result"]["metrics"]
-                correct[side].append(run["result"]["correct"])
-                for k in better:
-                    values[side][k].append(metrics[k]["value"] if k in metrics else None)
-                if machine is None:
-                    prov = run["report"]["provenance"]
-                    machine = {k: prov.get(k) for k in ("python", "nproc", "cpu_model")}
-            print(f"pair {i + 1} seed {seed}: " + "  ".join(
-                f"{k} {values['base'][k][-1]} -> {values['change'][k][-1]}" for k in better
-            ), flush=True)
+def bench(trees: dict, workload: str, args, better: dict, bounds: dict) -> tuple[dict, dict]:
+    """The pairs of one workload, printed as they run and summarised: its
+    entry for --out, and the machine that the first run reported."""
+    values = {side: {k: [] for k in better} for side in trees}
+    correct = {side: [] for side in trees}
+    machine = None
+    seeds = [args.seed + i for i in range(args.pairs)]
+    for i, seed in enumerate(seeds):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            run = run_once(trees[side], workload, seed, args.seconds)
+            metrics = run["result"]["metrics"]
+            correct[side].append(run["result"]["correct"])
+            for k in better:
+                values[side][k].append(metrics[k]["value"] if k in metrics else None)
+            if machine is None:
+                prov = run["report"]["provenance"]
+                machine = {k: prov.get(k) for k in ("python", "nproc", "cpu_model")}
+        print(f"pair {i + 1} seed {seed}: " + "  ".join(
+            f"{k} {values['base'][k][-1]} -> {values['change'][k][-1]}" for k in better
+        ), flush=True)
 
     summary = {}
     for k, direction in better.items():
@@ -149,6 +136,40 @@ def main(argv=None) -> int:
               f"  base IQR {m['base_q1']:.4g}..{m['base_q3']:.4g}"
               f"  change better in {m['change_wins']}/{len(base)} pairs  verdict {m['verdict']}")
     print(f"correct: base {correct['base']}, change {correct['change']}")
+    entry = {
+        "pairs": args.pairs,
+        "seconds": args.seconds,
+        "seeds": seeds,
+        "order": "base first in odd-numbered pairs, change first in even ones",
+        "correct": correct,
+        "metrics": summary,
+    }
+    return entry, machine
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", required=True, help="git ref of the parent")
+    ap.add_argument("--change", required=True, help="git ref of the change")
+    ap.add_argument("--workload", required=True, action="append",
+                    help="a workload to run; give it more than once for several")
+    ap.add_argument("--pairs", type=int, default=3)
+    ap.add_argument("--seconds", type=int, default=20)
+    ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    ap.add_argument("--out", help="JSON file to merge the results into")
+    args = ap.parse_args(argv)
+
+    results = {}
+    with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
+        trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
+        commits = {side: extract(getattr(args, side), tree) for side, tree in trees.items()}
+        spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+        for workload in args.workload:
+            if len(args.workload) > 1:
+                print(f"workload {workload}", flush=True)
+            results[workload] = bench(trees, workload, args, better, bounds)
 
     if args.out:
         path = Path(args.out)
@@ -157,18 +178,13 @@ def main(argv=None) -> int:
             "tool": "tools/ab_bench.py",
             "base": {"ref": args.base, "commit": commits["base"]},
             "change": {"ref": args.change, "commit": commits["change"]},
-            "machine": machine,
+            "machine": next(iter(results.values()))[1],
         })
-        doc.setdefault("workloads", {})[args.workload] = {
-            "pairs": args.pairs,
-            "seconds": args.seconds,
-            "seeds": seeds,
-            "order": "base first in odd-numbered pairs, change first in even ones",
-            "correct": correct,
-            "metrics": summary,
-        }
+        for workload, (entry, _) in results.items():
+            doc.setdefault("workloads", {})[workload] = entry
         path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return 0 if all(correct["base"] + correct["change"]) else 1
+    correct = [ok for entry, _ in results.values() for side in entry["correct"].values() for ok in side]
+    return 0 if all(correct) else 1
 
 
 if __name__ == "__main__":
