@@ -701,12 +701,7 @@ def scale_first(p: int):
     arithmetic, holds iff every joining entry is already 1, and first
     scales the joining entries to 1."""
     if p == 2:
-        def is_first(basis):
-            return True
-
-        def first(basis):
-            return basis
-        return is_first, first
+        return (lambda basis: True), (lambda basis: basis)
 
     def is_first(basis):
         label = list(range(len(basis[0]) if basis else 0))  # class of each column
