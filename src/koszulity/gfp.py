@@ -37,7 +37,9 @@ canonical RowSpace, and image_fills tests whether images of sparse maps
 span the whole space, stopping at full rank.  swap_coordinates maps the
 native RREF basis of a subspace to that of its image under swapping two
 coordinates, and scale_first to that of the first member of its orbit
-under the diagonal scalings, in enumeration order.
+under the diagonal scalings, in enumeration order; it also tests whether
+a divisor class is the first of its orbit under the scalings that fix
+the subspace.
 
 The package needs only the standard library.  A vectorised route for odd
 p that uses numpy must import it inside that route, so that importing the
@@ -683,27 +685,60 @@ def swap_coordinates(p: int, i: int, j: int):
     return swap
 
 
+def _joins(basis, label):
+    """The scan behind scale_first, on a native RREF basis at odd p: its
+    nonzero free entries, row-major, with classes of columns (label[j] is
+    the class of column j, updated in place), each row starting at its
+    pivot's class.  Yields each entry that joins two classes as (c, k, x),
+    c the row's pivot, k the column and x the entry, and then merges the
+    class of k into that of c.  When the scan ends, the classes are those
+    of the columns that the scalings fixing the subspace are constant on:
+    such a scaling keeps the entry, x t_k / t_c, iff t_k = t_c."""
+    for row in basis:
+        c = row.index(1)  # the pivot is the row's first nonzero entry
+        a = label[c]
+        for k, x in enumerate(row):
+            if x and label[k] != a:
+                yield c, k, x
+                b = label[k]
+                label[:] = [a if y == b else y for y in label]
+
+
 def scale_first(p: int):
     """The orbits of the diagonal scalings x_c -> t_c x_c, t in
-    (F_p^*)^m, on subspaces, as two functions of a native RREF basis
+    (F_p^*)^m, as three functions of a native RREF basis
     (RowSpace.basis): is_first, whether it is the first member of its
-    orbit in enumerate_subspaces order, and first, the native RREF basis
-    of that member, which is the same object when is_first holds.  At
-    p = 2 the scalings are trivial: every basis is first.
+    orbit in enumerate_subspaces order; first, the native RREF basis of
+    that member, which is the same object when is_first holds; and
+    divisor_first(basis, m), m the ambient dimension, the test of whether
+    a coset representative (enumerate_coset_reps_mod_scalar) is the first
+    member in that order of its orbit under the scalings that fix the
+    subspace.  At p = 2 the scalings are trivial: every basis and every
+    representative is first.
 
     A scaling keeps the pivots and the zero entries and multiplies the
     free entry of a row at column k by t_k / t_c, c the row's pivot, so
     the orbit is ordered by the nonzero free entries, row-major.  Scan
-    them in that order with classes of columns, each row starting at its
-    pivot's class: an entry that joins two classes is made 1 by scaling
-    one of them, which leaves the earlier entries alone, and an entry
-    inside one class is then fixed.  So is_first, which needs no
-    arithmetic, holds iff every joining entry is already 1, and first
-    scales the joining entries to 1."""
+    them in that order with classes of columns (_joins): an entry that
+    joins two classes is made 1 by scaling one of them, which leaves the
+    earlier entries alone, and an entry inside one class is then fixed.
+    So is_first, which needs no arithmetic, holds iff every joining entry
+    is already 1, and first scales the joining entries to 1.
+
+    The scalings that fix the subspace are those constant on each class
+    of the whole scan.  They keep a representative on the non-pivot
+    columns, so its orbit is its scalings class by class, modulo one
+    common scalar.  Its leading entry stays 1 and fixes its own class;
+    every other class is free, so the first member, least in the
+    lexicographic order that enumerate_vectors_mod_scalar follows within
+    one leading position, has first nonzero entry 1 in each class.
+    divisor_first tests exactly that, with no arithmetic."""
     if p == 2:
-        return (lambda basis: True), (lambda basis: basis)
+        return (lambda basis: True), (lambda basis: basis), (lambda basis, m: lambda vec: True)
 
     def is_first(basis):
+        # the scan of _joins, inline and stopping at the first entry that
+        # is not 1: it runs on every subspace enumerated at odd p
         label = list(range(len(basis[0]) if basis else 0))  # class of each column
         for row in basis:
             a = label[row.index(1)]  # the pivot is the row's first nonzero entry
@@ -720,22 +755,33 @@ def scale_first(p: int):
             return basis
         m = len(basis[0])
         label, t = list(range(m)), [1] * m  # the classes and the scaling so far
-        for row in basis:
-            c = row.index(1)
-            a = label[c]
-            for k, x in enumerate(row):
-                if x and label[k] != a:
-                    # scale the class of k so that the entry, x t_k / t_c, is 1
-                    b, f = label[k], t[c] * pow(x * t[k], -1, p) % p
-                    for j in range(m):
-                        if label[j] == b:
-                            label[j], t[j] = a, t[j] * f % p
+        for c, k, x in _joins(basis, label):
+            # scale the class of k so that the entry, x t_k / t_c, is 1
+            b, f = label[k], t[c] * pow(x * t[k], -1, p) % p
+            for j in range(m):
+                if label[j] == b:
+                    t[j] = t[j] * f % p
         rows = []
         for row in basis:
             inv = pow(t[row.index(1)], -1, p)
             rows.append(tuple(x * s * inv % p for x, s in zip(row, t)))
         return tuple(rows)
-    return is_first, first
+
+    def divisor_first(basis, m):
+        label = list(range(m))
+        for _ in _joins(basis, label):
+            pass
+
+        def test(vec):
+            seen = set()  # the classes whose first nonzero entry is behind
+            for k, x in enumerate(vec):
+                if x and label[k] not in seen:
+                    if x != 1:
+                        return False
+                    seen.add(label[k])
+            return True
+        return test
+    return is_first, first, divisor_first
 
 
 def count_text(count: int) -> str:

@@ -55,6 +55,21 @@ first in its own T-orbit.  The orbits are closed under each twin swap
 followed by the scaling to the first member, so the later members held
 are first members too, one per T-orbit, and each is met once.
 
+The divisors of a tested U are thinned the same way, by Stab_T(U), the
+scalings that fix U.  A scaling t fixes U iff t_k = t_c for each nonzero
+entry of U's RREF, c its row's pivot and k its column, so iff t is
+constant on each class of columns of scale_first's scan.  Such a t fixes
+I = (U), so it induces an automorphism of B = A/I that maps b to tb and
+Ann_B(b) onto Ann_B(tb): both are generated in degree one or neither,
+and both first fail in the same degree.  Each divisor class is counted,
+but only the first member of its Stab_T(U)-orbit in enumeration order
+goes through the quotient test: the representative whose first nonzero
+entry in each class is 1 (scale_first's divisor_first, no arithmetic).
+The first failing divisor of U is such a member, since the first member
+of its orbit fails too and comes no later, so the failure and the
+counted classes are unchanged and only divisors_tested drops.  At p = 2
+every divisor is first.
+
 A subspace U whose ideal I = (U) has I_2 = A_1 U = A_2 (or D < 2) passes
 with no divisor tested.  A is generated in degree one, so I contains
 A_{>=2}.  For b in A_1 outside U, (I:b)_1 = A_1 because A_1 b lies in
@@ -311,7 +326,7 @@ class BruteResult(NamedTuple):
     covers; divisors_tested counts the divisors that went through the
     quotient test: those of the first member of each orbit of the twin
     swaps and the diagonal scalings whose quotient A/(U) is not zero in
-    degree 2."""
+    degree 2, one per orbit of the scalings that fix U (all at p = 2)."""
 
     verdict: bool
     failure: BruteFailure | None
@@ -436,9 +451,10 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
     tested in B = A/I, as Ann_B(b) (_failure_degree), on generator maps
     built once per tested subspace.  A subspace U with A_1 U = A_2 passes
     with no divisor tested, and its orbit is not closed (see the module
-    docstring).  Otherwise the first subspace met in each orbit has all
-    its divisors tested; the later members, and every subspace that is not
-    the first of its scaling orbit, are counted as covered.
+    docstring).  Otherwise the first subspace met in each orbit has its
+    divisors tested, one per orbit of the scalings that fix it; the later
+    members, and every subspace that is not the first of its scaling
+    orbit, are counted as covered, as are the divisors not tested.
     Returns the first failure in enumeration order, if any.
     Refuses with ResourceLimitError before the first subspace when the
     predicted divisor count exceeds 2**20.
@@ -451,7 +467,7 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
             f"divisor) pairs over F_{ctx.p} with {d} vertices exceed 2**20"
         )
     p = ctx.p
-    is_first, first = scale_first(p)
+    is_first, first, divisor_first = scale_first(p)
     # each twin swap followed by the scaling to the first member, so that
     # an orbit is closed over first members only
     actions = [
@@ -482,8 +498,12 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
         ideal = ideal_from_degree_one(ctx, u)
         dims, maps = _quotient_maps(ctx, ideal)
         free = [c for c in range(d) if c not in set(u.pivots)]
+        first_divisor = divisor_first(u.basis, d)
         for vec in enumerate_coset_reps_mod_scalar(u):
             divisors += 1
+            if not first_divisor(vec):
+                # a scaling that fixes U maps an earlier divisor to it
+                continue
             tested += 1
             # vec is supported on the free columns: its B_1 coordinates
             degree = _failure_degree(p, dims, maps, [vec[c] for c in free])

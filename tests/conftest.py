@@ -528,11 +528,38 @@ def brute_by_all_subspaces(ctx):
     return BruteResult(True, None, ideals, divisors, divisors)
 
 
+def first_divisors_by_stabiliser(u):
+    """The coset representatives of u (enumerate_coset_reps_mod_scalar)
+    that are first, in that order, in their orbit under the scalings t in
+    (F_p^*)^d with tu = u: every such t is applied to every
+    representative, which is then reduced modulo u and normalised to
+    first nonzero entry 1."""
+    p, d = u.p, u.ambient_dim
+    stabiliser = [
+        t for t in itertools.product(range(1, p), repeat=d)
+        if rref([[x * t[j] for j, x in enumerate(row)] for row in u.rows], p, d) == u
+    ]
+    reps = list(enumerate_coset_reps_mod_scalar(u))
+    order = {vec: i for i, vec in enumerate(reps)}
+
+    def normalised(vec):
+        v = u.reduce(vec)
+        inv = pow(next(x for x in v if x), -1, p)
+        return tuple(x * inv % p for x in v)
+
+    firsts = set()
+    for vec in reps:
+        orbit = {normalised([x * t[j] for j, x in enumerate(vec)]) for t in stabiliser}
+        assert orbit <= order.keys()
+        firsts.add(min(orbit, key=order.get))
+    return sorted(firsts, key=order.get)
+
+
 def brute_cases():
     """(graph, prime) pairs the brute route is checked on: every class on
-    <= 5 vertices at p = 2, on <= 4 at p = 3, on 3 at p = 7, and at p = 5
+    <= 5 vertices at p = 2, on <= 4 at p = 3, on 3 at p = 7, at p = 5
     K3, the two 4-vertex classes that fail (P4 and C4), the 4-vertex star
-    and 2K2."""
+    and 2K2, and P4 and C4 at p = 7."""
     for n in range(1, 6):
         for g in nonisomorphic_graphs(n):
             yield g, 2
@@ -543,6 +570,8 @@ def brute_cases():
     yield complete(3), 5
     for g in (path4(), square4(), star(3), disjoint_union(complete(2), complete(2))):
         yield g, 5
+    for g in (path4(), square4()):
+        yield g, 7
 
 
 def gaussian_binomial(p, d, k):

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_cases, contains, sparse_rows, span, subspace_count
+from conftest import (
+    brute_cases,
+    contains,
+    first_divisors_by_stabiliser,
+    sparse_rows,
+    span,
+    subspace_count,
+)
 from koszulity.algebra import build_algebra
 from koszulity.errors import InputError, ResourceLimitError
 from koszulity.gfp import (
@@ -584,7 +591,7 @@ def test_swap_coordinates_matches_swapped_spans(p):
 def test_scale_first_is_the_least_of_every_scaling(p, d):
     # the least RREF over all (p - 1)**d scalings, which is also the first
     # member of the orbit in enumeration order
-    is_first, first = scale_first(p)
+    is_first, first, _ = scale_first(p)
     order = {u.basis: i for i, u in enumerate(enumerate_subspaces(p, d))}
     scalings = list(itertools.product(range(1, p), repeat=d))
     firsts = 0
@@ -604,10 +611,28 @@ def test_scale_first_is_the_least_of_every_scaling(p, d):
 
 
 def test_scale_first_is_the_identity_at_p_2():
-    is_first, first = scale_first(2)
+    is_first, first, divisor_first = scale_first(2)
     for u in enumerate_subspaces(2, 5):
         assert is_first(u.basis) is True
         assert first(u.basis) is u.basis
+        test = divisor_first(u.basis, 5)
+        assert all(test(vec) is True for vec in enumerate_coset_reps_mod_scalar(u))
+
+
+@pytest.mark.parametrize("p, d", [(3, 4), (5, 3), (7, 3)])
+def test_divisor_first_keeps_one_divisor_per_orbit_of_the_stabiliser(p, d):
+    # against the orbits of the scalings that fix U, on every subspace U:
+    # the accepted representatives are one per orbit, each its orbit's
+    # first in enumeration order
+    *_, divisor_first = scale_first(p)
+    skipped = 0
+    for u in enumerate_subspaces(p, d):
+        test = divisor_first(u.basis, d)
+        reps = list(enumerate_coset_reps_mod_scalar(u))
+        accepted = [vec for vec in reps if test(vec)]
+        assert accepted == first_divisors_by_stabiliser(u), u.rows
+        skipped += len(reps) - len(accepted)
+    assert skipped > 0
 
 
 def random_sparse_map(p, m, width, rng):

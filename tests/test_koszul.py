@@ -16,6 +16,7 @@ from conftest import (
     cone,
     cone_over_path,
     disjoint_union,
+    first_divisors_by_stabiliser,
     five_vertex_cone_like,
     gaussian_binomial,
     monomial_element,
@@ -527,9 +528,10 @@ def test_brute_refuses_over_budget_before_any_colon(monkeypatch):
 def test_brute_verdict_independent_of_prime():
     for n in range(1, 5):
         for g in nonisomorphic_graphs(n):
-            v2 = universal_koszul_bruteforce(build_algebra(g, 2)).verdict
-            v3 = universal_koszul_bruteforce(build_algebra(g, 3)).verdict
-            assert v2 is v3
+            verdicts = {
+                universal_koszul_bruteforce(build_algebra(g, p)).verdict for p in (2, 3, 5, 7)
+            }
+            assert len(verdicts) == 1, g.edges
 
 
 # -- brute route up to twin symmetry ------------------------------------------
@@ -553,8 +555,8 @@ def test_brute_matches_all_subspaces_oracle():
         assert f.ideal.pieces == r.ideal.pieces, key
         assert f.divisor.coeffs == r.divisor.coeffs, key
         assert f.degree == r.degree, key
-    # 16 failing classes on <= 5 vertices at p = 2, and P4 and C4 at p = 3 and 5
-    assert failing == 20
+    # 16 failing classes on <= 5 vertices at p = 2, and P4 and C4 at p = 3, 5 and 7
+    assert failing == 22
 
 
 def _twin_classes(g):
@@ -632,7 +634,11 @@ def test_brute_tests_exactly_the_first_member_of_each_orbit(monkeypatch):
     # diagonal scaling; the loop closes the orbit of, and builds an ideal
     # for, only a first member whose ideal is smaller than A_2 in degree 2
     # (the others pass on A_1 U = A_2, which holds for all of an orbit or
-    # none)
+    # none), and tests those of its divisors that are first under the
+    # scalings that fix it.  The divisors_tested pins are the real guard
+    # on that last step: every failing graph fails at U = 0, where those
+    # scalings are the whole torus, so the oracle comparisons of verdict
+    # and failure cannot see a wrong class scan at U != 0
     tested, closed = [], []
     original, orbit_rest = koszul.ideal_from_degree_one, koszul._orbit_rest
 
@@ -648,7 +654,7 @@ def test_brute_tests_exactly_the_first_member_of_each_orbit(monkeypatch):
     monkeypatch.setattr(koszul, "_orbit_rest", record_orbit)
     cases = (
         (star(5), 2, 157, 31, 453),
-        (complete(4), 5, 17, 12, 322),
+        (complete(4), 5, 17, 12, 103),
         (_elementary(), 2, None, None, None),
     )
     for g, p, orbits, live, divisors in cases:
@@ -675,8 +681,9 @@ def test_brute_tests_exactly_the_first_member_of_each_orbit(monkeypatch):
         assert closed == [u.basis for u in nonvanishing], g.edges
         assert orbits is None or len(firsts) == orbits
         assert live is None or len(nonvanishing) == live
-        # every divisor class of a live first member is tested
-        want = sum((p ** (g.n - u.rank) - 1) // (p - 1) for u in nonvanishing)
+        # the divisor classes of each live first member that are first
+        # under its stabilising scalings are tested, every class at p = 2
+        want = sum(len(first_divisors_by_stabiliser(u)) for u in nonvanishing)
         assert out.divisors_tested == want, g.edges
         assert divisors is None or want == divisors
 
@@ -764,6 +771,7 @@ def test_vanishing_quotient_passes_by_the_colon_route():
 def test_brute_builds_no_quotient_for_a_vanishing_one(monkeypatch):
     # the shortcut: no quotient maps for U with (U)_2 = A_2, and the
     # divisors tested are exactly those of the subspaces that get them
+    # that are first under the scalings fixing the subspace (all at p = 2)
     built = []
     original = koszul._quotient_maps
 
@@ -773,14 +781,14 @@ def test_brute_builds_no_quotient_for_a_vanishing_one(monkeypatch):
         return original(ctx, ideal)
 
     monkeypatch.setattr(koszul, "_quotient_maps", record)
-    for g, p in ((star(5), 2), (complete(3), 7), (star(4), 3)):
+    for g, p, want in ((star(5), 2, 453), (complete(3), 7, 21), (star(4), 3, 174)):
         built.clear()
         ctx = build_algebra(g, p)
         out = universal_koszul_bruteforce(ctx)
         assert out.verdict is True
-        # divisors of the subspaces that reached the quotient test
-        assert out.divisors_tested == sum(
-            (p ** (g.n - u.rank) - 1) // (p - 1) for u in built
+        # first divisors of the subspaces that reached the quotient test
+        assert out.divisors_tested == want == sum(
+            len(first_divisors_by_stabiliser(u)) for u in built
         )
         assert len(set(built)) == len(built)
         assert out.divisors_tested < out.divisors_checked, g.edges
