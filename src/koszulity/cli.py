@@ -222,10 +222,11 @@ def _fork_map(fn, items, workers: int) -> list:
     min(workers, len(items)).  Worker 0 is this process; the others are
     os.fork children, which is safe as census starts no threads.  Each
     child pickles its stripe into a pipe and leaves by os._exit, flushing
-    none of this process's buffers and running no atexit handler.  Every
-    child is reaped before this returns or raises.  Each worker stops at
-    its first failure, so the lowest failing index, raised here, is the
-    one a serial run raises."""
+    none of this process's buffers and running no atexit handler.  A
+    worker that os.pipe or os.fork cannot start is a ResourceLimitError.
+    Every child is reaped before this returns or raises.  Each worker
+    stops at its first failure, so the lowest failing index, raised here,
+    is the one a serial run raises."""
     workers = max(1, min(workers, len(items)))
     if workers > 1:
         import pickle  # a serial run never pays for these
@@ -233,8 +234,16 @@ def _fork_map(fn, items, workers: int) -> list:
     children = []  # (pid, read end of its pipe) of each child not reaped
     try:
         for w in range(1, workers):
-            read, write = os.pipe()
-            pid = os.fork()
+            fds = ()
+            try:
+                fds = read, write = os.pipe()
+                pid = os.fork()
+            except OSError as exc:  # out of processes or descriptors
+                for fd in fds:
+                    os.close(fd)
+                raise ResourceLimitError(
+                    f"census worker {w} could not start: {exc}"
+                ) from None
             if pid == 0:
                 try:
                     data = pickle.dumps(_stripe(fn, items, w, workers))

@@ -7,20 +7,21 @@ Conventions used throughout the package:
 - a sparse vector is an iterable of (index, coeff) pairs, with any integer
   coefficients taken mod p; repeated indices add up;
 - a subspace is a RowSpace: a canonical reduced-row-echelon basis, so that
-  row-equivalent inputs yield identical objects and span equality is ``==``.
+  row-equivalent inputs yield equal records and span equality is ``==``.
 
-A RowSpace holds its basis in one of two native forms, chosen here from p
-alone:
+A RowSpace is a record (p, ambient_dim, basis) whose basis is in one of
+two native forms, chosen here from p alone:
 
 - p = 2: each row is one Python int with bit j = coordinate j.  A row's
   pivot is its lowest set bit, and elimination is XOR of whole rows (the
   packed-row approach of Albrecht, Bard & Hart, "Efficient dense Gaussian
   elimination over the field with two elements", ACM TOMS 37(1), 2010).
-- odd p: each row is a tuple of residues, eliminated by Gauss-Jordan with
-  modular inverses.  Run at p = 2, this dense route is the reference the
+- odd p: each row is a tuple of residues whose pivot is its leading 1,
+  eliminated by Gauss-Jordan with modular inverses.  Run at p = 2, this dense route is the reference the
   packed route is tested against.
 
-RowSpace.rows is a tuple view of the basis, built on demand.
+RowSpace.rows (the basis as tuples of residues), rank and pivots are
+computed from the basis on each use; nothing is cached.
 
 One native core computes every subspace.  A native vector is an int (bit
 j = coordinate j) at p = 2 and a tuple or list of residues at odd p; a
@@ -55,7 +56,7 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 from operator import xor
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, ResourceLimitError
 
@@ -82,75 +83,37 @@ class Prime(int):
         return super().__new__(cls, p)
 
 
-_set = object.__setattr__
-
-
-class RowSpace:
-    """A subspace of F_p^ambient_dim held as a reduced-row-echelon basis.
+class RowSpace(NamedTuple):
+    """A subspace of F_p^ambient_dim held as a reduced-row-echelon basis
+    in native form: one int per row at p = 2, a tuple of residues per
+    row at odd p.
 
     Invariants: rows are nonzero with leading coefficient 1, pivot columns
     strictly increase, and every pivot column is zero in all other rows.
     Construct through rref() or the other helpers of this module; the
-    constructor trusts rows to be such a basis already.  Two RowSpace
-    values are equal iff they span the same space.
+    record trusts basis to be such a basis already.  Two RowSpace values
+    are equal iff they span the same space.
     """
 
-    __slots__ = ("p", "ambient_dim", "_basis", "_pivots")
-
-    def __init__(self, p: int, ambient_dim: int, rows: Sequence[Sequence[int]]):
-        if p == 2:
-            basis = tuple(_pack(r) for r in rows)
-        else:
-            basis = tuple(tuple(r) for r in rows)
-        _init(self, p, ambient_dim, basis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"RowSpace is immutable: cannot set {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RowSpace):
-            return NotImplemented
-        return (
-            self.p == other.p
-            and self.ambient_dim == other.ambient_dim
-            and self._basis == other._basis
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.ambient_dim, self._basis))
-
-    def __repr__(self) -> str:
-        return f"RowSpace(p={self.p}, ambient_dim={self.ambient_dim}, rows={self.rows})"
-
-    def __reduce__(self):
-        return _space, (self.p, self.ambient_dim, self._basis)
+    p: int
+    ambient_dim: int
+    basis: tuple
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         if self.p == 2:
-            return tuple(_unpack(r, self.ambient_dim) for r in self._basis)
-        return self._basis
-
-    @property
-    def basis(self) -> tuple:
-        """The basis in native form: one int per row at p = 2, a tuple of
-        residues per row at odd p.  Equal spaces have equal bases."""
-        return self._basis
+            return tuple(_unpack(r, self.ambient_dim) for r in self.basis)
+        return self.basis
 
     @property
     def rank(self) -> int:
-        return len(self._basis)
+        return len(self.basis)
 
     @property
     def pivots(self) -> tuple[int, ...]:
         if self.p == 2:
-            return tuple((r & -r).bit_length() - 1 for r in self._basis)
-        try:
-            return self._pivots
-        except AttributeError:  # first use: dense pivots are kept
-            pivots = _dense_pivots(self._basis)
-            _set(self, "_pivots", pivots)
-            return pivots
+            return tuple((r & -r).bit_length() - 1 for r in self.basis)
+        return tuple(r.index(1) for r in self.basis)  # each row leads with 1
 
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Residual of vec after eliminating against this basis (mod p)."""
@@ -160,25 +123,12 @@ class RowSpace:
                 f"vector length {len(vec)} != ambient dimension {self.ambient_dim}"
             )
         if p == 2:
-            return _unpack(_reduce2(self._basis, _pack(vec)), self.ambient_dim)
+            return _unpack(_reduce2(self.basis, _pack(vec)), self.ambient_dim)
         v = [x % p for x in vec]
-        return tuple(_reduce_dense(self._basis, self.pivots, v, p))
+        return tuple(_reduce_dense(self.basis, self.pivots, v, p))
 
     def member(self, vec: Sequence[int]) -> bool:
         return not any(self.reduce(vec))
-
-
-def _init(s: RowSpace, p: int, ambient_dim: int, basis: tuple) -> None:
-    _set(s, "p", p)
-    _set(s, "ambient_dim", ambient_dim)
-    _set(s, "_basis", basis)
-
-
-def _space(p: int, ambient_dim: int, basis: tuple) -> RowSpace:
-    # A RowSpace from a basis already in native form for p.
-    s = object.__new__(RowSpace)
-    _init(s, p, ambient_dim, basis)
-    return s
 
 
 # -- p = 2: packed rows -------------------------------------------------------
@@ -348,8 +298,8 @@ def _null_basis(matrix, a: int, b: int, p: int) -> list[list[int]]:
 def _canonical(p: int, dim: int, rows: list) -> RowSpace:
     """The RowSpace that the native rows span, in canonical RREF."""
     if p == 2:
-        return _space(p, dim, _echelon2(rows))
-    return _space(p, dim, tuple(_eliminate(rows, dim, p)))
+        return RowSpace(p, dim, _echelon2(rows))
+    return RowSpace(p, dim, tuple(_eliminate(rows, dim, p)))
 
 
 def _from_dense(p: int, rows) -> list:
@@ -402,7 +352,7 @@ def rref(matrix: Sequence[Sequence[int]], p: int, ambient_dim: int | None = None
 
 
 def zero_space(p: int, ambient_dim: int) -> RowSpace:
-    return _space(p, ambient_dim, ())
+    return RowSpace(p, ambient_dim, ())
 
 
 def coordinate_space(p: int, ambient_dim: int, indices: Iterable[int]) -> RowSpace:
@@ -412,8 +362,8 @@ def coordinate_space(p: int, ambient_dim: int, indices: Iterable[int]) -> RowSpa
     if cols and not 0 <= cols[0] <= cols[-1] < ambient_dim:
         raise InputError(f"indices {cols[0]}..{cols[-1]} outside [0, {ambient_dim})")
     if p == 2:
-        return _space(p, ambient_dim, tuple(1 << i for i in cols))
-    return _space(p, ambient_dim, tuple(
+        return RowSpace(p, ambient_dim, tuple(1 << i for i in cols))
+    return RowSpace(p, ambient_dim, tuple(
         (0,) * i + (1,) + (0,) * (ambient_dim - i - 1) for i in cols
     ))
 
@@ -463,7 +413,7 @@ def image_kernel(
     if len(images) != domain_dim:
         raise InputError(f"{len(images)} images for domain dimension {domain_dim}")
     width = target.ambient_dim
-    rows = _from_sparse(p, width, images) + list(target._basis)
+    rows = _from_sparse(p, width, images) + list(target.basis)
     kern = map_kernel(p, rows, width)
     if p == 2:
         mask = (1 << domain_dim) - 1
@@ -484,11 +434,11 @@ def _classes(s: RowSpace) -> list:
     # e_c = row - (row - e_c) for the row with pivot c, and row lies in s
     if p == 2:
         classes = [1 << pos[c] if c in pos else 0 for c in range(m)]
-        for row, c in zip(s._basis, pivots):
+        for row, c in zip(s.basis, pivots):
             classes[c] = sum(1 << pos[j] for j in _bits(row) if j != c)
         return classes
     classes = [tuple(int(i == pos.get(c)) for i in range(len(pos))) for c in range(m)]
-    for row, c in zip(s._basis, pivots):
+    for row, c in zip(s.basis, pivots):
         classes[c] = tuple(-row[j] % p for j in pos)
     return classes
 
@@ -822,7 +772,7 @@ def enumerate_subspaces(p: int, d: int) -> Iterator[RowSpace]:
                 ))
                 fillings.append([_pack(row) for row in rows] if p == 2 else list(rows))
             for basis in itertools.product(*fillings):
-                yield _space(p, d, basis)
+                yield RowSpace(p, d, basis)
 
 
 def enumerate_vectors_mod_scalar(p: int, d: int) -> Iterator[tuple[int, ...]]:

@@ -3,11 +3,12 @@ graphs with the diagonal property and the graph of a decomposition
 tree), element arithmetic, test oracles (the brute-force and
 level-by-level canonical forms, the violation search over 4-sets, the
 decomposition by single peels, clique listing by k-subsets, subspace
-counts and containment, sparse spans and rows on top of rref, the
-generated ideal by sparse vectors, the strong check by colon ideals, the
-brute universal check over every subspace and the product laws, the
-Koszul dual's dimensions counted as traces), the graphs and primes the
-brute route is checked on, and the acceptance-summary hook.
+counts and containment, sparse spans and rows on top of rref, a RowSpace
+from dense rows already reduced, the generated ideal by sparse vectors,
+the strong check by colon ideals, the brute universal check over every
+subspace and the product laws, the Koszul dual's dimensions counted as
+traces), the graphs and primes the brute route is checked on, and the
+acceptance-summary hook.
 
 Hypothesis runs derandomized: each property test draws the same examples
 on every run, so the suite's verdict and wall time do not depend on the
@@ -22,6 +23,7 @@ from koszulity import build_graph, nonisomorphic_graphs, parse_edge_list
 from koszulity.algebra import AlgebraContext, Element, from_coeffs
 from koszulity.errors import InputError
 from koszulity.gfp import (
+    RowSpace,
     enumerate_coset_reps_mod_scalar,
     enumerate_subspaces,
     rref,
@@ -484,6 +486,17 @@ def span(p, ambient_dim, vectors):
             row[k] += c
         rows.append(row)
     return rref(rows, p, ambient_dim=ambient_dim)
+
+
+def space_of_rows(p, ambient_dim, rows):
+    """The RowSpace whose basis is rows, dense rows already in canonical
+    RREF, taken as they are: packed at p = 2 (bit j = coordinate j),
+    tuples of residues at odd p."""
+    if p == 2:
+        basis = tuple(sum(1 << j for j, x in enumerate(r) if x % 2) for r in rows)
+    else:
+        basis = tuple(tuple(r) for r in rows)
+    return RowSpace(p, ambient_dim, basis)
 
 
 def sparse_rows(s):

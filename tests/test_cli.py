@@ -331,6 +331,29 @@ def test_census_forks_no_more_children_than_items_beyond_the_first(capsys, monke
     _no_child_left()
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to count descriptors")
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_census_worker_that_cannot_start_exits_3(capsys, monkeypatch, call):
+    # the second os.pipe or os.fork fails, so at most one real child starts
+    real = getattr(os, call)
+    calls = []
+
+    def second_fails():
+        calls.append(1)
+        if len(calls) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real()
+
+    monkeypatch.setattr(os, call, second_fails)
+    monkeypatch.setenv("KOSZUL_THREADS", "3")
+    fds = len(os.listdir("/dev/fd"))
+    code, out, err = run(capsys, "census", "-n", "4")
+    assert (code, out) == (3, "") and len(calls) == 2
+    assert err.startswith("resource limit: census worker 2 could not start:"), err
+    _no_child_left()
+    assert len(os.listdir("/dev/fd")) == fds
+
+
 def test_census_six_matches_golden_rows(capsys):
     # canonical keys stripped and rows sorted, as the benchmark compares them
     lines = census_lines(capsys, "-n", "6")

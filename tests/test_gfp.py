@@ -10,6 +10,7 @@ from conftest import (
     brute_cases,
     contains,
     first_divisors_by_stabiliser,
+    space_of_rows,
     sparse_rows,
     span,
     subspace_count,
@@ -186,7 +187,7 @@ def _subspaces_by_dense_rows(p, d):
                     rows[i][c] = 1
                 for (i, j), v in zip(free, values):
                     rows[i][j] = v
-                yield RowSpace(p, d, rows)
+                yield space_of_rows(p, d, rows)
 
 
 def test_subspace_enumeration_matches_the_dense_construction():
@@ -365,9 +366,9 @@ def test_packed_f2_matches_dense_reference(case):
     assert s.rows == ref and s.rank == len(ref)
     assert s.pivots == _dense_pivots(ref)
     # equality and hash agree between trusted rows and elimination
-    trusted = RowSpace(2, width, ref)
+    trusted = space_of_rows(2, width, ref)
     assert trusted == s and hash(trusted) == hash(s)
-    assert RowSpace(2, width, s.rows) == s
+    assert space_of_rows(2, width, s.rows) == s
     # members (rows and sums of two rows) and, mostly, non-members
     probes = rows[:3] + [[x ^ y for x, y in zip(a, b)] for a, b in zip(rows, rows[1:4])]
     probes += f2_matrix(width, 4, rng)

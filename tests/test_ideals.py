@@ -16,11 +16,12 @@ from conftest import (
     random_graph,
     multiply,
     scale,
+    space_of_rows,
     square4,
 )
 from koszulity.algebra import build_algebra, from_coeffs
 from koszulity.errors import InputError
-from koszulity.gfp import RowSpace, rref
+from koszulity.gfp import rref
 from koszulity.graphs import build_graph, nonisomorphic_graphs
 from koszulity.ideals import (
     annihilator,
@@ -248,7 +249,7 @@ def test_caches_are_consistent():
     ctx = build_algebra(cone_over_path(), 2)
     u = degree_one_span(ctx, (0,), (2,))
     first = ideal_from_degree_one(ctx, u)
-    again = ideal_from_degree_one(ctx, RowSpace(ctx.p, ctx.dim(1), u.rows))
+    again = ideal_from_degree_one(ctx, space_of_rows(ctx.p, ctx.dim(1), u.rows))
     assert first.pieces == again.pieces
     assert monomial_ideal_basis(ctx, (0, 2)).pieces == monomial_ideal_basis(
         ctx, frozenset({2, 0})

@@ -186,6 +186,7 @@ _RECORD_FIELDS = {
     "ConeNode": ("apex", "base"),
     "Element": ("ctx", "degree", "coeffs"),
     "GradedIdeal": ("ctx", "pieces"),
+    "RowSpace": ("p", "ambient_dim", "basis"),
     "StrongPairFailure": (
         "prefix", "divisor", "computed_generators", "predicted_generators",
         "discrepancy_degree",
@@ -228,7 +229,8 @@ def test_records_are_immutable_values_that_pickle():
     failure = report.brute.failure
     records = [
         report, report.graph, report.decomposition, report.strong, report.brute,
-        failure, failure.ideal, failure.divisor, report.witness,
+        failure, failure.ideal, failure.ideal.pieces[1], failure.divisor,
+        report.witness,
         StrongPairFailure((0,), 2, ((0,),), ((0,), (1,)), None),
     ]
     cone = elementary_type_decomposition(build_graph(3, [(0, 1), (1, 2)]))
