@@ -304,9 +304,73 @@ def elementary_type_decomposition(g: Graph):
     return join(children[n])
 
 
+# The memo key packs pair (i, j), i < j < 8, at bit 4 + j(j - 1)/2 + i,
+# above n in the low four bits; _PAIR_BIT[8*i + j] is that bit.
+_PAIR_BIT = [
+    1 << 4 + max(i, j) * (max(i, j) - 1) // 2 + min(i, j)
+    for i in range(8) for j in range(8)
+]
+CANONICAL_MEMO_SIZE = 2 ** 16  # entries; the memo is cleared when full
+_canonical_memo: dict[int, Graph] = {}
+
+
+def _invariant_key(g: Graph) -> int:
+    """g relabelled by (degree, sum of the squared neighbour degrees,
+    vertex), packed into one int.  Isomorphic graphs often share it, and
+    equal keys mean isomorphic graphs: the key is a copy of g."""
+    n, edges = g.n, g.edges
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    square = [d * d for d in deg]
+    weight = [d << 9 for d in deg]  # the sum of squares is at most 7 * 7**2 < 2**9
+    for u, v in edges:
+        weight[u] += square[v]
+        weight[v] += square[u]
+    pos = [0] * n
+    for i, v in enumerate(sorted(range(n), key=weight.__getitem__)):  # stable
+        pos[v] = i << 3
+    key = n
+    for u, v in edges:
+        key |= _PAIR_BIT[pos[u] | pos[v] >> 3]
+    return key
+
+
 def canonical_graph(g: Graph) -> Graph:
     """Isomorphic copy with the lexicographically minimal adjacency bits
     (upper triangle in graph6 column order) over all vertex permutations.
+
+    The result is memoised under _invariant_key(g), a relabelling of g
+    that isomorphic inputs often share, and under its own key, so each
+    class keeps one Graph and a canonical input never searches again.
+    This is exact: the minimum over all n! orders depends only on the
+    isomorphism class, and any graph with the same key is isomorphic to
+    g, so a stored result is the one _canonical_search(g) would return.
+    (A vertex invariant cutting canonical-labelling work, as in McKay &
+    Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60,
+    2014.)  The memo holds at most CANONICAL_MEMO_SIZE entries and is
+    cleared when full.
+    """
+    n = g.n
+    if n > CANONICAL_MAX_VERTICES:
+        raise ResourceLimitError(
+            f"canonical form refused for n={n} > {CANONICAL_MAX_VERTICES} "
+            "(vertex-order search, exponential in the worst case)"
+        )
+    key = _invariant_key(g)
+    found = _canonical_memo.get(key)
+    if found is None:
+        if len(_canonical_memo) > CANONICAL_MEMO_SIZE - 2:
+            _canonical_memo.clear()
+        found = _canonical_search(g)
+        found = _canonical_memo.setdefault(_invariant_key(found), found)
+        _canonical_memo[key] = found
+    return found
+
+
+def _canonical_search(g: Graph) -> Graph:
+    """canonical_graph(g) without the memo, for n <= 8.
 
     Placing vertex v at position j of a vertex order fixes column j of the
     bit string: v's bits to the vertices placed before it, the first placed
@@ -337,11 +401,6 @@ def canonical_graph(g: Graph) -> Graph:
     minimum bit for bit.
     """
     n = g.n
-    if n > CANONICAL_MAX_VERTICES:
-        raise ResourceLimitError(
-            f"canonical form refused for n={n} > {CANONICAL_MAX_VERTICES} "
-            "(vertex-order search, exponential in the worst case)"
-        )
     if n <= 1 or not g.edges:
         return Graph(n, frozenset())
     # Vertex v owns the n-bit field at bit n*v.  A set of vertices (a cell,

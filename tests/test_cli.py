@@ -14,7 +14,7 @@ import pytest
 
 from conftest import complete, path4, random_graph, square4
 from koszulity.algebra import build_algebra, koszul_numerical_check
-from koszulity import cli, koszul
+from koszulity import cli, graphs, koszul
 from koszulity.cli import main
 from koszulity.errors import ResourceLimitError
 from koszulity.graphs import build_graph, diagonal_violation, nonisomorphic_graphs, to_graph6
@@ -361,6 +361,27 @@ def test_census_six_matches_golden_rows(capsys):
         line.split(",", 1)[1] for line in lines[1:-1]
     ) + [lines[-1]]
     assert rows == (GOLDEN_DIR / "census6_rows.txt").read_text(encoding="ascii").splitlines()
+
+
+def test_census_bytes_do_not_depend_on_the_canonical_memo(capsys, monkeypatch):
+    # the workers fork with the parent's memo empty, or holding every
+    # candidate key of the classes on 6 vertices
+    outputs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("KOSZUL_THREADS", threads)
+        for memo in ("cold", "warm"):
+            monkeypatch.setattr(graphs, "_canonical_memo", {})
+            nonisomorphic_graphs.cache_clear()
+            if memo == "warm":
+                nonisomorphic_graphs(6)
+                nonisomorphic_graphs.cache_clear()
+                assert len(graphs._canonical_memo) > 156
+            code, out, err = run(capsys, "census", "-n", "6")
+            assert code == 0, err
+            outputs[threads, memo] = out
+            _no_child_left()
+    nonisomorphic_graphs.cache_clear()
+    assert len(set(outputs.values())) == 1, sorted(outputs)
 
 
 def test_census_rejects_a_bad_prime_before_enumerating(capsys, monkeypatch):

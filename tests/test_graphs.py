@@ -385,10 +385,15 @@ def complement(g):
     ])
 
 
+# The oracle tests below call the search without the memo, so that a
+# memo hit cannot hide a search bug.
+search = graphs._canonical_search
+
+
 def test_canonical_graph_matches_permutation_search_on_labeled_graphs():
     for n in range(6):
         for g in all_labeled_graphs(n):
-            assert canonical_graph(g) == lexmin_by_permutations(g)
+            assert search(g) == lexmin_by_permutations(g)
 
 
 def test_canonical_graph_matches_permutation_search_on_relabeled_classes():
@@ -396,7 +401,7 @@ def test_canonical_graph_matches_permutation_search_on_relabeled_classes():
     sample = nonisomorphic_graphs(6)[::8] + nonisomorphic_graphs(7)[::60]
     for g in sample:
         h = relabel(g, rng.sample(range(g.n), g.n))
-        assert canonical_graph(h) == lexmin_by_permutations(h)
+        assert search(h) == lexmin_by_permutations(h)
 
 
 def test_canonical_graph_matches_permutation_search_on_named_graphs():
@@ -415,17 +420,17 @@ def test_canonical_graph_matches_permutation_search_on_named_graphs():
     rng = random.Random(1998)
     for g in twin_heavy + symmetric:
         h = relabel(g, rng.sample(range(g.n), g.n))
-        assert canonical_graph(h) == lexmin_by_permutations(h)
+        assert search(h) == lexmin_by_permutations(h)
 
 
 def test_canonical_graph_invariant_and_idempotent_on_eight_vertices():
     rng = random.Random(8)
     for _ in range(60):
         g = random_graph(rng, 8, rng.random())
-        c = canonical_graph(g)
-        assert canonical_graph(c) == c
+        c = search(g)
+        assert search(c) == c
         for _ in range(2):
-            assert canonical_graph(relabel(g, rng.sample(range(8), 8))) == c
+            assert search(relabel(g, rng.sample(range(8), 8))) == c
 
 
 def test_class_counts():
@@ -449,14 +454,14 @@ def classes_candidates(n):
 def test_canonical_graph_matches_level_search_on_class_candidates():
     for n in range(2, 7):
         for g in classes_candidates(n):
-            assert canonical_graph(g) == canonical_graph_by_levels(g)
+            assert search(g) == canonical_graph_by_levels(g)
 
 
 def test_canonical_graph_matches_level_search_on_relabeled_seven_classes():
     rng = random.Random(1981)
     for g in nonisomorphic_graphs(7):
         h = relabel(g, rng.sample(range(7), 7))
-        assert canonical_graph(h) == canonical_graph_by_levels(h)
+        assert search(h) == canonical_graph_by_levels(h)
 
 
 def test_canonical_graph_matches_level_search_at_extreme_independence():
@@ -473,8 +478,16 @@ def test_canonical_graph_matches_level_search_at_extreme_independence():
     for g in family + [complement(g) for g in family]:
         for _ in range(3):
             h = relabel(g, rng.sample(range(8), 8))
-            assert canonical_graph(h) == canonical_graph_by_levels(h)
-            assert canonical_graph(h) == canonical_graph(g)
+            assert search(h) == canonical_graph_by_levels(h)
+            assert search(h) == search(g)
+
+
+def count_searches(monkeypatch):
+    """The calls canonical_graph makes to the search, on an empty memo."""
+    searched = []
+    monkeypatch.setattr(graphs, "_canonical_memo", {})
+    monkeypatch.setattr(graphs, "_canonical_search", lambda g: searched.append(g) or search(g))
+    return searched
 
 
 def test_class_enumeration_makes_one_canonical_call_per_candidate(monkeypatch):
@@ -486,6 +499,7 @@ def test_class_enumeration_makes_one_canonical_call_per_candidate(monkeypatch):
         calls.append(g)
         return real(g)
 
+    searched = count_searches(monkeypatch)
     monkeypatch.setattr(graphs, "canonical_graph", counted)
     nonisomorphic_graphs.cache_clear()
     try:
@@ -494,3 +508,56 @@ def test_class_enumeration_makes_one_canonical_call_per_candidate(monkeypatch):
         nonisomorphic_graphs.cache_clear()
     # 2**(k - 1) neighbourhoods for each class on k - 1 vertices, k = 2..6
     assert len(calls) == 1 * 2 + 2 * 4 + 4 * 8 + 11 * 16 + 34 * 32 == 1306
+    # the other 1,089 candidates share a memo key with an earlier one
+    assert len(searched) == 217
+
+
+def test_memoised_canonical_graph_matches_the_search(monkeypatch):
+    # every candidate of nonisomorphic_graphs(6) under three relabellings,
+    # and random graphs on 8 vertices under three relabellings each
+    count_searches(monkeypatch)
+    rng = random.Random(2014)
+    cases = [g for n in range(2, 7) for g in classes_candidates(n)]
+    cases += [random_graph(rng, 8, rng.random()) for _ in range(100)]
+    for g in cases:
+        for _ in range(3):
+            h = relabel(g, rng.sample(range(g.n), g.n))
+            assert canonical_graph(h) == search(h)
+
+
+def test_canonical_memo_stays_within_its_bound(monkeypatch):
+    searched = count_searches(monkeypatch)
+    monkeypatch.setattr(graphs, "CANONICAL_MEMO_SIZE", 16)
+    rng = random.Random(16)
+    sizes = []
+    for g in classes_candidates(6):
+        h = relabel(g, rng.sample(range(6), 6))
+        assert canonical_graph(h) == search(h)
+        sizes.append(len(graphs._canonical_memo))
+    assert max(sizes) == 16
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))  # cleared
+    assert len(searched) < len(sizes)  # and hit in between
+
+
+def test_class_representatives_are_keyed_without_a_search(monkeypatch):
+    searched = count_searches(monkeypatch)
+    nonisomorphic_graphs.cache_clear()
+    try:
+        classes = nonisomorphic_graphs(6)
+    finally:
+        nonisomorphic_graphs.cache_clear()
+    before = len(searched)
+    assert len({canonical_form(g) for g in classes}) == 156
+    assert len(searched) == before
+    # each class is one Graph object, whatever candidate reached it
+    assert all(canonical_graph(g) is g for g in classes)
+
+
+def test_memo_keys_equal_only_on_isomorphic_graphs():
+    # the key is a relabelled copy of the graph, so a memo hit never
+    # returns the class of a graph that is not isomorphic to the input
+    by_key = {}
+    for n in range(1, 6):
+        for g in all_labeled_graphs(n):
+            by_key.setdefault(graphs._invariant_key(g), set()).add(canonical_form(g))
+    assert all(len(forms) == 1 for forms in by_key.values())
