@@ -330,10 +330,10 @@ def _invariant_key(g: Graph) -> int:
         weight[v] += square[u]
     pos = [0] * n
     for i, v in enumerate(sorted(range(n), key=weight.__getitem__)):  # stable
-        pos[v] = i << 3
+        pos[v] = i
     key = n
     for u, v in edges:
-        key |= _PAIR_BIT[pos[u] | pos[v] >> 3]
+        key |= _PAIR_BIT[8 * pos[u] + pos[v]]
     return key
 
 
