@@ -4,19 +4,21 @@ Three graded properties are decided exactly:
 
 - strongly Koszul: for every subset S' of the vertex generators and every
   generator u outside S', the colon ideal (S'):(u) is again generated by
-  vertex generators.  Since a_u sends each basis monomial to zero or to
-  +-1 times another, each piece of such a colon is a bitmask over its
-  degree's basis, read off the generator maps.  It is checked against
-  the ideal its degree-one part generates (from the bases) and against
-  the closed form S' union {a_j : a_j u = 0} (u and its non-neighbors,
-  from adjacency), so every pair is verified twice.  The pieces are
-  packed: one int per degree n holds piece n of (S'):(a_u) for every
-  divisor u at once, in field u of dim A_n bits, next to the ideal that
-  the closed form generates, packed the same way.  One comparison per
-  degree, over the fields of the u outside S', decides every divisor of
-  S': in degree one it is the closed-form test, and once that holds the
-  ideal the computed generators regenerate is the predicted one, so the
-  other degrees are the regeneration test.
+  vertex generators: in every degree it equals the ideal generated by
+  S' and K_u, u and its non-neighbours (the closed form, from
+  adjacency).  Since a_u sends each basis monomial m to zero or to +-1
+  times another, m lies in (S'):(a_u) iff a_u m = 0 or supp(a_u m) meets
+  S', and in the closed form iff m meets K_u or S'.  So every S' passes
+  with u iff each m of degree >= 1 does: [a_u m = 0] equals [m meets
+  K_u], and when both are false, supp(a_u m) - {u} = m - {u}.  Proof:
+  S' = {} gives the first; when a_u m is not zero, each S' = {x}, x not
+  u, gives x in supp(a_u m) iff x in m.  Conversely these make the two
+  sides agree for every S' that misses u.  That is
+  d * sum(dim A_n) reads of one table off the generator maps, each
+  compared with the closed form.  Only when some (u, m) fails are the
+  prefix sets walked, in order, to list the failing pairs; a failure's
+  degree is the least one where the colon differs from the ideal that
+  its own degree-one part generates.
 - universally Koszul: for every ideal I generated in degree one and every
   divisor b in A_1 outside I_1, the colon I:(b) is generated in degree one.
   The fast route is the graph criterion (diagonal property: no induced C4
@@ -120,8 +122,6 @@ The reports and results are typing.NamedTuple records, equal by value.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
 from typing import NamedTuple
 
 from .algebra import (
@@ -171,96 +171,35 @@ class StrongKoszulReport(NamedTuple):
     failures: tuple
 
 
-def _bits(mask: int) -> list[int]:
-    return [j for j in range(mask.bit_length()) if (mask >> j) & 1]
+def _bits(mask: int) -> tuple:
+    return tuple(j for j in range(mask.bit_length()) if (mask >> j) & 1)
 
 
-def _monomial_tables(ctx: AlgebraContext, killed_by: list[int]):
-    """The strong check's bitmask tables, packed over every divisor: in
-    degree n (1 <= n <= D) an int holds one field of w = dim A_n bits per
-    divisor a_u, at offset u*w, and bit i of a field is basis monomial i.
-    Returns base and steps[x], each D colon ints, then D regenerated
-    ints, then D prefix ints over n = 1..D:
-
-    - base, for the empty prefix: the monomials a_u kills (from
-      ctx.gen_maps; every monomial in degree D) and the ideal that the
-      closed form killed_by[u] generates (from the bases), in field u;
-    - steps[x], what vertex x adds to a prefix: the monomials a_u sends to
-      +-1 times a monomial containing x (from ctx.gen_maps) in field u,
-      the monomials containing x (from the bases) in every field, and a
-      full field x, whose divisor a_x is then in the prefix.
-
-    Colons of vertex-generated ideals are then spanned by monomials,
-    provided every image is zero or one +-1 term with a target of its own;
-    RuntimeError otherwise."""
-    d, D = ctx.dim(1), ctx.D
-    colon, closed = [], []
-    pre, contains, own = ([[] for _ in range(d)] for _ in range(3))
-    for n in range(D + 1):
-        w = ctx.dim(n)
-        ones = (1 << w) - 1  # one full field
-        every = sum(1 << (u * w) for u in range(d))  # bit 0 of each field
-        kills = ones * every if n == D else 0
-        reach = [0] * d
-        for u, images in enumerate(ctx.gen_maps[n] if n < D else ()):
-            up, targets = ctx.bases[n + 1], set()
-            for i, image in enumerate(images):
-                bit = 1 << (u * w + i)
-                if not image:
-                    kills |= bit
-                    continue
-                (k, sign), *rest = image
-                if rest or sign not in (1, -1) or k in targets:
-                    raise RuntimeError(
-                        f"multiplication by a{u} in degree {n} is not a "
-                        "signed injection of basis monomials"
-                    )
-                targets.add(k)
-                for x in up[k]:
-                    reach[x] |= bit
-        if n == 0:
-            continue
-        meets = [0] * d
-        for i, mono in enumerate(ctx.bases[n]):
-            for x in mono:
-                meets[x] |= 1 << i
-        colon.append(kills)
-        closed.append(sum(
-            reduce(or_, (meets[j] for j in _bits(killed_by[u])), 0) << (u * w)
-            for u in range(d)
-        ))
-        for x in range(d):
-            pre[x].append(reach[x])
-            contains[x].append(meets[x] * every)
-            own[x].append(ones << (x * w))
-    base = tuple(colon + closed) + (0,) * D
-    return base, [tuple(pre[x] + contains[x] + own[x]) for x in range(d)]
-
-
-def _pair_failures(ctx, mask, colon, diff, steps, killed_by):
-    """StrongPairFailure records, u ascending, for the divisors whose
-    fields of diff are not zero.  Each colon piece is decoded from field
-    u, and the least failing degree comes from the ideal that the computed
-    generators (the piece in degree one) regenerate."""
-    d, D = ctx.dim(1), ctx.D
-    widths = ctx.dims[1:]
-    prefix = tuple(_bits(mask))
-    failures = []
-    for u in range(d):
-        if not any((x >> (u * w)) & ((1 << w) - 1) for x, w in zip(diff, widths)):
-            continue
-        pieces = [(c >> (u * w)) & ((1 << w) - 1) for c, w in zip(colon, widths)]
-        computed = _bits(pieces[0])
-        degree = None
-        for n, w in enumerate(widths):
-            regenerated = reduce(or_, (steps[x][D + n] for x in computed), 0)
-            if regenerated & ((1 << w) - 1) != pieces[n]:
-                degree = n + 1
-                break
-        failures.append(StrongPairFailure(
-            prefix, u, tuple(computed), tuple(_bits(mask | killed_by[u])), degree
-        ))
-    return failures
+def _product_table(ctx: AlgebraContext, monos: list) -> list:
+    """table[n][u][i]: the vertex set of a_u times basis monomial i of
+    degree n, as a bitmask (monos[n][i] is that of the monomial), or 0
+    when the product is zero (a nonzero one has n + 1 vertices); every
+    product from the top degree is zero.  Read off ctx.gen_maps, each of
+    whose images must be zero or one +-1 term with a target of its own,
+    on every level; RuntimeError otherwise."""
+    table = []
+    for n, level in enumerate(ctx.gen_maps):
+        table.append([])
+        for u, images in enumerate(level):
+            row, targets = [], set()
+            for image in images:
+                if image:
+                    (k, sign), *rest = image
+                    if rest or sign not in (1, -1) or k in targets:
+                        raise RuntimeError(
+                            f"multiplication by a{u} in degree {n} is not a "
+                            "signed injection of basis monomials"
+                        )
+                    targets.add(k)
+                row.append(monos[n + 1][k] if image else 0)
+            table[n].append(row)
+    table.append([[0] * ctx.dim(ctx.D)] * ctx.dim(1))
+    return table
 
 
 def _strong_budget(d: int) -> int:
@@ -288,25 +227,42 @@ def strong_koszul_check(ctx: AlgebraContext) -> StrongKoszulReport:
     d * 2**(d-1) pairs exceed 2**20 (more than 16 vertices)."""
     d = ctx.dim(1)
     total = _strong_budget(d)
-    D = ctx.D
     adj = ctx.graph.adj
     # closed form: a_j a_u = 0 exactly for u itself and its non-neighbours
     killed_by = [sum(1 << j for j in range(d) if j not in adj[u]) for u in range(d)]
-    base, steps = _monomial_tables(ctx, killed_by)
-    # Masks ascend; acc[i] is base OR the steps of the mask's vertices >= i,
-    # so each mask ORs the step of its lowest vertex into the accumulator
-    # of the others, one OR per entry.
-    acc = [base] * (d + 1)
+    monos = [[sum(1 << x for x in mono) for mono in basis] for basis in ctx.bases]
+    table = _product_table(ctx, monos)
+    # every pair (S, u) passes iff, for each monomial m of degree >= 1,
+    # a_u m = 0 exactly when m meets killed_by[u], and otherwise the
+    # vertices of a_u m and m agree off u (proof in the module docstring)
+    failing = [
+        u for u, k in enumerate(killed_by)
+        if not all(
+            not t if m & k else t | 1 << u == m | 1 << u
+            for n in range(1, ctx.D + 1)
+            for t, m in zip(table[n][u], monos[n])
+        )
+    ]
+    if not failing:
+        return StrongKoszulReport(True, total, ())
+    # only broken maps get here: list the failing pairs, masks ascending
     failures = []
     for mask in range(2**d - 1):
-        if mask:
-            t = (mask & -mask).bit_length() - 1
-            acc[: t + 1] = [tuple(map(or_, acc[t + 1], steps[t]))] * (t + 1)
-        state = acc[0]
-        # live fields: the divisors outside the prefix
-        diff = [(c ^ r) & ~k for c, r, k in zip(state, state[D:], state[2 * D:])]
-        if any(diff):
-            failures += _pair_failures(ctx, mask, state[:D], diff, steps, killed_by)
+        for u in failing:
+            if mask >> u & 1:
+                continue
+            pieces = [[not t or t & mask != 0 for t in level[u]] for level in table[1:]]
+            # degree-one monomial j is a_j
+            computed = sum(1 << j for j, held in enumerate(pieces[0]) if held)
+            predicted = mask | killed_by[u]
+            degree = next((
+                n for n, piece in enumerate(pieces, 1)
+                if piece != [m & computed != 0 for m in monos[n]]
+            ), None)
+            if degree is not None or computed != predicted:
+                failures.append(StrongPairFailure(
+                    _bits(mask), u, _bits(computed), _bits(predicted), degree
+                ))
     return StrongKoszulReport(not failures, total, tuple(failures))
 
 

@@ -1,6 +1,7 @@
 """Shared graph constructors (also union, cone, induced subgraph, random
 graphs with the diagonal property and the graph of a decomposition
-tree), element arithmetic, test oracles (the brute-force and
+tree), the classes with the diagonal property by their cone-and-union
+grammar, element arithmetic, test oracles (the brute-force and
 level-by-level canonical forms, the violation search over 4-sets, the
 decomposition by single peels, clique listing by k-subsets, subspace
 counts and containment, sparse spans and rows on top of rref, a RowSpace
@@ -14,6 +15,7 @@ Hypothesis runs derandomized: each property test draws the same examples
 on every run, so the suite's verdict and wall time do not depend on the
 run.  A test's own max_examples still sets how many."""
 
+import functools
 import itertools
 import operator
 
@@ -326,6 +328,42 @@ def random_trivially_perfect(rng, n):
         return disjoint_union(random_trivially_perfect(rng, k),
                               random_trivially_perfect(rng, n - k))
     return cone(random_trivially_perfect(rng, n - 1))
+
+
+@functools.cache
+def elementary_classes(n: int) -> tuple:
+    """The graph classes on n vertices with the diagonal property, each
+    once, as sorted codes of the grammar that builds them from points by
+    cones and disjoint unions.  A class is a multiset of connected ones,
+    and a connected class on m vertices has a universal vertex, so it is
+    the cone ("c", h) over a class h on m - 1 (all universal vertices are
+    twins, so h is unique; a point is the cone over the empty graph
+    ("u",)).  A union of two or more connected classes is ("u", parts...)
+    with its parts sorted."""
+    if n == 0:
+        return (("u",),)
+    connected = [(m, ("c", h)) for m in range(1, n + 1) for h in elementary_classes(m - 1)]
+
+    def multisets(total, bound):
+        # parts from connected[:bound] on total vertices, indices nonincreasing
+        if total == 0:
+            yield ()
+        for i, (m, code) in enumerate(connected[:bound]):
+            if m <= total:
+                yield from ((code,) + rest for rest in multisets(total - m, i + 1))
+
+    return tuple(sorted(
+        parts[0] if len(parts) == 1 else ("u",) + tuple(sorted(parts))
+        for parts in multisets(n, len(connected))
+    ))
+
+
+def graph_of_code(code) -> Graph:
+    """The graph of an elementary_classes code: a cone's apex is its
+    highest vertex, and a union lays out its parts in order."""
+    if code[0] == "c":
+        return cone(graph_of_code(code[1]))
+    return functools.reduce(disjoint_union, map(graph_of_code, code[1:]), build_graph(0, []))
 
 
 def decompose_by_single_peels(g, verts=None):

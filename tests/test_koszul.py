@@ -16,13 +16,16 @@ from conftest import (
     cone,
     cone_over_path,
     disjoint_union,
+    elementary_classes,
     first_divisors_by_stabiliser,
     five_vertex_cone_like,
     gaussian_binomial,
+    graph_of_code,
     monomial_element,
     multiply,
     path4,
     random_graph,
+    reconstruct,
     sparse_rows,
     span,
     square4,
@@ -44,6 +47,9 @@ from koszulity.graphs import (
     DiagonalViolation,
     Graph,
     build_graph,
+    canonical_form,
+    diagonal_violation,
+    elementary_type_decomposition,
     nonisomorphic_graphs,
 )
 from koszulity.ideals import (
@@ -201,6 +207,107 @@ def test_strong_check_refuses_maps_that_are_not_signed_injections():
         with pytest.raises(RuntimeError, match="signed injection"):
             strong_koszul_check(with_image(build_algebra(complete(4), 3), 1, 0, 1, image))
     assert strong_koszul_check(ctx).passed
+    # degree 0 is checked too, though no colon piece is read there: a0 * 1
+    # sent to a0 + a1 on P3
+    p3 = build_algebra(build_graph(3, [(0, 1), (1, 2)]), 2)
+    with pytest.raises(RuntimeError, match="a0 in degree 0"):
+        strong_koszul_check(with_image(p3, 0, 0, 0, ((0, 1), (1, 1))))
+
+
+def corruptions(rng, g, p):
+    """Corrupted algebras of g over F_p, as (new image, ctx) with slots
+    and images drawn by rng, keyed by kind: one image of degree >= 1 zeroed, or sent to a target
+    its generator does not reach (sign +-1), or to one it reaches from
+    another monomial; a_u * 1 replaced by zero, by +-a_v or by a_u + a_v;
+    and the maps kept while one adjacency pair is toggled."""
+    plain = build_algebra(g, p)
+    d = g.n
+    used = {
+        (n, u): {k for image in images for k, _ in image}
+        for n, level in enumerate(plain.gen_maps) for u, images in enumerate(level)
+    }
+    slots = [(n, u, i) for n, u in used if n for i in range(plain.dim(n))]
+
+    def image(n, u, i):
+        return plain.gen_maps[n][u][i]
+
+    choices = {
+        "zeroed": [(s, ()) for s in slots if image(*s)],
+        "unused": [
+            (s, ((k, rng.choice((1, -1))),))
+            for s in slots for k in range(plain.dim(s[0] + 1)) if k not in used[s[:2]]
+        ],
+        "reused": [
+            (s, ((k, 1),)) for s in slots for k in sorted(used[s[:2]])
+            if image(*s) not in (((k, 1),), ((k, -1),))
+        ],
+        "degree 0": [
+            ((0, u, 0), im) for u in range(d) for im in (
+                (), ((rng.randrange(d), rng.choice((1, -1))),), ((u, 1), ((u + 1) % d, 1))
+            )
+        ],
+    }
+    out = {}
+    for kind, cands in choices.items():
+        if cands:
+            s, im = rng.choice(cands)
+            out[kind] = im, with_image(build_algebra(g, p), *s, im)
+    i, j = sorted(rng.sample(range(d), 2))
+    toggled = build_algebra(g, p)
+    toggled.graph = build_graph(d, g.edges ^ {(i, j)})
+    out["toggled"] = None, toggled
+    return out
+
+
+def test_strong_check_matches_the_colon_oracle_on_corrupted_algebras():
+    # Every class on 3-5 vertices at p = 2 and 3: the reused target must
+    # raise, and one other kind per class, in turn, goes to the oracle
+    # (which keeps the test near a second).  A zeroed or unused image, or
+    # a toggled pair, always breaks some (divisor, monomial) test; a
+    # one-term a_u * 1 is never read by a colon.
+    rng = random.Random(26)
+    kinds = ("zeroed", "unused", "degree 0", "toggled")
+    contexts = [(g, p) for p in (2, 3) for n in (3, 4, 5) for g in nonisomorphic_graphs(n)]
+    assert len(contexts) == 98
+    seen = collections.Counter()
+    for turn, (g, p) in enumerate(contexts):
+        corrupt = corruptions(rng, g, p)
+        if "reused" in corrupt:
+            with pytest.raises(RuntimeError, match="signed injection"):
+                strong_koszul_check(corrupt["reused"][1])
+            seen["reused"] += 1
+        kind = kinds[turn % len(kinds)]
+        if kind not in corrupt:
+            continue
+        image, ctx = corrupt[kind]
+        if kind == "degree 0" and len(image) > 1:
+            with pytest.raises(RuntimeError, match="in degree 0"):
+                strong_koszul_check(ctx)
+            seen["degree 0 raised"] += 1
+            continue
+        report = strong_koszul_check(ctx)
+        assert report == strong_koszul_by_colons(ctx)
+        assert report.passed == (kind == "degree 0")
+        seen[kind] += 1
+    assert min(seen.values()) >= 4 and len(seen) == 6, seen
+
+
+def test_elementary_grammar_gives_the_diagonal_classes():
+    # the graphs with the diagonal property, built from points by cones and
+    # disjoint unions: rooted forests, counted by A000081(n + 1)
+    counts = [len(elementary_classes(n)) for n in range(1, 9)]
+    assert counts == [1, 2, 4, 9, 20, 48, 115, 286]
+    for n in range(1, 8):
+        keys = sorted(canonical_form(graph_of_code(code)) for code in elementary_classes(n))
+        assert keys == [
+            canonical_form(g) for g in nonisomorphic_graphs(n) if diagonal_violation(g) is None
+        ]
+    for n in range(1, 9):
+        for code in elementary_classes(n):
+            g = graph_of_code(code)
+            assert reconstruct(elementary_type_decomposition(g), n) == g
+            for p in (2, 3):
+                assert strong_koszul_check(build_algebra(g, p)).passed
 
 
 def test_fast_verdicts():
@@ -431,10 +538,10 @@ def forbid_colons(monkeypatch):
 def test_strong_check_refuses_over_budget_before_any_colon(monkeypatch):
     forbid_colons(monkeypatch)
 
-    def no_tables(*args):
-        raise AssertionError("monomial tables built before the budget check")
+    def no_table(*args):
+        raise AssertionError("product table built before the budget check")
 
-    monkeypatch.setattr(koszul, "_monomial_tables", no_tables)
+    monkeypatch.setattr(koszul, "_product_table", no_table)
     path17 = build_graph(17, [(i, i + 1) for i in range(16)])
     with pytest.raises(ResourceLimitError, match="1114112"):
         strong_koszul_check(build_algebra(path17, 2))
