@@ -216,10 +216,11 @@ def test_strong_check_refuses_maps_that_are_not_signed_injections():
 
 def corruptions(rng, g, p):
     """Corrupted algebras of g over F_p, as (new image, ctx) with slots
-    and images drawn by rng, keyed by kind: one image of degree >= 1 zeroed, or sent to a target
-    its generator does not reach (sign +-1), or to one it reaches from
-    another monomial; a_u * 1 replaced by zero, by +-a_v or by a_u + a_v;
-    and the maps kept while one adjacency pair is toggled."""
+    and images drawn by rng, keyed by kind: one image of degree >= 1
+    zeroed, or sent to a target its generator does not reach (sign +-1),
+    or to one it reaches from another monomial; a_u * 1 replaced by zero,
+    by +-a_v or by a_u + a_v; and the maps kept while one adjacency pair
+    is toggled."""
     plain = build_algebra(g, p)
     d = g.n
     used = {
