@@ -31,8 +31,6 @@ from .graphs import (
     build_graph,
     canonical_form,
     diagonal_violation,
-    extend_class,
-    merge_classes,
     nonisomorphic_graphs,
     parse_edge_list,
     parse_graph6,
@@ -293,12 +291,7 @@ def cmd_census(args) -> int:
             raise InputError(
                 f"census self-generation supports 1 <= n <= {CENSUS_MAX_VERTICES}"
             )
-        if workers > 1 and args.n > 1:
-            # the last level in the workers, one class on n - 1 vertices each
-            parents = nonisomorphic_graphs(args.n - 1)
-            graphs = merge_classes(_fork_map(extend_class, parents, workers))
-        else:
-            graphs = nonisomorphic_graphs(args.n)
+        graphs = nonisomorphic_graphs(args.n)
         tasks = [(canonical_form(g), g.n, tuple(sorted(g.edges))) for g in graphs]
     work = [
         (key, n, edges, args.p, n <= args.brute_max_d, args.dual_order)
@@ -364,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=cmd_analyze)
 
     pc = sub.add_parser("census", help="classify all classes on n vertices, write CSV")
-    pc.add_argument("-n", type=int, default=4, help="vertex count (1..7)")
+    pc.add_argument(
+        "-n", type=int, default=4, help=f"vertex count (1..{CENSUS_MAX_VERTICES})"
+    )
     pc.add_argument("-p", type=int, default=2)
     pc.add_argument(
         "--brute-max-d",

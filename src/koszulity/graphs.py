@@ -488,37 +488,25 @@ def canonical_form(g: Graph) -> str:
     return to_graph6(canonical_graph(g))
 
 
-def extend_class(g: Graph) -> set[Graph]:
-    """The canonical graphs of all 2**n one-vertex extensions of g, n its
-    vertex count: a new vertex n joined to each subset of g's vertices."""
-    n = g.n
-    # candidates' edges are normalised already, so no build_graph
-    found = set()
-    for mask in range(2 ** n):
-        extra = [(v, n) for v in range(n) if (mask >> v) & 1]
-        found.add(canonical_graph(Graph(n + 1, g.edges.union(extra))))
-    return found
-
-
-def merge_classes(extensions) -> tuple[Graph, ...]:
-    """The union of extend_class results, sorted by canonical key.  The
-    chain drops each set before it asks for the next, so a lazy iterable
-    keeps one alive at a time."""
-    found = set(itertools.chain.from_iterable(extensions))
-    return tuple(sorted(found, key=to_graph6))
-
-
 @lru_cache(maxsize=None)
 def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     """All isomorphism classes on exactly n vertices, as canonical
     representatives sorted by canonical key.
 
-    Built by extending every class on n-1 vertices with one new vertex and
-    every possible neighborhood, then deduplicating; every n-vertex graph
-    arises this way (delete its last vertex).
+    Each class on n - 1 vertices is extended by a new vertex n - 1 joined
+    to each subset of its vertices, and every candidate's canonical_graph
+    goes into one set; every n-vertex graph arises this way (delete its
+    last vertex).  Isomorphic candidates mostly hit canonical_graph's memo.
     """
     if n < 1:
         raise InputError("class enumeration needs n >= 1")
     if n == 1:
         return (build_graph(1, []),)
-    return merge_classes(map(extend_class, nonisomorphic_graphs(n - 1)))
+    last = n - 1
+    found = set()
+    for g in nonisomorphic_graphs(last):
+        # candidates' edges are normalised already, so no build_graph
+        for mask in range(2 ** last):
+            extra = [(v, last) for v in range(last) if (mask >> v) & 1]
+            found.add(canonical_graph(Graph(n, g.edges.union(extra))))
+    return tuple(sorted(found, key=to_graph6))
