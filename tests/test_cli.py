@@ -266,7 +266,7 @@ def test_census_no_violations_through_five_vertices(capsys):
 
 
 def test_census_parallel_matches_serial(capsys, tmp_path, monkeypatch):
-    # fewer classes than workers (n = 1, 2), a full last level, another
+    # fewer classes than workers (n = 1, 2), every class on 6 vertices, another
     # prime, and the --in route with duplicates and mixed sizes
     graphs = [complete(4), square4(), path4(), build_graph(5, [(0, 1), (2, 3)])]
     graphs.append(build_graph(4, [(1, 2), (2, 0), (0, 3), (3, 1)]))  # square4 again
