@@ -120,18 +120,28 @@ def parse_graph6(line: str) -> Graph:
     return build_graph(n, edges)
 
 
+@lru_cache(maxsize=16)
+def _graph6_layout(n: int) -> tuple[dict, range]:
+    """The bit of each pair (i, j), i < j, in the short-form graph6 body
+    on n vertices, and the shifts of its 6-bit groups, first bit most
+    significant."""
+    # Pair (i, j) is bit j(j-1)/2 + i of the upper triangle in column
+    # order, padded to whole 6-bit groups.
+    m = n * (n - 1) // 2
+    size = -(-m // 6) * 6
+    bit = {
+        (i, j): 1 << (size - 1 - j * (j - 1) // 2 - i)
+        for j in range(n) for i in range(j)
+    }
+    return bit, range(size - 6, -1, -6)
+
+
 def to_graph6(g: Graph) -> str:
     if g.n > 62:
         raise InputError("short-form graph6 supports at most 62 vertices")
-    # Pair (i, j), i < j, is bit j(j-1)/2 + i of the upper triangle in
-    # column order, padded to whole 6-bit groups, first bit most significant.
-    m = g.n * (g.n - 1) // 2
-    size = -(-m // 6) * 6
-    bits = 0
-    for i, j in g.edges:
-        bits |= 1 << (size - 1 - j * (j - 1) // 2 - i)
-    groups = (chr((bits >> s & 63) + 63) for s in range(size - 6, -1, -6))
-    return chr(g.n + 63) + "".join(groups)
+    bit, shifts = _graph6_layout(g.n)
+    bits = sum(map(bit.__getitem__, g.edges))
+    return chr(g.n + 63) + "".join([chr((bits >> s & 63) + 63) for s in shifts])
 
 
 def enumerate_cliques(g: Graph) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -369,6 +379,21 @@ def canonical_graph(g: Graph) -> Graph:
     return found
 
 
+@lru_cache(maxsize=None)
+def _search_layout(n: int) -> tuple:
+    """_canonical_search's constants for n vertices: the n-bit field, the
+    shift and unit bit of each vertex's field, the set of all vertices,
+    and pairs[j][col], the pairs (i, j) whose bits are set in column col
+    at position j (bit j - 1 - i is the pair (i, j))."""
+    shift = range(0, n * n, n)
+    unit = [1 << s for s in shift]
+    pairs = [
+        [tuple((j - 1 - k, j) for k in range(j) if col >> k & 1) for col in range(1 << j)]
+        for j in range(n)
+    ]
+    return (1 << n) - 1, shift, unit, sum(unit), pairs
+
+
 def _canonical_search(g: Graph) -> Graph:
     """canonical_graph(g) without the memo, for n <= 8.
 
@@ -390,15 +415,18 @@ def _canonical_search(g: Graph) -> Graph:
     column over I reads, cell by cell, its zeros and then its ones; the
     split keeps exactly the orders of I that give that least column.  Then
     come its bits to the vertices placed after I, the first most
-    significant.
+    significant.  At the first level after I there is one cell and no
+    such bit, so the least column is the fewest ones: the fewest
+    neighbours in I.  Each level visits only the unplaced vertices.
 
     Both phases skip v while a smaller twin u is unplaced
     (N(u) - {v} == N(v) - {u}), since the automorphism (u v) fixes the
     placed vertices; in phase 1 such swaps turn every maximum independent
-    set into one that is kept.  Phase 2 merges partial orders with the
-    same cells that give every unplaced vertex the same column so far,
-    since later columns depend on nothing else.  The result equals the n!
-    minimum bit for bit.
+    set into one that is kept.  Twins are found in one pass: non-adjacent
+    twins have equal open neighbourhoods and adjacent twins equal closed
+    ones.  Phase 2 merges partial orders with the same cells that give
+    every unplaced vertex the same column so far, since later columns
+    depend on nothing else.  The result equals the n! minimum bit for bit.
     """
     n = g.n
     if n <= 1 or not g.edges:
@@ -410,20 +438,22 @@ def _canonical_search(g: Graph) -> Graph:
     # in placement order, and zero for a placed vertex.  At level j every
     # marker sits at bit j - alpha, so fields compare as columns do, and
     # placing v is one shift plus the bits of v's neighbours.
-    field = (1 << n) - 1
-    shift = range(0, n * n, n)
-    unit = [1 << s for s in shift]
+    field, shift, unit, everyone, pairs = _search_layout(n)
     spread = [0] * n
     for u, v in g.edges:
         spread[u] |= unit[v]
         spread[v] |= unit[u]
-    smaller_twins = [0] * n
-    for v in range(n):
-        for u in range(v):
-            if spread[u] & ~unit[v] == spread[v] & ~unit[u]:
-                smaller_twins[v] |= unit[u]
-    verts = list(zip(shift, unit, spread, smaller_twins))
-    everyone = sum(unit)
+    # No open neighbourhood is a closed one (v in N(u) = N[v] would put u
+    # in N[v]), so one dict holds both kinds of twin class.
+    smaller_twins = []
+    seen: dict[int, int] = {}
+    for nb, bit in zip(spread, unit):
+        closed = nb | bit
+        below_open, below_closed = seen.get(nb, 0), seen.get(closed, 0)
+        smaller_twins.append(below_open | below_closed)
+        seen[nb] = below_open | bit
+        seen[closed] = below_closed | bit
+    vertex = dict(zip(unit, zip(shift, spread, smaller_twins)))  # by unit bit
     # Phase 1: each independent set with the vertices above its last one
     # that it may still take
     grown = [(0, everyone)]
@@ -437,19 +467,51 @@ def _canonical_search(g: Graph) -> Graph:
                 if not smaller_twins[v] & ~chosen:
                     grown.append((chosen | bit, free & ~spread[v]))
     alpha = sets[0][0].bit_count()
-    states = {(everyone ^ chosen, (chosen,)): everyone ^ chosen for chosen, _ in sets}
-    # Phase 2: each state, (codes, cells), maps to its unplaced vertices
-    columns = [0] * alpha
-    for j in range(alpha, n):
+    # Phase 2, level alpha.  A winner is (codes, cells, unplaced, nb): the
+    # partial order's state before the split by nb, v's neighbours.
+    fewest, winners = n, []
+    for chosen, _ in sets:
+        unplaced = everyone ^ chosen
+        rest = unplaced
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            _, nb, twins = vertex[bit]
+            if twins & unplaced:
+                continue
+            ones = (chosen & nb).bit_count()
+            if ones > fewest:
+                continue
+            if ones < fewest:
+                fewest = ones
+                winners = []
+            winners.append((unplaced ^ bit, (chosen,), unplaced ^ bit, nb))
+    columns = [0] * alpha + [(1 << fewest) - 1]
+    for j in range(alpha + 1, n):
+        # each state, (codes, cells), maps to its unplaced vertices
+        states = {}
+        for codes, cells, unplaced, nb in winners:
+            split = []
+            for c in cells:
+                inside = c & nb
+                if inside != c:
+                    split.append(c ^ inside)
+                if inside:
+                    split.append(inside)
+            states[codes << 1 | nb & unplaced, tuple(split)] = unplaced
         after = j - alpha  # vertices placed after I
         marker = 1 << after
         best = 1 << j
         winners = []
         for (codes, cells), unplaced in states.items():
-            for s, bit, nb, twins in verts:
-                code = codes >> s & field
-                if not code or twins & unplaced:
+            rest = unplaced
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                s, nb, twins = vertex[bit]
+                if twins & unplaced:
                     continue
+                code = codes >> s & field
                 over_i = 0
                 for c in cells:
                     over_i = over_i << c.bit_count() | (1 << (c & nb).bit_count()) - 1
@@ -461,25 +523,7 @@ def _canonical_search(g: Graph) -> Graph:
                     winners = []
                 winners.append((codes ^ code << s, cells, unplaced ^ bit, nb))
         columns.append(best)
-        if j == n - 1:
-            break
-        states = {}
-        for codes, cells, rest, nb in winners:
-            split = []
-            for c in cells:
-                inside = c & nb
-                if inside != c:
-                    split.append(c ^ inside)
-                if inside:
-                    split.append(inside)
-            states[codes << 1 | nb & rest, tuple(split)] = rest
-    edges = []
-    for j, col in enumerate(columns):
-        while col:  # bit j - 1 - i of column j is the pair (i, j)
-            top = col.bit_length()
-            edges.append((j - top, j))
-            col ^= 1 << top - 1
-    return Graph(n, frozenset(edges))
+    return Graph(n, frozenset(itertools.chain.from_iterable(map(list.__getitem__, pairs, columns))))
 
 
 def canonical_form(g: Graph) -> str:
@@ -496,17 +540,24 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     Each class on n - 1 vertices is extended by a new vertex n - 1 joined
     to each subset of its vertices, and every candidate's canonical_graph
     goes into one set; every n-vertex graph arises this way (delete its
-    last vertex).  Isomorphic candidates mostly hit canonical_graph's memo.
+    last vertex).  The 2**(n - 1) edge sets of the new vertex are built
+    once per level and shared by every class, so a candidate costs one
+    frozenset union.  Isomorphic candidates mostly hit canonical_graph's
+    memo.
     """
     if n < 1:
         raise InputError("class enumeration needs n >= 1")
     if n == 1:
         return (build_graph(1, []),)
     last = n - 1
-    found = set()
-    for g in nonisomorphic_graphs(last):
-        # candidates' edges are normalised already, so no build_graph
-        for mask in range(2 ** last):
-            extra = [(v, last) for v in range(last) if (mask >> v) & 1]
-            found.add(canonical_graph(Graph(n, g.edges.union(extra))))
+    # extras[mask]: the edges from the new vertex to the vertices in mask,
+    # normalised already, so no build_graph
+    extras = [
+        frozenset((v, last) for v in range(last) if mask >> v & 1)
+        for mask in range(2 ** last)
+    ]
+    found = {
+        canonical_graph(Graph(n, g.edges | extra))
+        for g in nonisomorphic_graphs(last) for extra in extras
+    }
     return tuple(sorted(found, key=to_graph6))

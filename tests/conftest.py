@@ -1,8 +1,9 @@
 """Shared graph constructors (also union, cone, induced subgraph, random
 graphs with the diagonal property and the graph of a decomposition
 tree), the classes with the diagonal property by their cone-and-union
-grammar, element arithmetic, test oracles (the brute-force and
-level-by-level canonical forms, the violation search over 4-sets, the
+grammar, element arithmetic, test oracles (the class count by Burnside's
+lemma and the rooted-tree count, the brute-force and level-by-level
+canonical forms, the violation search over 4-sets, the
 decomposition by single peels, clique listing by k-subsets, subspace
 counts and containment, sparse spans and rows on top of rref, a RowSpace
 from dense rows already reduced, the generated ideal by sparse vectors,
@@ -17,6 +18,7 @@ run.  A test's own max_examples still sets how many."""
 
 import functools
 import itertools
+import math
 import operator
 
 from hypothesis import settings
@@ -328,6 +330,51 @@ def random_trivially_perfect(rng, n):
         return disjoint_union(random_trivially_perfect(rng, k),
                               random_trivially_perfect(rng, n - k))
     return cone(random_trivially_perfect(rng, n - 1))
+
+
+def partitions(n: int, largest: int | None = None):
+    """The partitions of n into parts of at most largest, each as a
+    nonincreasing tuple."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        yield from ((part,) + rest for rest in partitions(n - part, part))
+
+
+def graph_count(n: int) -> int:
+    """The number of graphs on n vertices up to isomorphism (OEIS A000088),
+    by Burnside's lemma: the mean over S_n of 2 ** (the cycles of the
+    permutation on vertex pairs).  A permutation's cycle type, parts k,
+    gives floor(k / 2) pair cycles inside each k-cycle and gcd(k, l)
+    between a k-cycle and an l-cycle; n! / prod(k ** m_k * m_k!)
+    permutations share the type, m_k its number of k-cycles (Harary &
+    Palmer, Graphical Enumeration, 1973, ch. 4)."""
+    total = 0
+    for parts in partitions(n):
+        perms = math.factorial(n)
+        for k in set(parts):
+            m = parts.count(k)
+            perms //= k ** m * math.factorial(m)
+        cycles = sum(k // 2 for k in parts)
+        cycles += sum(math.gcd(k, l) for k, l in itertools.combinations(parts, 2))
+        total += perms * 2 ** cycles
+    return total // math.factorial(n)
+
+
+@functools.cache
+def rooted_trees(n: int) -> int:
+    """The number of rooted trees on n vertices (OEIS A000081), by the
+    Euler-transform recurrence a(n + 1) = (1/n) sum_{k=1..n}
+    (sum_{d | k} d a(d)) a(n - k + 1), a(1) = 1."""
+    if n == 1:
+        return 1
+    m = n - 1
+    total = sum(
+        sum(d * rooted_trees(d) for d in range(1, k + 1) if k % d == 0) * rooted_trees(m - k + 1)
+        for k in range(1, m + 1)
+    )
+    return total // m
 
 
 @functools.cache

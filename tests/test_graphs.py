@@ -14,6 +14,7 @@ from conftest import (
     diagonal_violation_by_quads,
     disjoint_union,
     five_vertex_cone_like,
+    graph_count,
     induced_subgraph,
     lexmin_by_permutations,
     path4,
@@ -438,6 +439,11 @@ def test_class_counts():
     assert [len(nonisomorphic_graphs(n)) for n in range(1, 8)] == [
         1, 2, 4, 11, 34, 156, 1044
     ]
+    # and the same counts by Burnside's lemma, which goes on past n = 7
+    assert [len(nonisomorphic_graphs(n)) for n in range(1, 8)] == [
+        graph_count(n) for n in range(1, 8)
+    ]
+    assert [graph_count(n) for n in (8, 9, 10)] == [12346, 274668, 12005168]
     with pytest.raises(InputError):
         nonisomorphic_graphs(0)
 
@@ -504,12 +510,17 @@ def test_class_enumeration_makes_one_canonical_call_per_candidate(monkeypatch):
     nonisomorphic_graphs.cache_clear()
     try:
         assert len(nonisomorphic_graphs(6)) == 156
+        # 2**(k - 1) neighbourhoods for each class on k - 1 vertices, k = 2..6
+        assert len(calls) == 1 * 2 + 2 * 4 + 4 * 8 + 11 * 16 + 34 * 32 == 1306
+        # the other 1,089 candidates share a memo key with an earlier one
+        assert len(searched) == 217
+        assert len(nonisomorphic_graphs(7)) == 1044
     finally:
         nonisomorphic_graphs.cache_clear()
-    # 2**(k - 1) neighbourhoods for each class on k - 1 vertices, k = 2..6
-    assert len(calls) == 1 * 2 + 2 * 4 + 4 * 8 + 11 * 16 + 34 * 32 == 1306
-    # the other 1,089 candidates share a memo key with an earlier one
-    assert len(searched) == 217
+    # and 64 neighbourhoods for each class on 6 vertices, of which 1,302
+    # candidates search
+    assert len(calls) == 1306 + 156 * 64 == 11290
+    assert len(searched) == 217 + 1302 == 1519
 
 
 def test_memoised_canonical_graph_matches_the_search(monkeypatch):

@@ -26,6 +26,7 @@ from conftest import (
     path4,
     random_graph,
     reconstruct,
+    rooted_trees,
     sparse_rows,
     span,
     square4,
@@ -298,6 +299,7 @@ def test_elementary_grammar_gives_the_diagonal_classes():
     # disjoint unions: rooted forests, counted by A000081(n + 1)
     counts = [len(elementary_classes(n)) for n in range(1, 9)]
     assert counts == [1, 2, 4, 9, 20, 48, 115, 286]
+    assert counts == [rooted_trees(n + 1) for n in range(1, 9)]
     for n in range(1, 8):
         keys = sorted(canonical_form(graph_of_code(code)) for code in elementary_classes(n))
         assert keys == [
