@@ -388,7 +388,8 @@ def _search_layout(n: int) -> tuple:
     shift = range(0, n * n, n)
     unit = [1 << s for s in shift]
     pairs = [
-        [tuple((j - 1 - k, j) for k in range(j) if col >> k & 1) for col in range(1 << j)]
+        [tuple((j - 1 - k, j) for k in range(j) if col >> k & 1)
+         for col in range(1 << j)]
         for j in range(n)
     ]
     return (1 << n) - 1, shift, unit, sum(unit), pairs
@@ -463,9 +464,9 @@ def _canonical_search(g: Graph) -> Graph:
             while free:
                 bit = free & -free
                 free ^= bit
-                v = bit.bit_length() // n  # bit is 1 << n*v and n >= 2
-                if not smaller_twins[v] & ~chosen:
-                    grown.append((chosen | bit, free & ~spread[v]))
+                _, nb, twins = vertex[bit]
+                if not twins & ~chosen:
+                    grown.append((chosen | bit, free & ~nb))
     alpha = sets[0][0].bit_count()
     # Phase 2, level alpha.  A winner is (codes, cells, unplaced, nb): the
     # partial order's state before the split by nb, v's neighbours.
@@ -523,7 +524,8 @@ def _canonical_search(g: Graph) -> Graph:
                     winners = []
                 winners.append((codes ^ code << s, cells, unplaced ^ bit, nb))
         columns.append(best)
-    return Graph(n, frozenset(itertools.chain.from_iterable(map(list.__getitem__, pairs, columns))))
+    edges = itertools.chain.from_iterable(map(list.__getitem__, pairs, columns))
+    return Graph(n, frozenset(edges))
 
 
 def canonical_form(g: Graph) -> str:

@@ -370,10 +370,10 @@ def rooted_trees(n: int) -> int:
     if n == 1:
         return 1
     m = n - 1
-    total = sum(
-        sum(d * rooted_trees(d) for d in range(1, k + 1) if k % d == 0) * rooted_trees(m - k + 1)
-        for k in range(1, m + 1)
-    )
+    total = 0
+    for k in range(1, m + 1):
+        divisor_sum = sum(d * rooted_trees(d) for d in range(1, k + 1) if k % d == 0)
+        total += divisor_sum * rooted_trees(m - k + 1)
     return total // m
 
 
