@@ -75,13 +75,23 @@ def _violation_json(w: DiagonalViolation) -> dict:
 
 
 def _tree_json(node) -> dict:
-    if isinstance(node, DiagonalViolation):
-        return _violation_json(node)
-    if isinstance(node, LeafNode):
-        return {"kind": "vertex", "vertex": node.vertex}
-    if isinstance(node, ConeNode):
-        return {"kind": "cone", "apex": node.apex, "base": _tree_json(node.base)}
-    return {"kind": "union", "children": [_tree_json(c) for c in node.children]}
+    """The decomposition as nested dicts, filled from an explicit stack of
+    (node, its dict), so that a tree of any depth converts."""
+    root: dict = {}
+    stack = [(node, root)]
+    while stack:
+        node, out = stack.pop()
+        if isinstance(node, DiagonalViolation):
+            out.update(_violation_json(node))
+        elif isinstance(node, LeafNode):
+            out.update(kind="vertex", vertex=node.vertex)
+        elif isinstance(node, ConeNode):
+            out.update(kind="cone", apex=node.apex, base={})
+            stack.append((node.base, out["base"]))
+        else:
+            out.update(kind="union", children=[{} for _ in node.children])
+            stack += zip(node.children, out["children"])
+    return root
 
 
 def _witness_json(w: NonUKWitness) -> dict:

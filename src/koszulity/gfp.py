@@ -35,12 +35,23 @@ coordinates of the non-pivot columns of S; combine_maps, map_kernel,
 map_rank and image_basis answer what a kernel, rank or span needs, with
 bases that need not be reduced; image_span is a span of images as a
 canonical RowSpace, and image_fills tests whether images of sparse maps
-span the whole space, stopping at full rank.  swap_coordinates maps the
-native RREF basis of a subspace to that of its image under swapping two
-coordinates, and scale_first to that of the first member of its orbit
-under the diagonal scalings, in enumeration order; it also tests whether
-a divisor class is the first of its orbit under the scalings that fix
-the subspace.
+span the whole space, stopping at full rank; it takes the vectors a
+batch at a time and hands on its echelon rows, so that each extension
+of a set of vectors eliminates only its own images.  swap_coordinates
+maps the native RREF basis of a subspace to that of its image under
+swapping two coordinates, and scale_first to that of the first member
+of its orbit under the diagonal scalings, in enumeration order; it also
+tests whether a divisor class is the first of its orbit under the
+scalings that fix the subspace.
+
+One private walker, _row_prefixes, enumerates subspaces: per pivot
+pattern, a tree whose nodes are the row prefixes of the RREF bases,
+walked depth-first in enumeration order, with a state per node that its
+children extend by one row, and where a node whose state is None
+settles, with one count, every basis below it.  enumerate_subspaces
+settles nothing; first_subspaces settles the prefixes that are not
+first under the scalings (their scan meets an entry other than 1) or
+whose images fill (image_fills).
 
 The package needs only the standard library.  A vectorised route for odd
 p that uses numpy must import it inside that route, so that importing the
@@ -552,18 +563,22 @@ def image_span(p: int, maps: Sequence[tuple], vectors: Sequence, width: int) -> 
 
 def image_fills(p: int, maps: Sequence[Sequence[Sparse]], width: int):
     """The test whether m(x), for every map m in maps and native vector x,
-    spans all of F_p^width, as a function from a sequence of native
-    vectors (such as RowSpace.basis) to bool.  Each map is the sequence
-    of the sparse images of the standard basis vectors, with indices in
-    [0, width); an index outside it is an InputError.  The test
-    eliminates each image against the rows met so far (packed at p = 2,
-    with leading coefficient 1 at odd p) and stops as soon as their rank
-    is width."""
+    spans all of F_p^width, taken a batch of vectors at a time: a function
+    fill(lead, vectors) that eliminates the images of the native vectors
+    vectors against lead, the echelon rows of the images met so far (a
+    dict, pivot -> row; {} for none), and returns the rows of both, or
+    None as soon as they span F_p^width.  lead is not changed, so a row
+    prefix of a basis can hand its rows to each of its extensions, which
+    then add only their own images.  The vectors span enough iff
+    fill({}, vectors) is None.  Each map is the sequence of the sparse
+    images of the standard basis vectors, with indices in [0, width); an
+    index outside it is an InputError.  Rows are packed at p = 2 and have
+    leading coefficient 1 at odd p."""
     if p == 2:
         packed = [_from_sparse(p, width, m) for m in maps]
 
-        def fills(vectors) -> bool:
-            lead: dict[int, int] = {}
+        def fill(lead, vectors):
+            lead = dict(lead)
             for x in vectors:
                 cols = list(_bits(x))
                 for m in packed:
@@ -576,17 +591,17 @@ def image_fills(p: int, maps: Sequence[Sequence[Sparse]], width: int):
                         if row is None:
                             lead[low] = v
                             if len(lead) == width:
-                                return True
+                                return None
                             break
                         v ^= row
-            return len(lead) == width
-        return fills
+            return None if len(lead) == width else lead
+        return fill
 
     for m in maps:
         _from_sparse(p, width, m)  # the index check
 
-    def fills(vectors) -> bool:
-        lead: dict[int, list[int]] = {}  # pivot column -> row with 1 there
+    def fill(lead, vectors):
+        lead = dict(lead)  # pivot column -> row with 1 there
         for x in vectors:
             terms = [(c, a) for c, a in enumerate(x) if a]
             for m in maps:
@@ -603,11 +618,11 @@ def image_fills(p: int, maps: Sequence[Sequence[Sparse]], width: int):
                         inv = pow(f, p - 2, p)
                         lead[j] = [y * inv % p for y in v]
                         if len(lead) == width:
-                            return True
+                            return None
                         break
                     v = [a - f * b for a, b in zip(v, row)]
-        return len(lead) == width
-    return fills
+        return None if len(lead) == width else lead
+    return fill
 
 
 def swap_coordinates(p: int, i: int, j: int):
@@ -654,6 +669,24 @@ def _joins(basis, label):
                 label[:] = [a if y == b else y for y in label]
 
 
+def _first_rows(label, rows):
+    """The scan of _joins over native rows at odd p, from the classes of
+    columns label (label[j] the class of column j), stopping at the first
+    joining entry that is not 1: None there, else the classes after the
+    rows.  label is not changed; a new list comes back when a row joins
+    two classes.  Each entry's verdict depends only on the rows before
+    it, so when a row prefix of a basis gives None, so does the basis."""
+    for row in rows:
+        a = label[row.index(1)]  # the pivot is the row's first nonzero entry
+        for k, x in enumerate(row):
+            if x and label[k] != a:
+                if x != 1:
+                    return None
+                b = label[k]
+                label = [a if y == b else y for y in label]
+    return label
+
+
 def scale_first(p: int):
     """The orbits of the diagonal scalings x_c -> t_c x_c, t in
     (F_p^*)^m, as three functions of a native RREF basis
@@ -687,18 +720,7 @@ def scale_first(p: int):
         return (lambda basis: True), (lambda basis: basis), (lambda basis, m: lambda vec: True)
 
     def is_first(basis):
-        # the scan of _joins, inline and stopping at the first entry that
-        # is not 1: it runs on every subspace enumerated at odd p
-        label = list(range(len(basis[0]) if basis else 0))  # class of each column
-        for row in basis:
-            a = label[row.index(1)]  # the pivot is the row's first nonzero entry
-            for k, x in enumerate(row):
-                if x and label[k] != a:
-                    if x != 1:
-                        return False
-                    b = label[k]
-                    label = [a if y == b else y for y in label]
-        return True
+        return not basis or _first_rows(list(range(len(basis[0]))), basis) is not None
 
     def first(basis):
         if is_first(basis):
@@ -751,15 +773,23 @@ def _guard(p: int, d: int) -> None:
         )
 
 
-def enumerate_subspaces(p: int, d: int) -> Iterator[RowSpace]:
-    """Every subspace of F_p^d exactly once.
+def _row_prefixes(p: int, d: int, grow, last, start):
+    """The walk behind enumerate_subspaces and first_subspaces: every
+    subspace of F_p^d in enumerate_subspaces order, as a tree of row
+    prefixes per pivot pattern.  The children of a prefix append each
+    filling of the next pivot's row in turn, and the tree is walked
+    depth-first, so row 0 changes slowest.
 
-    Order: rank ascending, then pivot-column pattern lexicographic, then the
-    free entries filled row-major with values 0..p-1.  The total count is the
-    Galois number (sum of Gaussian binomial coefficients).  Each pivot's
-    row lists its fillings in that order, as native rows, and the product
-    over rows, row 0 slowest, is row-major.
-    """
+    Each node carries a state: start at the root of every pattern,
+    grow(state, rows) at a child that is a proper prefix and
+    last(state, rows) at a leaf, a whole basis, where state is the
+    parent's and rows the one row appended (the root is the leaf of the
+    zero subspace, whose state is last(start, ())).  A state None
+    settles the node with all its completions, its block, and nothing
+    below it is visited.  Yields (basis, rank, count, state), in
+    enumeration order, for each settled node (state None, basis the
+    prefix, count the bases of rank rank in its block) and each other
+    leaf (count 1)."""
     _guard(p, d)
     for r in range(d + 1):
         for pivots in itertools.combinations(range(d), r):
@@ -771,8 +801,73 @@ def enumerate_subspaces(p: int, d: int) -> Iterator[RowSpace]:
                     for k in range(d)
                 ))
                 fillings.append([_pack(row) for row in rows] if p == 2 else list(rows))
-            for basis in itertools.product(*fillings):
-                yield RowSpace(p, d, basis)
+            blocks = [1] * (r + 1)  # blocks[k]: the bases below a k-row prefix
+            for k in range(r - 1, -1, -1):
+                blocks[k] = blocks[k + 1] * len(fillings[k])
+            if start is None or r == 0:
+                yield (), r, blocks[0], start if start is None else last(start, ())
+                continue
+            stack = [((), start)]  # nodes still to visit, the next one last
+            while stack:
+                prefix, state = stack.pop()
+                k = len(prefix)
+                if state is None:
+                    yield prefix, r, blocks[k], None
+                elif k == r - 1:
+                    for row in fillings[k]:
+                        yield prefix + (row,), r, 1, last(state, (row,))
+                else:
+                    stack += reversed([
+                        (prefix + (row,), grow(state, (row,))) for row in fillings[k]
+                    ])
+
+
+def _keep(state, rows):
+    return state
+
+
+def enumerate_subspaces(p: int, d: int) -> Iterator[RowSpace]:
+    """Every subspace of F_p^d exactly once.
+
+    Order: rank ascending, then pivot-column pattern lexicographic, then the
+    free entries filled row-major with values 0..p-1.  The total count is the
+    Galois number (sum of Gaussian binomial coefficients).  Each pivot's
+    row lists its fillings in that order, as native rows, and the bases
+    are their products, row 0 slowest (_row_prefixes with no block
+    settled).
+    """
+    for basis, *_ in _row_prefixes(p, d, _keep, _keep, True):
+        yield RowSpace(p, d, basis)
+
+
+def first_subspaces(p: int, d: int, fill):
+    """The subspaces U of F_p^d, in enumerate_subspaces order, with whole
+    blocks settled at a row prefix P of their bases: where P is not first
+    in its orbit under the diagonal scalings (scale_first) or where its
+    images fill, fill({}, P) is None for fill from image_fills.  Every
+    completion U of such a P is then not first, or fills, too: is_first
+    scans the rows in order, so it meets P's entry first, and U's images
+    contain P's.
+
+    Yields (basis, rank, count, lead), as _row_prefixes does: lead None
+    for a settled block of count subspaces of rank rank, each not first
+    or filling, and otherwise a whole basis that is first in its orbit
+    and whose rows but the last do not fill, with lead =
+    fill({}, basis[:-1]).  So fill(lead, basis[-1:]) finishes its test.
+    At p = 2 every subspace is first."""
+    lead = fill({}, ())
+    if p == 2:
+        return _row_prefixes(p, d, fill, _keep, lead)
+
+    def grow(state, rows):
+        label = _first_rows(state[0], rows)
+        lead = None if label is None else fill(state[1], rows)
+        return None if lead is None else (label, lead)
+
+    def last(state, rows):
+        return None if _first_rows(state[0], rows) is None else state[1]
+
+    return _row_prefixes(p, d, grow, last, lead if lead is None else (list(range(d)), lead))
 
 
 def enumerate_vectors_mod_scalar(p: int, d: int) -> Iterator[tuple[int, ...]]:

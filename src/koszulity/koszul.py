@@ -53,9 +53,13 @@ T-orbit: the RREF in which every nonzero free entry that joins two
 classes of columns, scanned row-major, is 1.  A subspace that is not
 first in its T-orbit is counted as covered on that test alone, before
 anything else: the first member of its G-orbit comes earlier, and it is
-first in its own T-orbit.  The orbits are closed under each twin swap
-followed by the scaling to the first member, so the later members held
-are first members too, one per T-orbit, and each is met once.
+first in its own T-orbit.  The scan stops at its first joining entry
+that is not 1, and it meets the entries of a row prefix of U's basis
+first: when the prefix is not first, neither is U, and that test alone
+covers every basis the prefix begins.
+The orbits are closed under each twin swap followed by the scaling to
+the first member, so the later members held are first members too, one
+per T-orbit, and each is met once.
 
 The divisors of a tested U are thinned the same way, by Stab_T(U), the
 scalings that fix U.  A scaling t fixes U iff t_k = t_c for each nonzero
@@ -82,7 +86,24 @@ A_1 U = A_2 holds for every member of an orbit or for none.  Each member
 of such an orbit passes on its own test, so only the orbits whose
 quotient does not vanish are closed, and the subspaces tested are the
 same.  The divisors of a subspace that passes this way count in
-divisors_checked only.
+divisors_checked only.  The test too holds for a whole block: if the
+rows of a prefix P of U's basis already have A_1 P = A_2, then so has U.
+
+So the subspaces are walked in enumeration order as a tree of row
+prefixes (gfp.first_subspaces), row 0 first, and a prefix that is not
+first in its T-orbit, or whose products fill A_2, settles the block of
+bases that complete it: its count, the product of the fillings left to
+the later rows, is added to ideals_enumerated, times the (p^(d-r) -
+1)/(p - 1) divisor classes of a rank-r subspace to divisors_checked.
+Each prefix hands its scan's classes and its elimination of A_1 P to
+its extensions, which add one row each.  A whole basis is taken in the
+order above: first in its T-orbit, then a later member of an orbit
+already met, then the fill test.  No member of an orbit met earlier
+lies in a settled block: those members are first in their T-orbits,
+and they do not fill, since the orbit's first member does not and an
+automorphism s has s((U)) = (sU).  So the subspaces tested, their
+order, the counters and the first failure are those of a walk that
+meets every subspace.
 
 Universal Koszulity is Conca's notion ("Universally Koszul algebras",
 Math. Ann. 317, 2000).  Each divisor is tested in the quotient B = A/I:
@@ -138,8 +159,9 @@ from .gfp import (
     Prime,
     combine_maps,
     count_text,
+    RowSpace,
     enumerate_coset_reps_mod_scalar,
-    enumerate_subspaces,
+    first_subspaces,
     image_basis,
     image_fills,
     map_kernel,
@@ -410,7 +432,9 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
     docstring).  Otherwise the first subspace met in each orbit has its
     divisors tested, one per orbit of the scalings that fix it; the later
     members, and every subspace that is not the first of its scaling
-    orbit, are counted as covered, as are the divisors not tested.
+    orbit, are counted as covered, as are the divisors not tested.  The
+    subspaces that a row prefix already settles, as not first or as
+    filling A_2, are counted as one block.
     Returns the first failure in enumeration order, if any.
     Refuses with ResourceLimitError before the first subspace when the
     predicted divisor count exceeds 2**20.
@@ -423,7 +447,7 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
             f"divisor) pairs over F_{ctx.p} with {d} vertices exceed 2**20"
         )
     p = ctx.p
-    is_first, first, divisor_first = scale_first(p)
+    _, first, divisor_first = scale_first(p)
     # each twin swap followed by the scaling to the first member, so that
     # an orbit is closed over first members only
     actions = [
@@ -431,30 +455,33 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
         for u, v in _twin_transpositions(ctx.graph)
     ]
     # whether A_1 U = A_2, on the maps A_1 -> A_2 (none when A_2 = 0)
-    fills = image_fills(p, ctx.gen_maps[1] if ctx.D > 1 else (), ctx.dim(2))
+    fill = image_fills(p, ctx.gen_maps[1] if ctx.D > 1 else (), ctx.dim(2))
     ahead = set()  # native bases of later members of the orbits already met
     ideals = divisors = tested = 0
-    for u in enumerate_subspaces(p, d):
-        ideals += 1
-        classes = (p ** (d - u.rank) - 1) // (p - 1)
-        if not is_first(u.basis):
-            # a scaling of an earlier subspace, so it passes iff that one does
-            divisors += classes
+    for basis, rank, count, lead in first_subspaces(p, d, fill):
+        ideals += count
+        classes = (p ** (d - rank) - 1) // (p - 1)
+        if lead is None:
+            # not first in their scaling orbits, so scalings of earlier
+            # subspaces, or B = A/(U) vanishes from degree 2 on: each
+            # passes as an earlier one does, or with every divisor
+            divisors += count * classes
             continue
-        if u.basis in ahead:
+        if basis in ahead:
             # its orbit's first member passed, so it passes too
-            ahead.remove(u.basis)
+            ahead.remove(basis)
             divisors += classes
             continue
-        if fills(u.basis):
+        if fill(lead, basis[-1:]) is None:
             # B = A/(U) vanishes from degree 2 on: every divisor passes
             divisors += classes
             continue
-        ahead |= _orbit_rest(u.basis, actions)
+        u = RowSpace(p, d, basis)
+        ahead |= _orbit_rest(basis, actions)
         ideal = ideal_from_degree_one(ctx, u)
         dims, maps = _quotient_maps(ctx, ideal)
         free = [c for c in range(d) if c not in set(u.pivots)]
-        first_divisor = divisor_first(u.basis, d)
+        first_divisor = divisor_first(basis, d)
         for vec in enumerate_coset_reps_mod_scalar(u):
             divisors += 1
             if not first_divisor(vec):

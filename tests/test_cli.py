@@ -213,6 +213,24 @@ def census_lines(capsys, *argv):
     return lines
 
 
+def test_tree_json_converts_a_cone_chain_5000_deep():
+    # a cone over a cone ... over the union of two vertices, 5,000 cones
+    # deep; such a tree cannot be compared or printed without recursion,
+    # so the test walks it and the result with loops
+    depth = 5000
+    node = graphs.UnionNode((graphs.LeafNode(depth), graphs.LeafNode(depth + 1)))
+    for apex in range(depth - 1, -1, -1):
+        node = graphs.ConeNode(apex, node)
+    doc = cli._tree_json(node)
+    for apex in range(depth):
+        assert list(doc) == ["kind", "apex", "base"]
+        assert (doc["kind"], doc["apex"]) == ("cone", apex)
+        doc = doc["base"]
+    assert doc == {"kind": "union", "children": [
+        {"kind": "vertex", "vertex": depth}, {"kind": "vertex", "vertex": depth + 1},
+    ]}
+
+
 def test_census_three_vertices(capsys):
     lines = census_lines(capsys, "-n", "3")
     assert len(lines) == 2 + 4  # header, four classes, summary

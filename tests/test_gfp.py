@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_cases,
+    complete,
     contains,
     first_divisors_by_stabiliser,
     space_of_rows,
     sparse_rows,
     span,
+    star,
     subspace_count,
 )
 from koszulity.algebra import build_algebra
@@ -28,6 +30,7 @@ from koszulity.gfp import (
     enumerate_coset_reps_mod_scalar,
     enumerate_subspaces,
     enumerate_vectors_mod_scalar,
+    first_subspaces,
     full_space,
     image_basis,
     image_fills,
@@ -42,6 +45,7 @@ from koszulity.gfp import (
     swap_coordinates,
     zero_space,
 )
+from koszulity.graphs import build_graph
 from koszulity.ideals import ideal_from_degree_one
 
 
@@ -656,7 +660,7 @@ def test_image_fills_agrees_with_the_image_span(p):
         vectors = random_space(p, m, rng).basis
         native = quotient_maps(zero_space(p, m), zero_space(p, width), maps)
         rank = image_span(p, native, vectors, width).rank
-        assert image_fills(p, maps, width)(vectors) is (rank == width)
+        assert (image_fills(p, maps, width)({}, vectors) is None) is (rank == width)
         kinds["full" if rank == width else "zero" if rank == 0 else "deficient"] += 1
     # exactly full: the last image brings the rank to width, and one fewer
     # vector falls one short
@@ -664,9 +668,9 @@ def test_image_fills_agrees_with_the_image_span(p):
         perm = rng.sample(range(width), width)
         maps = [[[(perm[i], rng.randrange(1, p))] for i in range(width)]]
         basis = full_space(p, width).basis
-        assert image_fills(p, maps, width)(basis) is True
-        assert image_fills(p, maps, width)(basis[:-1]) is False
-        assert image_fills(p, maps, width)(()) is False
+        assert image_fills(p, maps, width)({}, basis) is None
+        assert image_fills(p, maps, width)({}, basis[:-1]) is not None
+        assert image_fills(p, maps, width)({}, ()) is not None
     assert min(kinds["full"], kinds["zero"], kinds["deficient"]) >= 40, kinds
     with pytest.raises(InputError, match="outside"):
         image_fills(p, [[[(0, 1)], [(3, 1)]]], 3)
@@ -678,9 +682,75 @@ def test_image_fills_decides_whether_an_ideal_fills_degree_two():
     outcomes = collections.Counter()
     for g, p in brute_cases():
         ctx = build_algebra(g, p)
-        fills = image_fills(p, ctx.gen_maps[1] if ctx.D > 1 else (), ctx.dim(2))
+        fill = image_fills(p, ctx.gen_maps[1] if ctx.D > 1 else (), ctx.dim(2))
         for u in enumerate_subspaces(p, g.n):
             want = ctx.D < 2 or ideal_from_degree_one(ctx, u).piece(2).rank == ctx.dim(2)
-            assert fills(u.basis) is want, (g.edges, p, u)
+            assert (fill({}, u.basis) is None) is want, (g.edges, p, u)
             outcomes[want] += 1
     assert outcomes[True] > 1000 and outcomes[False] > 1000, outcomes
+
+
+def _degree_one_fill(g, p):
+    ctx = build_algebra(g, p)
+    return image_fills(p, ctx.gen_maps[1] if ctx.D > 1 else (), ctx.dim(2))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_prefix_rules_are_exact(p):
+    # a row prefix that is not first in its scaling orbit, or whose
+    # products fill A_2, has no completion that is first, or that does not
+    # fill; and the fill state a prefix hands on decides as a fresh one
+    is_first, *_ = scale_first(p)
+    settled = collections.Counter()
+    for d in range(1, 5):
+        for u in enumerate_subspaces(p, d):
+            for k in range(u.rank):
+                if not is_first(u.basis[:k]):
+                    assert not is_first(u.basis), u
+                    settled["not first"] += 1
+    for g in (star(3), complete(4)):
+        fill = _degree_one_fill(g, p)
+        for u in enumerate_subspaces(p, g.n):
+            whole = fill({}, u.basis)
+            for k in range(u.rank):
+                lead = fill({}, u.basis[:k])
+                if lead is None:
+                    assert whole is None, (g.edges, u)
+                    settled["fills"] += 1
+                else:
+                    assert (fill(lead, u.basis[k:]) is None) is (whole is None)
+    assert settled["fills"] >= 60, settled
+    assert p == 2 or settled["not first"] >= 100, settled
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_first_subspaces_settles_whole_blocks_in_enumeration_order(p):
+    # the settled blocks and the leaves add up to the Galois number; read
+    # against enumerate_subspaces, each block is the run of subspaces of
+    # its rank below its prefix, each not first or filling, and each leaf
+    # is the next subspace, first, with the fill state of its rows but the
+    # last
+    is_first, *_ = scale_first(p)
+    for g in (star(3), complete(4), build_graph(4, [])):
+        fill = _degree_one_fill(g, p)
+        spaces = list(enumerate_subspaces(p, g.n))
+        walk = list(first_subspaces(p, g.n, fill))
+        assert sum(count for _, _, count, _ in walk) == subspace_count(p, g.n)
+        at = 0
+        for prefix, rank, count, lead in walk:
+            block = spaces[at:at + count]
+            at += count
+            assert len(block) == count
+            if lead is None:
+                assert all(
+                    u.rank == rank and u.basis[:len(prefix)] == prefix
+                    and (not is_first(u.basis) or fill({}, u.basis) is None)
+                    for u in block
+                ), (g.edges, prefix)
+                continue
+            (u,) = block
+            assert count == 1 and u.basis == prefix and u.rank == rank
+            assert is_first(u.basis) and lead == fill({}, u.basis[:-1])
+        if not g.edges:
+            # A_2 = 0: every pattern is settled at its root
+            assert all(lead is None and prefix == () for prefix, _, _, lead in walk)

@@ -34,7 +34,7 @@ from conftest import (
     strong_koszul_by_colons,
     subspace_count,
 )
-from koszulity import graphs, ideals, koszul
+from koszulity import gfp, graphs, ideals, koszul
 from koszulity.algebra import build_algebra, element_string, from_coeffs, monomial_string
 from koszulity.errors import InputError, ResourceLimitError
 from koszulity.gfp import (
@@ -582,10 +582,20 @@ def test_strong_refusal_wording_matches_the_exact_count():
 
 
 def test_brute_divisor_count_is_exact():
-    for g, p in ((star(2), 2), (star(2), 3), (cone_over_path(), 2), (complete(3), 5)):
+    # the last five settle whole blocks of subspaces at a row prefix; the
+    # empty graph has A_2 = 0, so every block is settled at its root and
+    # no divisor is tested
+    cases = (
+        (star(2), 2, 13), (star(2), 3, 13), (cone_over_path(), 2, 98),
+        (complete(3), 5, 19), (star(5), 2, 453), (star(4), 3, 174),
+        (star(3), 5, 51), (complete(3), 7, 21), (build_graph(5, []), 3, 0),
+    )
+    for g, p, tested in cases:
         out = universal_koszul_bruteforce(build_algebra(g, p))
         assert out.verdict is True
+        assert out.ideals_enumerated == subspace_count(p, g.n)
         assert out.divisors_checked == koszul._brute_divisor_count(p, g.n)
+        assert out.divisors_tested == tested, (g.edges, p)
     # the benchmark's largest case, the largest admitted p = 2 case, refusals
     assert koszul._brute_divisor_count(3, 5) == 25652
     assert koszul._brute_divisor_count(2, 7) == 358775
@@ -629,7 +639,9 @@ def test_brute_refusal_is_cheap_and_keeps_its_wording():
 def test_brute_refuses_over_budget_before_any_colon(monkeypatch):
     forbid_colons(monkeypatch)
     forbid(monkeypatch, koszul, "_quotient_maps", "quotient maps built")
-    forbid(monkeypatch, koszul, "enumerate_subspaces", "subspaces enumerated")
+    forbid(monkeypatch, koszul, "first_subspaces", "subspaces walked")
+    # the row-prefix walk behind every subspace enumeration
+    forbid(monkeypatch, gfp, "_row_prefixes", "subspaces enumerated")
     for n, p in ((8, 2), (4, 31), (13, 2)):
         with pytest.raises(ResourceLimitError, match="exceed 2\\*\\*20"):
             universal_koszul_bruteforce(build_algebra(build_graph(n, []), p))
