@@ -56,10 +56,10 @@ anything else: the first member of its G-orbit comes earlier, and it is
 first in its own T-orbit.  The scan stops at its first joining entry
 that is not 1, and it meets the entries of a row prefix of U's basis
 first: when the prefix is not first, neither is U, and that test alone
-covers every basis the prefix begins.
-The orbits are closed under each twin swap followed by the scaling to
-the first member, so the later members held are first members too, one
-per T-orbit, and each is met once.
+covers every basis the prefix begins.  The orbits are closed under each
+twin swap followed by the scaling to the first member, so the later
+members held are first members too, one per T-orbit, and each is met
+once.
 
 The divisors of a tested U are thinned the same way, by Stab_T(U), the
 scalings that fix U.  A scaling t fixes U iff t_k = t_c for each nonzero
@@ -157,9 +157,9 @@ from .errors import InputError, ResourceLimitError
 from .gfp import (
     ENUMERATION_GUARD,
     Prime,
+    RowSpace,
     combine_maps,
     count_text,
-    RowSpace,
     enumerate_coset_reps_mod_scalar,
     first_subspaces,
     image_basis,
