@@ -37,12 +37,12 @@ bases that need not be reduced; image_span is a span of images as a
 canonical RowSpace, and image_fills tests whether images of sparse maps
 span the whole space, stopping at full rank; it takes the vectors a
 batch at a time and hands on its echelon rows, so that each extension
-of a set of vectors eliminates only its own images.  swap_coordinates
-maps the native RREF basis of a subspace to that of its image under
-swapping two coordinates, and scale_first to that of the first member
-of its orbit under the diagonal scalings, in enumeration order; it also
-tests whether a divisor class is the first of its orbit under the
-scalings that fix the subspace.
+of a set of vectors eliminates only its own images.  permute_coordinates
+maps the native RREF basis of a subspace to that of its image under a
+permutation of the coordinates, and scale_first to that of the first
+member of its orbit under the diagonal scalings, in enumeration order;
+it also tests whether a divisor class is the first of its orbit under
+the scalings that fix the subspace.
 
 One private walker, _row_prefixes, enumerates subspaces: per pivot
 pattern, a tree whose nodes are the row prefixes of the RREF bases,
@@ -65,7 +65,7 @@ deterministic order and refuse to start when p**d exceeds 2**20.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+from functools import partial, reduce
 from operator import xor
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -432,7 +432,7 @@ def image_kernel(
     return _canonical(p, domain_dim, [v[:domain_dim] for v in kern])
 
 
-# -- native vectors: maps between quotients, coordinate swaps ---------------
+# -- native vectors: maps between quotients, coordinate permutations ----------
 
 
 def _classes(s: RowSpace) -> list:
@@ -493,15 +493,17 @@ def combine_maps(p: int, coeffs: Sequence[int], maps: Sequence[tuple]) -> tuple:
     terms = [(c % p, m) for c, m in zip(coeffs, maps) if c % p]
     if not terms:
         raise InputError("a combination of maps needs a nonzero coefficient")
-    if len(terms) == 1 and terms[0][0] == 1:
-        return terms[0][1]
+    (c, m), *rest = terms
+    if not rest and c == 1:
+        return m
     if p == 2:
-        return tuple(reduce(xor, col) for col in zip(*(m for _, m in terms)))
-    cs = [c for c, _ in terms]
-    return tuple(
-        tuple(sum(c * x for c, x in zip(cs, xs)) % p for xs in zip(*vs))
-        for vs in zip(*(m for _, m in terms))
-    )
+        # the XOR of the maps' images, column by column
+        return tuple(reduce(partial(map, xor), [m for _, m in terms]))
+    # the sums column by column, reduced mod p once at the end
+    sums = [[c * x for x in v] for v in m]
+    for c, m in rest:
+        sums = [[a + c * x for a, x in zip(s, v)] for s, v in zip(sums, m)]
+    return tuple(tuple(a % p for a in s) for s in sums)
 
 
 def map_kernel(p: int, images: Sequence, width: int) -> tuple:
@@ -625,29 +627,51 @@ def image_fills(p: int, maps: Sequence[Sequence[Sparse]], width: int):
     return fill
 
 
-def swap_coordinates(p: int, i: int, j: int):
-    """The action of the swap of e_i and e_j on subspaces, as a function
-    from a native RREF basis (RowSpace.basis) to the native RREF basis of
-    the image.  A basis none of whose rows the swap moves comes back as
-    the same object, with no elimination."""
+def permute_coordinates(p: int, perm: Sequence[int]):
+    """The action on the subspaces of F_p^m of the permutation of
+    coordinates that sends e_k to e_perm[k], for perm a permutation of
+    range(m) (InputError otherwise), as a function from a native RREF
+    basis (RowSpace.basis) to the native RREF basis of the image.  A
+    basis none of whose rows the permutation moves comes back as the
+    same object, with no elimination.
+
+    At p = 2 a row keeps its bits off the moved coordinates (those with
+    perm[k] != k), and its bits on them, as one int, are looked up in a
+    table filled as the rows meet them.  At odd p a row is unmoved iff
+    r[k] == r[perm[k]] for every moved k."""
+    m = len(perm)
+    if sorted(perm) != list(range(m)):
+        raise InputError(f"{list(perm)} is not a permutation of range({m})")
+    moved = [k for k in range(m) if perm[k] != k]
     if p == 2:
-        flip = 1 << i | 1 << j
-        # r & flip for the rows the swap moves: exactly one of the two bits
-        mixed = (1 << i, 1 << j) if i != j else ()
+        mask = sum(1 << k for k in moved)
+        table: dict[int, int] = {}  # bits on the moved coordinates -> their image
 
-        def swap(basis):
-            rows = [r ^ flip if r & flip in mixed else r for r in basis]
-            return basis if tuple(rows) == basis else _echelon2(rows)
-        return swap
+        def permute(basis):
+            rows, same = [], True
+            for r in basis:
+                bits = r & mask
+                if bits:
+                    image = table.get(bits)
+                    if image is None:
+                        image = table[bits] = sum(1 << perm[k] for k in _bits(bits))
+                    if image != bits:
+                        r ^= bits ^ image
+                        same = False
+                rows.append(r)
+            return basis if same else _echelon2(rows)
+        return permute
 
-    def swap(basis):
-        if all(r[i] == r[j] for r in basis):
+    source = [0] * m  # source[perm[k]] = k: the coordinate that lands on each
+    for k, j in enumerate(perm):
+        source[j] = k
+
+    def permute(basis):
+        if all(r[k] == r[perm[k]] for r in basis for k in moved):
             return basis
-        rows = [list(r) for r in basis]
-        for r in rows:
-            r[i], r[j] = r[j], r[i]
-        return tuple(_eliminate(rows, len(rows[0]), p))
-    return swap
+        rows = [[r[k] for k in source] for r in basis]
+        return tuple(_eliminate(rows, m, p))
+    return permute
 
 
 def _joins(basis, label):

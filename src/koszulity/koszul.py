@@ -57,9 +57,15 @@ first in its own T-orbit.  The scan stops at its first joining entry
 that is not 1, and it meets the entries of a row prefix of U's basis
 first: when the prefix is not first, neither is U, and that test alone
 covers every basis the prefix begins.  The orbits are closed under each
-twin swap followed by the scaling to the first member, so the later
-members held are first members too, one per T-orbit, and each is met
-once.
+twin generator followed by the scaling to the first member, so the
+later members held are first members too, one per T-orbit, and each is
+met once.  The twin swaps of a class of k twins generate its symmetric
+group S_k, and two of them suffice: the transposition t of its two least
+members m_0, m_1 and, for k >= 3, the cycle c = (m_0 m_1 ... m_(k-1)).
+Conjugating t by c^i gives (m_i m_(i+1)), and these consecutive
+transpositions generate S_k.  Any generating set of the group closes the
+same orbits, so the subspaces tested, their order and the counters do
+not depend on which one is used.
 
 The divisors of a tested U are thinned the same way, by Stab_T(U), the
 scalings that fix U.  A scaling t fixes U iff t_k = t_c for each nonzero
@@ -115,8 +121,17 @@ the same degree.  B's generator maps are built once per tested
 subspace, in the coordinates of the monomials off the pivots of each
 I_n, so no divisor reduces anything modulo I.  Ann_B(b)_n is the kernel
 of multiplication by b, and it contains the ideal that Ann_B(b)_1
-generates, so dimensions decide.  colon_ideal and is_one_generated stay
-as the independent route the tests compare against.
+generates, so dimensions decide.  Two facts spare most of the work of
+spanning that ideal, J, degree by degree.  B is a quotient of an exterior
+algebra, so b^2 = 0: b lies in Ann_B(b)_1, and J_n contains b B_{n-1}
+and lies in Ann_B(b)_n.  So once multiplication by b, B_{n-1} -> B_n,
+is onto, J_n = B_n and b passes, as the test of J_n itself would find.
+And when Ann_B(b)_1 = <b>, J is the principal ideal (b), whose degree-n
+part is b B_{n-1}: its dimension is that rank, which the test has
+already computed, as the rank behind Ann_B(b)_{n-1}, so no image is
+taken.  The degree returned is the same either way.  colon_ideal and
+is_one_generated stay as the independent route the tests compare
+against.
 
 The strong and brute-force checks count their (ideal, divisor) pairs
 exactly before any work and refuse with ResourceLimitError past 2**20
@@ -166,9 +181,9 @@ from .gfp import (
     image_fills,
     map_kernel,
     map_rank,
+    permute_coordinates,
     quotient_maps,
     scale_first,
-    swap_coordinates,
 )
 from .graphs import (
     DiagonalViolation,
@@ -361,11 +376,38 @@ def _twin_transpositions(g: Graph) -> list[tuple[int, int]]:
     return pairs
 
 
+def _twin_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Two generators of the symmetric group on each twin class of g, as
+    permutations of the vertices (perm[v] is the image of v): the
+    transposition of its two least members and, when it has k >= 3
+    members, the k-cycle through them in order.  The classes are read off
+    _twin_transpositions, which checks each of its swaps against the
+    edges, and these generate the same group (see the module
+    docstring)."""
+    classes: list[list[int]] = []
+    for u, v in _twin_transpositions(g):
+        if classes and classes[-1][-1] == u:
+            classes[-1].append(v)
+        else:
+            classes.append([u, v])
+    perms = []
+    for members in classes:
+        swap = list(range(g.n))
+        swap[members[0]], swap[members[1]] = members[1], members[0]
+        perms.append(tuple(swap))
+        if len(members) > 2:
+            cycle = list(range(g.n))
+            for u, v in zip(members, members[1:] + members[:1]):
+                cycle[u] = v
+            perms.append(tuple(cycle))
+    return perms
+
+
 def _orbit_rest(basis, actions) -> set:
     """The native bases of the other subspaces that the maps actions
     reach from the subspace with native basis basis, closed depth-first:
-    with each twin swap followed by the scaling to the first member, the
-    first members of the scaling orbits in its orbit."""
+    with each twin generator followed by the scaling to the first member,
+    the first members of the scaling orbits in its orbit."""
     orbit = {basis}
     stack = [basis]
     while stack:
@@ -399,22 +441,34 @@ def _quotient_maps(ctx: AlgebraContext, ideal: GradedIdeal):
 def _failure_degree(p: int, dims, maps, b) -> int | None:
     """Whether Ann_B(b) is generated in degree one, for B given by
     _quotient_maps and b a nonzero vector of B_1 in its coordinates: None,
-    or the least degree n where the ideal that Ann_B(b)_1 generates is
-    smaller than Ann_B(b)_n.  It is an ideal of B that Ann_B(b) contains,
+    or the least degree n where the ideal J that Ann_B(b)_1 generates is
+    smaller than Ann_B(b)_n.  J is an ideal of B that Ann_B(b) contains,
     so comparing dimensions decides.  Ann_B(b)_n is the kernel of
-    multiplication by b, B_n -> B_{n+1}, and all of B_D."""
+    multiplication by b, B_n -> B_{n+1}, and all of B_D.
+
+    b^2 = 0, so b lies in Ann_B(b)_1 and b B_{n-1} lies in J_n: once
+    multiplication by b, B_{n-1} -> B_n, has rank dim B_n, J_n = B_n and
+    every later degree is full too.  When Ann_B(b)_1 = <b>, J = (b) and
+    dim J_n is that rank, so no image is taken; otherwise J_n is spanned
+    by the images of J_{n-1} under the generator maps.  Each such rank
+    is the one that degree n - 1 computed for Ann_B(b)_{n-1}."""
     D = len(dims) - 1
     if D < 2:
         return None
-    generated = map_kernel(p, combine_maps(p, b, maps[0]), dims[2])
+    kernel = map_kernel(p, combine_maps(p, b, maps[0]), dims[2])
+    rank = dims[1] - len(kernel)  # of b: B_1 -> B_2
+    generated = kernel if len(kernel) > 1 else None  # None: J = (b)
     for n in range(2, D + 1):
-        generated = image_basis(p, maps[n - 2], generated, dims[n])
-        if len(generated) == dims[n]:
-            return None  # B_n, so every later degree is full too
-        ann = dims[n]
-        if n < D:
-            ann -= map_rank(p, combine_maps(p, b, maps[n - 1]), dims[n + 1])
-        if len(generated) < ann:
+        if rank == dims[n]:
+            return None  # b B_{n-1} = B_n lies in J_n
+        if generated is not None:
+            generated = image_basis(p, maps[n - 2], generated, dims[n])
+            if len(generated) == dims[n]:
+                return None  # B_n, so every later degree is full too
+        spanned = rank if generated is None else len(generated)
+        # rank of b: B_n -> B_{n+1}, and Ann_B(b)_n its kernel
+        rank = map_rank(p, combine_maps(p, b, maps[n - 1]), dims[n + 1]) if n < D else 0
+        if spanned < dims[n] - rank:
             return n
     return None
 
@@ -448,11 +502,11 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
         )
     p = ctx.p
     _, first, divisor_first = scale_first(p)
-    # each twin swap followed by the scaling to the first member, so that
-    # an orbit is closed over first members only
+    # each twin generator followed by the scaling to the first member, so
+    # that an orbit is closed over first members only
     actions = [
-        lambda basis, swap=swap_coordinates(p, u, v): first(swap(basis))
-        for u, v in _twin_transpositions(ctx.graph)
+        lambda basis, act=permute_coordinates(p, perm): first(act(basis))
+        for perm in _twin_generators(ctx.graph)
     ]
     # whether A_1 U = A_2, on the maps A_1 -> A_2 (none when A_2 = 0)
     fill = image_fills(p, ctx.gen_maps[1] if ctx.D > 1 else (), ctx.dim(2))
@@ -480,7 +534,8 @@ def universal_koszul_bruteforce(ctx: AlgebraContext) -> BruteResult:
         ahead |= _orbit_rest(basis, actions)
         ideal = ideal_from_degree_one(ctx, u)
         dims, maps = _quotient_maps(ctx, ideal)
-        free = [c for c in range(d) if c not in set(u.pivots)]
+        pivots = set(u.pivots)
+        free = [c for c in range(d) if c not in pivots]
         first_divisor = divisor_first(basis, d)
         for vec in enumerate_coset_reps_mod_scalar(u):
             divisors += 1

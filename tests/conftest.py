@@ -8,9 +8,10 @@ decomposition by single peels, clique listing by k-subsets, subspace
 counts and containment, sparse spans and rows on top of rref, a RowSpace
 from dense rows already reduced, the generated ideal by sparse vectors,
 the strong check by colon ideals, the brute universal check over every
-subspace and the product laws, the Koszul dual's dimensions counted as
-traces), the graphs and primes the brute route is checked on, and the
-acceptance-summary hook.
+subspace and the product laws, the quotient divisor test with the
+generated ideal spanned in every degree, the Koszul dual's dimensions
+counted as traces), the graphs and primes the brute route is checked
+on, and the acceptance-summary hook.
 
 Hypothesis runs derandomized: each property test draws the same examples
 on every run, so the suite's verdict and wall time do not depend on the
@@ -23,13 +24,16 @@ import operator
 
 from hypothesis import settings
 
-from koszulity import build_graph, nonisomorphic_graphs, parse_edge_list
+from koszulity import build_graph, gfp, nonisomorphic_graphs, parse_edge_list
 from koszulity.algebra import AlgebraContext, Element, from_coeffs
 from koszulity.errors import InputError
 from koszulity.gfp import (
     RowSpace,
+    combine_maps,
     enumerate_coset_reps_mod_scalar,
     enumerate_subspaces,
+    map_kernel,
+    map_rank,
     rref,
     zero_space,
 )
@@ -624,6 +628,29 @@ def brute_by_all_subspaces(ctx):
                     False, BruteFailure(ideal, b, degree), ideals, divisors, divisors
                 )
     return BruteResult(True, None, ideals, divisors, divisors)
+
+
+def failure_degree_by_images(p, dims, maps, b):
+    """Reference for koszul._failure_degree: the ideal J that Ann_B(b)_1
+    generates, spanned by images in every degree (gfp.image_basis, read
+    off the module at each call so that a test can count the calls),
+    against Ann_B(b)_n, the kernel of multiplication by b, B_n ->
+    B_{n+1}, and all of B_D.  None, or the least degree n where J_n is
+    smaller."""
+    D = len(dims) - 1
+    if D < 2:
+        return None
+    generated = map_kernel(p, combine_maps(p, b, maps[0]), dims[2])
+    for n in range(2, D + 1):
+        generated = gfp.image_basis(p, maps[n - 2], generated, dims[n])
+        if len(generated) == dims[n]:
+            return None  # B_n, so every later degree is full too
+        ann = dims[n]
+        if n < D:
+            ann -= map_rank(p, combine_maps(p, b, maps[n - 1]), dims[n + 1])
+        if len(generated) < ann:
+            return n
+    return None
 
 
 def first_divisors_by_stabiliser(u):

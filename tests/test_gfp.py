@@ -39,10 +39,10 @@ from koszulity.gfp import (
     kernel,
     map_kernel,
     map_rank,
+    permute_coordinates,
     quotient_maps,
     rref,
     scale_first,
-    swap_coordinates,
     zero_space,
 )
 from koszulity.graphs import build_graph
@@ -574,22 +574,34 @@ def test_native_quotient_maps_match_the_dense_reference(p, m, k, rng):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_swap_coordinates_matches_swapped_spans(p):
+def test_permute_coordinates_matches_permuted_spans(p):
+    # random transpositions and k-cycles, e_k -> e_perm[k]
     rng = random.Random(p)
     for d in (1, 3, 6, 8, 9, 12, 17):
         for _ in range(20):
-            i, j = rng.randrange(d), rng.randrange(d)
-            swap, to = swap_coordinates(p, i, j), {i: j, j: i}
+            members = rng.sample(range(d), rng.randint(min(d, 2), d))
+            if rng.randrange(2):
+                members = members[:2]  # a transposition
+            to = dict(zip(members, members[1:] + members[:1]))
+            perm = [to.get(k, k) for k in range(d)]
+            permute = permute_coordinates(p, perm)
             u = random_space(p, d, rng)
-            want = span(p, d, [[(to.get(k, k), c) for k, c in row] for row in sparse_rows(u)])
-            got = swap(u.basis)
+            want = span(p, d, [[(perm[k], c) for k, c in row] for row in sparse_rows(u)])
+            got = permute(u.basis)
             assert got == want.basis
-            # a basis whose rows the swap fixes comes back as itself
-            assert (got is u.basis) == all(row[i] == row[j] for row in u.rows)
-            fixed = span(p, d, [[(i, 1), (j, 1)]] + [
+            # a basis whose rows the permutation fixes comes back as itself
+            assert (got is u.basis) == all(row[k] == row[perm[k]] for row in u.rows for k in range(d))
+            # constant on the moved coordinates, anything off them
+            fixed = span(p, d, [[(k, 1) for k in to]] + [
                 [(k, rng.randrange(1, p))] for k in range(d) if k not in to and rng.randrange(2)
             ])
-            assert swap(fixed.basis) is fixed.basis
+            assert permute(fixed.basis) is fixed.basis
+
+
+def test_permute_coordinates_rejects_a_non_permutation():
+    for bad in ([0, 0], [1, 2], [0, 2, 1, 4]):
+        with pytest.raises(InputError, match="not a permutation"):
+            permute_coordinates(2, bad)
 
 
 @pytest.mark.parametrize("p, d", [(3, 4), (3, 5), (5, 3), (7, 3)])

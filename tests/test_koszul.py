@@ -17,6 +17,7 @@ from conftest import (
     cone_over_path,
     disjoint_union,
     elementary_classes,
+    failure_degree_by_images,
     first_divisors_by_stabiliser,
     five_vertex_cone_like,
     gaussian_binomial,
@@ -694,12 +695,13 @@ def _twin_classes(g):
     return classes
 
 
-def _generated_group(pairs, n):
-    perms = []
-    for u, v in pairs:
-        perm = list(range(n))
-        perm[u], perm[v] = v, u
-        perms.append(perm)
+def _transposition(u, v, n):
+    perm = list(range(n))
+    perm[u], perm[v] = v, u
+    return tuple(perm)
+
+
+def _generated_group(perms, n):
     group = {tuple(range(n))}
     frontier = list(group)
     while frontier:
@@ -736,9 +738,45 @@ def test_twin_generators_give_the_symmetric_group_on_each_twin_class():
     graphs_ += [build_graph(5, [(i, j) for i in range(2) for j in range(2, 5)]), elementary]
     for g in graphs_:
         want = _twin_group(g)
-        assert _generated_group(koszul._twin_transpositions(g), g.n) == want, g.edges
+        swaps = [_transposition(u, v, g.n) for u, v in koszul._twin_transpositions(g)]
+        assert _generated_group(swaps, g.n) == want, g.edges
+        # the brute route's generators: two per class of three or more twins
+        gens = koszul._twin_generators(g)
+        assert _generated_group(gens, g.n) == want, g.edges
+        assert len(gens) == sum(min(len(c) - 1, 2) for c in _twin_classes(g)), g.edges
     # the elementary graph has twin classes {0, 1}, {2, 3, 4} and the apex {5}
     assert _twin_classes(elementary) == [[0, 1], [2, 3, 4], [5]]
+    assert koszul._twin_generators(elementary) == [
+        (1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 3, 4, 2, 5),
+    ]
+
+
+def test_twin_generators_close_the_orbits_of_every_transposition(monkeypatch):
+    # for every first member met, closing with the two generators per
+    # twin class gives the same set as closing with every transposition
+    # inside each class, each followed by the scaling to the first member
+    met = []
+    orbit_rest = koszul._orbit_rest
+
+    def record(basis, actions):
+        got = orbit_rest(basis, actions)
+        met.append((basis, got))
+        return got
+
+    monkeypatch.setattr(koszul, "_orbit_rest", record)
+    for g, p, closed in ((star(5), 2, 31), (star(4), 3, 16), (_elementary(), 2, 151)):
+        met.clear()
+        assert universal_koszul_bruteforce(build_algebra(g, p)).verdict is True
+        _, first, _ = gfp.scale_first(p)
+        actions = [
+            lambda basis, act=gfp.permute_coordinates(p, _transposition(u, v, g.n)):
+                first(act(basis))
+            for c in _twin_classes(g)
+            for u, v in itertools.combinations(c, 2)
+        ]
+        assert len(met) == closed, (g.edges, p, len(met))
+        for basis, got in met:
+            assert got == orbit_rest(basis, actions), (g.edges, p, basis)
 
 
 def test_twin_generators_are_checked_against_the_edges():
@@ -953,3 +991,58 @@ def test_quotient_divisor_test_matches_the_colon_route():
         assert got == (None if ok else degree), (g.edges, p, u.rows, b)
         seen[degree, u.rank > 0] += 1
     assert seen[2, True] >= 10 and seen[None, True] >= 50 and seen[3, False] == 3, seen
+
+
+def test_divisor_shortcuts_match_the_images_in_every_degree(monkeypatch):
+    # koszul._failure_degree against the ideal spanned by images in every
+    # degree, on every divisor class of every subspace whose quotient is
+    # not zero in degree 2; each shortcut (b B_{n-1} = B_n, and J = (b)
+    # when Ann_B(b)_1 = <b>) saves image_basis calls on some input
+    calls, kernels = collections.Counter(), []
+    original, kernel_of = gfp.image_basis, gfp.map_kernel
+
+    def counted(route):
+        def image_basis(*args):
+            calls[route] += 1
+            return original(*args)
+        return image_basis
+
+    def map_kernel(*args):
+        kernel = kernel_of(*args)
+        kernels.append(len(kernel))  # the dimension of Ann_B(b)_1
+        return kernel
+
+    monkeypatch.setattr(koszul, "image_basis", counted("shortcut"))
+    monkeypatch.setattr(gfp, "image_basis", counted("reference"))
+    monkeypatch.setattr(koszul, "map_kernel", map_kernel)
+    inputs = [(g, p) for n in range(1, 5) for g in nonisomorphic_graphs(n) for p in (2, 3)]
+    inputs += [(star(4), 5), (complete(3), 7), (square4(), 7)]
+    inputs += [(build_graph(5, [(i, i + 1) for i in range(4)]), 2)]
+    saved = set()  # the shortcuts that saved calls, and where
+    failing = set()
+    for g, p in inputs:
+        ctx = build_algebra(g, p)
+        if ctx.D < 2:
+            continue
+        fills = gfp.image_fills(p, ctx.gen_maps[1], ctx.dim(2))
+        for u in enumerate_subspaces(p, g.n):
+            if fills({}, u.basis) is None:
+                continue  # A_1 U = A_2: the quotient is zero in degree 2
+            dims, maps = koszul._quotient_maps(ctx, ideal_from_degree_one(ctx, u))
+            pivots = set(u.pivots)
+            free = [c for c in range(g.n) if c not in pivots]
+            for vec in enumerate_coset_reps_mod_scalar(u):
+                b = [vec[c] for c in free]
+                calls.clear()
+                got = koszul._failure_degree(p, dims, maps, b)
+                want = failure_degree_by_images(p, dims, maps, b)
+                assert got == want, (g.edges, p, u.basis, vec)
+                if want is not None:
+                    failing.add((g, p))
+                if calls["shortcut"] < calls["reference"]:
+                    saved.add(("principal" if kernels[-1] == 1 else "onto", g, p))
+    # P4 and C4 at p = 2 and 3, C4 at p = 7 and P5 fail; nothing else does
+    assert failing == {(g, p) for g, p in inputs if not universal_koszul_fast(g)}
+    assert len(failing) == 6
+    for shortcut in ("principal", "onto"):
+        assert any(key[0] == shortcut for key in saved), saved
