@@ -15,7 +15,8 @@ counts pairs (i in M, j in N) with i > j.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InputError, ResourceLimitError
@@ -31,9 +32,16 @@ _DUAL_ORDER_LIMIT = 4096
 class AlgebraContext:
     """Fixed bases and structure constants for one graph and one prime.
 
-    The maps "multiply by generator g from degree n to n+1" are built once,
-    at construction, and nothing changes afterwards, so instances may be
-    shared between threads.
+    Only the nonzero products of a generator with a basis monomial are
+    stored.  a_g m is zero unless g lies in the common neighbourhood of
+    m, and then it is +-1 times the clique m + {g}, so degree n holds
+    n + 1 products per monomial of degree n + 1.  products[n][i] lists,
+    for basis monomial i of degree n < D, one (g, target index, sign) per
+    generator g in the common neighbourhood of the monomial, g ascending.
+    The dense maps gen_maps are derived from them when first read.
+    Nothing else changes after construction, and the dense view is the
+    same whenever it is derived, so instances may be shared between
+    threads.
     """
 
     def __init__(self, graph: Graph, p: int):
@@ -45,10 +53,8 @@ class AlgebraContext:
             {m: i for i, m in enumerate(basis)} for basis in self.bases
         )
         self.dims = tuple(len(basis) for basis in self.bases)
-        # gen_maps[n][g][i]: a_g times basis monomial i of degree n < D, as
-        # a sparse vector of degree n+1 (no entry, or one (index, sign))
-        self.gen_maps = tuple(
-            tuple(_generator_map(self, g, n) for g in range(self.dim(1)))
+        self.products = tuple(
+            _products(self.bases[n], self.bases[n + 1], self.index[n])
             for n in range(self.D)
         )
 
@@ -57,6 +63,20 @@ class AlgebraContext:
 
     def basis(self, n: int) -> tuple:
         return self.bases[n] if 0 <= n <= self.D else ()
+
+    @cached_property
+    def gen_maps(self) -> tuple:
+        """gen_maps[n][g][i]: a_g times basis monomial i of degree n < D,
+        as a sparse vector of degree n+1 (no entry, or one (index, sign)),
+        read off products."""
+        maps = []
+        for level in self.products:
+            rows = [[()] * len(level) for _ in range(self.dim(1))]
+            for i, prods in enumerate(level):
+                for g, k, sign in prods:
+                    rows[g][i] += ((k, sign),)
+            maps.append(tuple(map(tuple, rows)))
+        return tuple(maps)
 
     def basis_product(self, n1: int, i1: int, n2: int, i2: int):
         """Product of basis monomials as (sign, index in degree n1+n2), or
@@ -70,17 +90,20 @@ class AlgebraContext:
         return None if idx is None else (-1 if inv & 1 else 1, idx)
 
 
-def _generator_map(ctx: AlgebraContext, g: int, n: int) -> tuple:
-    up = ctx.index[n + 1]
-    images = []
-    for mono in ctx.bases[n]:
-        # a_g moves past the pos generators of mono below g
-        pos = bisect_left(mono, g)
-        k = None
-        if pos == n or mono[pos] != g:
-            k = up.get(mono[:pos] + (g,) + mono[pos:])
-        images.append(() if k is None else ((k, -1 if pos & 1 else 1),))
-    return tuple(images)
+def _products(basis, up: tuple, here: dict) -> tuple:
+    """The nonzero products a_g m for the monomials m of one degree n, as
+    AlgebraContext.products holds them, from up, the basis of degree
+    n + 1, and here, the index of degree n.  Each clique c of up is
+    a_g m for each of its n + 1 vertices g, with m = c - {g}: a_g moves
+    past the j vertices of m below g, where j is g's position in c.  The
+    cliques run in lexicographic order, and m + {g} comes before m + {h}
+    when g < h, so each monomial meets its generators in ascending
+    order."""
+    rows = [[] for _ in basis]
+    for k, c in enumerate(up):
+        for j, g in enumerate(c):
+            rows[here[c[:j] + c[j + 1:]]].append((g, k, -1 if j & 1 else 1))
+    return tuple(map(tuple, rows))
 
 
 def _merge_count(m: Monomial, other: Monomial):

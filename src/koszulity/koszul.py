@@ -158,6 +158,8 @@ The reports and results are typing.NamedTuple records, equal by value.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
 from .algebra import (
@@ -212,31 +214,49 @@ def _bits(mask: int) -> tuple:
     return tuple(j for j in range(mask.bit_length()) if (mask >> j) & 1)
 
 
-def _product_table(ctx: AlgebraContext, monos: list) -> list:
-    """table[n][u][i]: the vertex set of a_u times basis monomial i of
-    degree n, as a bitmask (monos[n][i] is that of the monomial), or 0
-    when the product is zero (a nonzero one has n + 1 vertices); every
-    product from the top degree is zero.  Read off ctx.gen_maps, each of
-    whose images must be zero or one +-1 term with a target of its own,
-    on every level; RuntimeError otherwise."""
-    table = []
-    for n, level in enumerate(ctx.gen_maps):
-        table.append([])
-        for u, images in enumerate(level):
-            row, targets = [], set()
-            for image in images:
-                if image:
-                    (k, sign), *rest = image
-                    if rest or sign not in (1, -1) or k in targets:
-                        raise RuntimeError(
-                            f"multiplication by a{u} in degree {n} is not a "
-                            "signed injection of basis monomials"
-                        )
-                    targets.add(k)
-                row.append(monos[n + 1][k] if image else 0)
-            table[n].append(row)
-    table.append([[0] * ctx.dim(ctx.D)] * ctx.dim(1))
-    return table
+def _not_injective(u: int, n: int) -> RuntimeError:
+    return RuntimeError(
+        f"multiplication by a{u} in degree {n} is not a signed injection of "
+        "basis monomials"
+    )
+
+
+def _product_table(ctx: AlgebraContext, monos: list):
+    """(table, stray): table[n][i] is the set of generators g with a_g m
+    nonzero, for basis monomial m = i of degree n, whose vertex set is
+    monos[n][i]; the top degree stores no product, so its entries are
+    empty.  stray holds every generator with some product whose vertex
+    set is not m + {g}.  Both are bitmasks over the generators, read off
+    ctx.products, which must make multiplication by each generator a
+    signed injection of basis monomials on every level: no generator
+    twice for one monomial, signs +-1 and a target of its own for each
+    monomial; RuntimeError otherwise.  Targets are compared only in a
+    degree with a product off m + {g}: elsewhere g lies outside m, and
+    m -> m + {g} is one-to-one."""
+    table, stray = [], 0
+    for n, level in enumerate(ctx.products):
+        up, row, level_stray = monos[n + 1], [], 0
+        for m, prods in zip(monos[n], level):
+            gens = 0
+            for g, k, sign in prods:
+                bit = 1 << g
+                if gens & bit or sign not in (1, -1):
+                    raise _not_injective(g, n)
+                gens |= bit
+                if up[k] != m | bit:
+                    level_stray |= bit
+            row.append(gens)
+        if level_stray:
+            seen = set()
+            for prods in level:
+                for g, k, _ in prods:
+                    if (g, k) in seen:
+                        raise _not_injective(g, n)
+                    seen.add((g, k))
+        table.append(row)
+        stray |= level_stray
+    table.append([0] * ctx.dim(ctx.D))
+    return table, stray
 
 
 def _strong_budget(d: int) -> int:
@@ -260,47 +280,83 @@ def strong_koszul_check(ctx: AlgebraContext) -> StrongKoszulReport:
     """Exhaustive strong-Koszulity check over all (prefix set, divisor)
     pairs, each verified against the closed-form generator prediction.
 
+    The pairs are decided per basis monomial m of degree >= 1 (proof in
+    the module docstring): the generators with a_g m nonzero must be the
+    complement of the union of K_x over the vertices x of m, and each
+    such product must have the vertex set m + {g}.  Only a failing
+    divisor is walked over the prefix sets, to list its failure records.
     Refuses with ResourceLimitError before any work when the
     d * 2**(d-1) pairs exceed 2**20 (more than 16 vertices)."""
     d = ctx.dim(1)
     total = _strong_budget(d)
-    adj = ctx.graph.adj
+    everyone = (1 << d) - 1
     # closed form: a_j a_u = 0 exactly for u itself and its non-neighbours
-    killed_by = [sum(1 << j for j in range(d) if j not in adj[u]) for u in range(d)]
-    monos = [[sum(1 << x for x in mono) for mono in basis] for basis in ctx.bases]
-    table = _product_table(ctx, monos)
-    # every pair (S, u) passes iff, for each monomial m of degree >= 1,
-    # a_u m = 0 exactly when m meets killed_by[u], and otherwise the
-    # vertices of a_u m and m agree off u (proof in the module docstring)
-    failing = [
-        u for u, k in enumerate(killed_by)
-        if not all(
-            not t if m & k else t | 1 << u == m | 1 << u
-            for n in range(1, ctx.D + 1)
-            for t, m in zip(table[n][u], monos[n])
-        )
-    ]
+    killed_by = [everyone ^ sum(1 << j for j in nb) for nb in ctx.graph.adj]
+    bit = [1 << x for x in range(d)].__getitem__
+    monos = [[sum(map(bit, mono)) for mono in basis] for basis in ctx.bases]
+    table, failing = _product_table(ctx, monos)
+    for n in range(1, ctx.D + 1):
+        for mono, gens in zip(ctx.bases[n], table[n]):
+            reached = 0  # the union of K_x over the vertices x of m
+            for x in mono:
+                reached |= killed_by[x]
+            failing |= gens ^ everyone ^ reached
     if not failing:
         return StrongKoszulReport(True, total, ())
-    # only broken maps get here: list the failing pairs, masks ascending
+    failures = _failure_walk(ctx, monos, killed_by, _bits(failing))
+    return StrongKoszulReport(not failures, total, tuple(failures))
+
+
+def _failure_walk(ctx: AlgebraContext, monos: list, killed_by: list, failing) -> list:
+    """The failing (prefix set, divisor) pairs for the divisors failing,
+    masks ascending, then divisors ascending.  Each colon (S'):(a_u) is
+    packed per degree n >= 1 as a bitset over the basis monomials of
+    degree n: the ones a_u kills (every one in the top degree), or the
+    OR over x in S' of the ones a_u sends to +-1 times a monomial that
+    contains x.  As the masks ascend, acc[j] holds that colon for the
+    vertices of the mask at or above j, so a mask ORs one vertex's
+    bitsets into the accumulator of the others: O(D) big-int operations
+    per mask and divisor.  A failure's degree is the least one where the
+    colon differs from the monomials that meet its degree-one part."""
+    d, D = ctx.dim(1), ctx.D
+    # meets[n][x]: the monomials of degree n + 1 that contain x
+    meets = [[0] * d for _ in range(D)]
+    for n, level in enumerate(monos[1:]):
+        for i, m in enumerate(level):
+            for x in _bits(m):
+                meets[n][x] |= 1 << i
+    walks = []
+    for u in failing:
+        kills = [(1 << w) - 1 for w in ctx.dims[1:]]
+        reach = [[0] * D for _ in range(d)]
+        for n, level in enumerate(ctx.products[1:]):
+            for i, prods in enumerate(level):
+                for g, k, _ in prods:
+                    if g == u:
+                        kills[n] &= ~(1 << i)
+                        for x in ctx.bases[n + 2][k]:
+                            reach[x][n] |= 1 << i
+        walks.append((u, reach, [tuple(kills)] * (d + 1)))
     failures = []
     for mask in range(2**d - 1):
-        for u in failing:
+        t = (mask & -mask).bit_length() - 1
+        for u, reach, acc in walks:
+            if mask:
+                acc[: t + 1] = [tuple(map(or_, acc[t + 1], reach[t]))] * (t + 1)
             if mask >> u & 1:
                 continue
-            pieces = [[not t or t & mask != 0 for t in level[u]] for level in table[1:]]
-            # degree-one monomial j is a_j
-            computed = sum(1 << j for j, held in enumerate(pieces[0]) if held)
-            predicted = mask | killed_by[u]
+            colon = acc[0]
+            computed = colon[0]  # degree-one monomial j is a_j
             degree = next((
-                n for n, piece in enumerate(pieces, 1)
-                if piece != [m & computed != 0 for m in monos[n]]
+                n for n in range(2, D + 1)
+                if colon[n - 1] != reduce(or_, (meets[n - 1][x] for x in _bits(computed)), 0)
             ), None)
+            predicted = mask | killed_by[u]
             if degree is not None or computed != predicted:
                 failures.append(StrongPairFailure(
                     _bits(mask), u, _bits(computed), _bits(predicted), degree
                 ))
-    return StrongKoszulReport(not failures, total, tuple(failures))
+    return failures
 
 
 def universal_koszul_fast(g: Graph) -> bool:
@@ -579,17 +635,21 @@ def non_universal_witness(ctx: AlgebraContext) -> NonUKWitness:
 
 def certify_witness(ctx: AlgebraContext, w: DiagonalViolation) -> NonUKWitness:
     """The certified witness for a violation already found in ctx.graph.
-    It reads b times the culprit, a_{v2} and a_{v3} off three rows of the
-    generator maps (see the module docstring); RuntimeError if it fails."""
-    d, maps = ctx.dim(1), ctx.gen_maps
+    It reads b times the culprit, a_{v2} and a_{v3} off three monomials'
+    stored products (see the module docstring); RuntimeError if it fails."""
     ends = (w.v1, w.v4)
-    b = from_coeffs(ctx, 1, tuple(1 if j in ends else 0 for j in range(d)))
+    b = from_coeffs(ctx, 1, tuple(1 if j in ends else 0 for j in range(ctx.dim(1))))
     culprit = (w.v2, w.v3) if w.v2 < w.v3 else (w.v3, w.v2)
-    idx = ctx.index[2][culprit]
+
+    def hit(n: int, i: int) -> bool:
+        """Whether a_{v1} or a_{v4} times basis monomial i of degree n is
+        nonzero."""
+        return any(g in ends for g, _, _ in ctx.products[n][i])
+
     # b times the culprit; nothing lives above the clique number
-    in_ann = ctx.D < 3 or not any(maps[2][v][idx] for v in ends)
-    # neither a_{v2} nor a_{v3} lies in Ann(b)_1
-    outside = all(any(maps[1][v][c] for v in ends) for c in (w.v2, w.v3))
+    in_ann = ctx.D < 3 or not hit(2, ctx.index[2][culprit])
+    # neither a_{v2} nor a_{v3} lies in Ann(b)_1 (degree-one monomial j is a_j)
+    outside = all(hit(1, c) for c in (w.v2, w.v3))
     if not (in_ann and outside):
         raise RuntimeError("witness certificate failed exact verification")
     return NonUKWitness(w, b, culprit, in_ann, outside)

@@ -136,10 +136,15 @@ def test_strong_check_matches_colon_oracle():
 
 
 def with_image(ctx, n, u, i, image):
-    """ctx with gen_maps[n][u][i] replaced by image."""
-    maps = [[list(images) for images in level] for level in ctx.gen_maps]
-    maps[n][u][i] = image
-    ctx.gen_maps = tuple(tuple(tuple(images) for images in level) for level in maps)
+    """ctx with a_u times basis monomial i of degree n replaced by image,
+    a sparse vector, in ctx.products; the dense view gen_maps, derived
+    from them, is dropped so that it sees the same corruption."""
+    level = list(ctx.products[n])
+    kept = [prod for prod in level[i] if prod[0] != u]
+    # entries stay ordered by generator, the image's terms in its order
+    level[i] = tuple(sorted(kept + [(u, k, sign) for k, sign in image], key=lambda t: t[0]))
+    ctx.products = ctx.products[:n] + (tuple(level),) + ctx.products[n + 1:]
+    vars(ctx).pop("gen_maps", None)
     return ctx
 
 
