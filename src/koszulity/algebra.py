@@ -11,6 +11,16 @@ Elements are coefficient vectors against those bases.  The product of two
 basis monomials M, N is zero when their supports meet or their union is
 not a clique, and otherwise is the sorted union times (-1)**inv where inv
 counts pairs (i in M, j in N) with i > j.
+
+Of the products a_g m of a generator and a basis monomial, only the
+nonzero ones are stored: a_g m is +-1 times the clique m + {g} when g
+lies in the common neighbourhood of m, and zero otherwise.  Each
+(n+1)-clique is such a product n + 1 times, so the algebra holds
+sum_n (n+1) dim A_{n+1} products, linear in its cliques' total size,
+where the dense maps "multiply by a_g" hold d * sum_n dim A_n entries,
+nearly all zero on a sparse graph.  Those dense maps, which colon
+ideals, generated ideals and quotients read, are derived from the
+stored products once per algebra, when first read.
 """
 
 from __future__ import annotations
@@ -33,15 +43,12 @@ class AlgebraContext:
     """Fixed bases and structure constants for one graph and one prime.
 
     Only the nonzero products of a generator with a basis monomial are
-    stored.  a_g m is zero unless g lies in the common neighbourhood of
-    m, and then it is +-1 times the clique m + {g}, so degree n holds
-    n + 1 products per monomial of degree n + 1.  products[n][i] lists,
-    for basis monomial i of degree n < D, one (g, target index, sign) per
-    generator g in the common neighbourhood of the monomial, g ascending.
-    The dense maps gen_maps are derived from them when first read.
-    Nothing else changes after construction, and the dense view is the
-    same whenever it is derived, so instances may be shared between
-    threads.
+    stored (see the module docstring).  products[n][i] lists, for basis
+    monomial i of degree n < D, one (g, target index, sign) per generator
+    g in the common neighbourhood of the monomial, g ascending.  The
+    dense maps gen_maps are derived from them when first read.  Nothing
+    else changes after construction, and the dense view is the same
+    whenever it is derived, so instances may be shared between threads.
     """
 
     def __init__(self, graph: Graph, p: int):

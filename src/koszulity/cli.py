@@ -37,7 +37,7 @@ from .graphs import (
 )
 from .koszul import KoszulReport, NonUKWitness, certify_witness, classify
 
-CENSUS_MAX_VERTICES = 7
+CENSUS_MAX_VERTICES = 8
 
 
 def _read_text(path: str) -> str:

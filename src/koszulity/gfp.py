@@ -216,7 +216,8 @@ def _back_substitute(rows: list[int]) -> tuple[int, ...]:
 
 
 def _kernel2(images: Sequence[int], width: int) -> tuple[int, ...]:
-    """RREF basis of the kernel of e_i -> images[i], into F_2^width.
+    """Basis of the kernel of e_i -> images[i], into F_2^width, not
+    reduced.
 
     Each image carries a tag bit above width that records which inputs it
     combines.  An image reduced to zero leaves its tag as a kernel vector.
@@ -238,7 +239,7 @@ def _kernel2(images: Sequence[int], width: int) -> tuple[int, ...]:
                 lead[low] = v
                 break
             v ^= row
-    return _back_substitute(kern)
+    return tuple(kern)
 
 
 # -- odd p (and the p = 2 reference): dense rows ------------------------------

@@ -13,12 +13,15 @@ Three graded properties are decided exactly:
   K_u], and when both are false, supp(a_u m) - {u} = m - {u}.  Proof:
   S' = {} gives the first; when a_u m is not zero, each S' = {x}, x not
   u, gives x in supp(a_u m) iff x in m.  Conversely these make the two
-  sides agree for every S' that misses u.  That is
-  d * sum(dim A_n) reads of one table off the generator maps, each
-  compared with the closed form.  Only when some (u, m) fails are the
-  prefix sets walked, in order, to list the failing pairs; a failure's
-  degree is the least one where the colon differs from the ideal that
-  its own degree-one part generates.
+  sides agree for every S' that misses u.  m meets K_u iff u lies in
+  the union of K_x over the vertices x of m (K is symmetric), so the
+  test runs per monomial, on the products the algebra stores: the
+  generators with a_u m nonzero must be the complement of that union,
+  and each such product must have the vertex set m + {u}.  That reads
+  each stored product once, and no zero product.  Only when some (u, m)
+  fails are the prefix sets walked, in order, to list the failing
+  pairs; a failure's degree is the least one where the colon differs
+  from the ideal that its own degree-one part generates.
 - universally Koszul: for every ideal I generated in degree one and every
   divisor b in A_1 outside I_1, the colon I:(b) is generated in degree one.
   The fast route is the graph criterion (diagonal property: no induced C4
@@ -140,18 +143,18 @@ pairs.
 When the fast universal verdict is false, certify_witness builds the
 certified counterexample: b = a_{v1} + a_{v4} annihilates the culprit
 monomial a_{v2} a_{v3}, which Ann(b)_1 cannot generate.  Both facts are
-read off three rows of the generator maps, with no elimination.  Grade A
-by Z^(V/~), where v1 ~ v4: this coarsens the fine Z^V grading, for which
-the relations are homogeneous.  b is homogeneous, so Ann(b)_1 and
+read off the stored products of three monomials, with no elimination.
+Grade A by Z^(V/~), where v1 ~ v4: this coarsens the fine Z^V grading,
+for which the relations are homogeneous.  b is homogeneous, so Ann(b)_1 and
 A_1 Ann(b)_1 are graded.  The culprit has degree e_{v2} + e_{v3}, and
 that component of A_1 Ann(b)_1 is a_{v2} Ann(b)_1[e_{v3}] +
 a_{v3} Ann(b)_1[e_{v2}].  For a monomial x containing neither v1 nor v4,
 a_{v1} x and a_{v4} x are zero or +-1 times distinct monomials, so
 b x = 0 iff both vanish.  Hence, for c outside {v1, v4}, Ann(b)_1[e_c]
 is <a_c> when a_{v1} and a_{v4} both kill a_c and 0 otherwise; the
-culprit lies in Ann(b) iff D < 3 or a_{v1} and a_{v4} both kill it (two
-entries of gen_maps[2]), and outside A_1 Ann(b)_1 iff neither a_{v2} nor
-a_{v3} is killed by both (gen_maps[1]).
+culprit lies in Ann(b) iff D < 3 or a_{v1} and a_{v4} both kill it
+(neither is among the culprit's stored products), and outside
+A_1 Ann(b)_1 iff neither a_{v2} nor a_{v3} is killed by both.
 
 The reports and results are typing.NamedTuple records, equal by value.
 """
@@ -225,8 +228,8 @@ def _product_table(ctx: AlgebraContext, monos: list):
     """(table, stray): table[n][i] is the set of generators g with a_g m
     nonzero, for basis monomial m = i of degree n, whose vertex set is
     monos[n][i]; the top degree stores no product, so its entries are
-    empty.  stray holds every generator with some product whose vertex
-    set is not m + {g}.  Both are bitmasks over the generators, read off
+    empty.  stray holds every generator with some product of degree >= 1
+    whose vertex set is not m + {g}.  Both are bitmasks over the generators, read off
     ctx.products, which must make multiplication by each generator a
     signed injection of basis monomials on every level: no generator
     twice for one monomial, signs +-1 and a target of its own for each
@@ -254,7 +257,8 @@ def _product_table(ctx: AlgebraContext, monos: list):
                         raise _not_injective(g, n)
                     seen.add((g, k))
         table.append(row)
-        stray |= level_stray
+        if n:  # no colon reads degree 0, so it is checked as a map only
+            stray |= level_stray
     table.append([0] * ctx.dim(ctx.D))
     return table, stray
 
@@ -303,11 +307,11 @@ def strong_koszul_check(ctx: AlgebraContext) -> StrongKoszulReport:
             failing |= gens ^ everyone ^ reached
     if not failing:
         return StrongKoszulReport(True, total, ())
-    failures = _failure_walk(ctx, monos, killed_by, _bits(failing))
+    failures = _failure_walk(ctx, killed_by, _bits(failing))
     return StrongKoszulReport(not failures, total, tuple(failures))
 
 
-def _failure_walk(ctx: AlgebraContext, monos: list, killed_by: list, failing) -> list:
+def _failure_walk(ctx: AlgebraContext, killed_by: list, failing) -> list:
     """The failing (prefix set, divisor) pairs for the divisors failing,
     masks ascending, then divisors ascending.  Each colon (S'):(a_u) is
     packed per degree n >= 1 as a bitset over the basis monomials of
@@ -319,22 +323,22 @@ def _failure_walk(ctx: AlgebraContext, monos: list, killed_by: list, failing) ->
     per mask and divisor.  A failure's degree is the least one where the
     colon differs from the monomials that meet its degree-one part."""
     d, D = ctx.dim(1), ctx.D
-    # meets[n][x]: the monomials of degree n + 1 that contain x
-    meets = [[0] * d for _ in range(D)]
-    for n, level in enumerate(monos[1:]):
-        for i, m in enumerate(level):
-            for x in _bits(m):
+    # meets[n][x]: the monomials of degree n that contain x
+    meets = [[0] * d for _ in range(D + 1)]
+    for n, basis in enumerate(ctx.bases):
+        for i, mono in enumerate(basis):
+            for x in mono:
                 meets[n][x] |= 1 << i
     walks = []
     for u in failing:
-        kills = [(1 << w) - 1 for w in ctx.dims[1:]]
-        reach = [[0] * D for _ in range(d)]
-        for n, level in enumerate(ctx.products[1:]):
-            for i, prods in enumerate(level):
+        kills = [0] + [(1 << w) - 1 for w in ctx.dims[1:]]
+        reach = [[0] * (D + 1) for _ in range(d)]
+        for n in range(1, D):
+            for i, prods in enumerate(ctx.products[n]):
                 for g, k, _ in prods:
                     if g == u:
-                        kills[n] &= ~(1 << i)
-                        for x in ctx.bases[n + 2][k]:
+                        kills[n] ^= 1 << i
+                        for x in ctx.bases[n + 1][k]:
                             reach[x][n] |= 1 << i
         walks.append((u, reach, [tuple(kills)] * (d + 1)))
     failures = []
@@ -346,16 +350,14 @@ def _failure_walk(ctx: AlgebraContext, monos: list, killed_by: list, failing) ->
             if mask >> u & 1:
                 continue
             colon = acc[0]
-            computed = colon[0]  # degree-one monomial j is a_j
+            computed = _bits(colon[1])  # degree-one monomial j is a_j
             degree = next((
                 n for n in range(2, D + 1)
-                if colon[n - 1] != reduce(or_, (meets[n - 1][x] for x in _bits(computed)), 0)
+                if colon[n] != reduce(or_, (meets[n][x] for x in computed), 0)
             ), None)
-            predicted = mask | killed_by[u]
+            predicted = _bits(mask | killed_by[u])
             if degree is not None or computed != predicted:
-                failures.append(StrongPairFailure(
-                    _bits(mask), u, _bits(computed), _bits(predicted), degree
-                ))
+                failures.append(StrongPairFailure(_bits(mask), u, computed, predicted, degree))
     return failures
 
 
@@ -614,7 +616,7 @@ class NonUKWitness(NamedTuple):
 
     b = a_{v1} + a_{v4} for the violation's labeling; the culprit monomial
     a_{v2} a_{v3} lies in Ann(b) but outside the ideal generated by
-    Ann(b)_1.  Both facts are re-verified from the generator maps at
+    Ann(b)_1.  Both facts are re-verified from the stored products at
     construction time (see the module docstring)."""
 
     violation: DiagonalViolation

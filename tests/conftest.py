@@ -6,7 +6,8 @@ lemma and the rooted-tree count, the brute-force and level-by-level
 canonical forms, the violation search over 4-sets, the
 decomposition by single peels, clique listing by k-subsets, subspace
 counts and containment, sparse spans and rows on top of rref, a RowSpace
-from dense rows already reduced, the generated ideal by sparse vectors,
+from dense rows already reduced, the generator maps by inserting a
+vertex, the generated ideal by sparse vectors,
 the strong check by colon ideals, the brute universal check over every
 subspace and the product laws, the quotient divisor test with the
 generated ideal spanned in every degree, the Koszul dual's dimensions
@@ -17,6 +18,7 @@ Hypothesis runs derandomized: each property test draws the same examples
 on every run, so the suite's verdict and wall time do not depend on the
 run.  A test's own max_examples still sets how many."""
 
+import bisect
 import functools
 import itertools
 import math
@@ -591,6 +593,23 @@ def space_of_rows(p, ambient_dim, rows):
 def sparse_rows(s):
     """The basis rows of the RowSpace s as sparse vectors, in basis order."""
     return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in s.rows)
+
+
+def generator_map(ctx, g, n):
+    """Reference multiplication by a_g from degree n to n + 1: for each
+    basis monomial of degree n, its product with a_g as a sparse vector
+    (no entry, or one (index, sign)), found by inserting g into the
+    monomial and looking the result up in the next degree's index."""
+    up = ctx.index[n + 1]
+    images = []
+    for mono in ctx.bases[n]:
+        # a_g moves past the pos generators of mono below g
+        pos = bisect.bisect_left(mono, g)
+        k = None
+        if pos == n or mono[pos] != g:
+            k = up.get(mono[:pos] + (g,) + mono[pos:])
+        images.append(() if k is None else ((k, -1 if pos & 1 else 1),))
+    return tuple(images)
 
 
 def ideal_from_degree_one_by_sparse_vectors(ctx, u):

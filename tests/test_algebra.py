@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from conftest import (
     cone_over_path,
     disjoint_union,
     dual_dims_by_traces,
+    generator_map,
     monomial_element,
     multiply,
     path4,
@@ -82,6 +84,40 @@ def test_generator_maps_agree_with_basis_product():
                 for i, image in enumerate(images):
                     hit = ctx.basis_product(1, gen, n, i)
                     assert image == (() if hit is None else ((hit[1], hit[0]),))
+
+
+def test_dense_view_equals_the_inserted_vertex_maps():
+    # gen_maps, derived from the stored products, against the maps found
+    # by inserting each generator into each monomial, on every class of at
+    # most 6 vertices
+    for n in range(1, 7):
+        for g in nonisomorphic_graphs(n):
+            for p in (2, 3):
+                ctx = build_algebra(g, p)
+                assert ctx.gen_maps == tuple(
+                    tuple(generator_map(ctx, gen, k) for gen in range(n)) for k in range(ctx.D)
+                )
+
+
+def test_stored_products_number_n_plus_one_per_clique_of_size_n_plus_one():
+    # a_g m is nonzero iff m + {g} is a clique, so each (n+1)-clique is a
+    # product n + 1 times: d + 2(d - 1) on a tree such as the path or the
+    # star on d vertices, d * 2**(d-1) on K_d, and the count from cliques
+    # listed by k-subsets on seeded G(n, m)
+    def stored(g):
+        return sum(len(prods) for level in build_algebra(g, 2).products for prods in level)
+
+    for d in (1, 2, 5, 40):
+        assert stored(build_graph(d, [(i, i + 1) for i in range(d - 1)])) == 3 * d - 2
+        assert stored(build_graph(d, [(0, v) for v in range(1, d)])) == 3 * d - 2
+    for d in range(1, 9):
+        assert stored(complete(d)) == d * 2 ** (d - 1)
+    rng = random.Random(31)
+    for d, m in ((8, 10), (10, 25), (12, 40), (14, 60)):
+        g = build_graph(d, rng.sample(list(itertools.combinations(range(d), 2)), m))
+        assert stored(g) == sum(
+            k * len(cliques_by_combinations(g, k)) for k in range(1, d + 1)
+        )
 
 
 def test_multiply_vanishing_cases():

@@ -12,12 +12,26 @@ from unittest.mock import Mock
 
 import pytest
 
-from conftest import complete, path4, random_graph, square4
+from conftest import (
+    complete,
+    elementary_classes,
+    graph_count,
+    graph_of_code,
+    path4,
+    random_graph,
+    square4,
+)
 from koszulity.algebra import build_algebra, koszul_numerical_check
 from koszulity import cli, graphs, koszul
 from koszulity.cli import main
 from koszulity.errors import ResourceLimitError
-from koszulity.graphs import build_graph, diagonal_violation, nonisomorphic_graphs, to_graph6
+from koszulity.graphs import (
+    build_graph,
+    canonical_form,
+    diagonal_violation,
+    nonisomorphic_graphs,
+    to_graph6,
+)
 
 SQUARE = "4\n0 1\n1 2\n2 3\n3 0\n"
 GOLDEN = "4\n0 1\n0 2\n0 3\n1 2\n2 3\n"
@@ -246,7 +260,7 @@ def test_census_single_vertex(capsys):
 
 
 def test_census_rejects_bad_n(capsys):
-    for n in ("0", "8"):
+    for n in ("0", "9"):
         code, _, err = run(capsys, "census", "-n", n)
         assert code == 2 and "error:" in err
 
@@ -281,6 +295,22 @@ def test_census_no_violations_through_five_vertices(capsys):
         lines = census_lines(capsys, "-n", str(n))
         expected = len(nonisomorphic_graphs(n))
         assert lines[-1] == f"# classes={expected} theorem_violations=0"
+
+
+def test_census_matches_the_class_and_grammar_oracles(capsys):
+    # Burnside's count of the classes, and the grammar's elementary classes
+    # as the rows with universal_fast=true, on every n the tests can run
+    for n in range(1, 8):
+        lines = census_lines(capsys, "-n", str(n))
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert len(rows) == graph_count(n)
+        assert lines[-1] == f"# classes={graph_count(n)} theorem_violations=0"
+        col = lines[0].split(",").index("universal_fast")
+        fast = sorted(row[0] for row in rows if row[col] == "true")
+        assert fast == sorted(canonical_form(graph_of_code(c)) for c in elementary_classes(n))
+    # the largest census size, pinned through the oracle: a census -n 8 run
+    # takes seconds
+    assert cli.CENSUS_MAX_VERTICES == 8 and graph_count(8) == 12346
 
 
 def test_census_parallel_matches_serial(capsys, tmp_path, monkeypatch):
@@ -609,6 +639,18 @@ def test_witness_at_odd_p_reads_only_the_low_degrees(tmp_path):
         lines[p] = [line for line in out.stdout.splitlines() if not line.startswith("b = ")]
     assert lines["3"] == lines["2"] and len(lines["2"]) == 5
     assert lines["2"][:2] == ["pattern: P4", "v1=16 v2=17 v3=18 v4=19"]
+
+
+def test_witness_on_a_20000_vertex_path_exits_0(tmp_path):
+    # The dense generator maps held d entries per monomial: on this path,
+    # a valid input, the algebra ended in a MemoryError traceback after
+    # about a minute under a 1.5 GB address-space limit.  Its 3d - 2
+    # nonzero products take well under a second.
+    text = "20000\n" + "".join(f"{i} {i + 1}\n" for i in range(19999))
+    path = write(tmp_path, "path20000.txt", text)
+    out = run_cli_process("witness", "-i", path, timeout=10, address_space=2**30)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("pattern: P4\nv1=0 v2=1 v3=2 v4=3\n")
 
 
 def test_witness_at_odd_p_eliminates_nothing_on_a_sparse_graph(tmp_path):

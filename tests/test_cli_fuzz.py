@@ -16,15 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from koszulity.cli import main
-from koszulity.errors import InputError
-from koszulity.graphs import build_graph, parse_edge_list, to_graph6
+from koszulity.graphs import build_graph, to_graph6
 
 EXIT_CODES = {0, 2, 3, 4}
-
-# witness builds the full algebra of a graph with a violation, and no
-# budget covers its generator maps, so it only gets graphs of the size
-# graph6 holds
-WITNESS_MAX_VERTICES = 62
 
 FUZZ = settings(
     max_examples=50,
@@ -45,13 +39,6 @@ def run_main(argv) -> int:
             return main(argv)
 
 
-def witness_allowed(data: bytes) -> bool:
-    try:
-        return parse_edge_list(data.decode("ascii")).n <= WITNESS_MAX_VERTICES
-    except (UnicodeDecodeError, InputError):
-        return True  # witness rejects it before any scan
-
-
 def check_commands(data: bytes, formats, opts) -> None:
     p, brute, dual = opts
     dual_args = [] if dual is None else [f"--dual-order={dual}"]
@@ -65,8 +52,7 @@ def check_commands(data: bytes, formats, opts) -> None:
         for fmt in formats:
             given_fmt = ["-i", path, "--format", fmt, "-p", p]
             argvs.append(["analyze", *given_fmt, "--brute", brute, *dual_args])
-            if fmt == "graph6" or witness_allowed(data):
-                argvs.append(["witness", *given_fmt])
+            argvs.append(["witness", *given_fmt])
         for argv in argvs:
             assert run_main(argv) in EXIT_CODES, argv
 
