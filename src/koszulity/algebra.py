@@ -97,7 +97,7 @@ class AlgebraContext:
         return None if idx is None else (-1 if inv & 1 else 1, idx)
 
 
-def _products(basis, up: tuple, here: dict) -> tuple:
+def _products(basis: tuple, up: tuple, here: dict) -> tuple:
     """The nonzero products a_g m for the monomials m of one degree n, as
     AlgebraContext.products holds them, from up, the basis of degree
     n + 1, and here, the index of degree n.  Each clique c of up is
