@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .errors import InputError, ResourceLimitError
 from .gfp import Prime
-from .graphs import Graph, enumerate_cliques
+from .graphs import Graph, enumerate_cliques, neighbour_masks
 
 Monomial = tuple  # strictly increasing vertex indices; () is the unit
 
@@ -190,7 +190,7 @@ def pbw_check(ctx: AlgebraContext) -> bool:
     for every n: the PBW basis.  Induction from bases[0] = {()}: the sizes
     of the n-cliques' common neighbourhoods sum to n+1 times the number of
     (n+1)-cliques, which bases[n+1] must match (0 past the top degree)."""
-    nbrs = [sum(1 << w for w in nb) for nb in ctx.graph.adj]
+    nbrs = neighbour_masks(ctx.graph)
     above = [len(basis) for basis in ctx.bases[1:]] + [0]
     if ctx.bases[:1] != (((),),):
         return False

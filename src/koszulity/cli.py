@@ -28,7 +28,6 @@ from .graphs import (
     DiagonalViolation,
     Graph,
     LeafNode,
-    build_graph,
     canonical_form,
     diagonal_violation,
     nonisomorphic_graphs,
@@ -176,8 +175,7 @@ def _bool(x: bool) -> str:
 
 
 def _census_row(task):
-    key, n, edges, p, run_brute, dual_order = task
-    g = build_graph(n, edges)
+    key, g, p, run_brute, dual_order = task
     report = classify(g, p=p, brute="on" if run_brute else "off", dual_order=dual_order)
     brute = report.brute
     violation = (
@@ -188,8 +186,8 @@ def _census_row(task):
     )
     row = (
         key,
-        str(n),
-        str(len(edges)),
+        str(g.n),
+        str(len(g.edges)),
         " ".join(str(d) for d in report.dims),
         _bool(report.diagonal_property),
         _bool(report.strong.passed),
@@ -292,20 +290,18 @@ def cmd_census(args) -> int:
             if line.strip():
                 g = parse_graph6(line)
                 classes.setdefault(canonical_form(g), g)
-        tasks = [
-            (key, classes[key].n, tuple(sorted(classes[key].edges)))
-            for key in sorted(classes)
-        ]
+        tasks = [(key, classes[key]) for key in sorted(classes)]
     else:
         if not 1 <= args.n <= CENSUS_MAX_VERTICES:
             raise InputError(
                 f"census self-generation supports 1 <= n <= {CENSUS_MAX_VERTICES}"
             )
         graphs = nonisomorphic_graphs(args.n)
-        tasks = [(canonical_form(g), g.n, tuple(sorted(g.edges))) for g in graphs]
+        tasks = [(canonical_form(g), g) for g in graphs]
+    # fork workers inherit this list; only their rows are pickled back
     work = [
-        (key, n, edges, args.p, n <= args.brute_max_d, args.dual_order)
-        for key, n, edges in tasks
+        (key, g, args.p, g.n <= args.brute_max_d, args.dual_order)
+        for key, g in tasks
     ]
     results = _fork_map(_census_row, work, workers)
     lines = [",".join(CENSUS_COLUMNS)]

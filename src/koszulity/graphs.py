@@ -38,7 +38,18 @@ class Graph(_GraphFields):
         return tuple(map(frozenset, nbrs))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return (u, v) in self.edges or (v, u) in self.edges
+
+
+def neighbour_masks(g: Graph) -> list[int]:
+    """Each vertex's open neighbourhood as an int bitmask, bit w for
+    neighbour w, built in one pass over the edges.  Not cached on g:
+    a vertex's mask is as wide as its highest neighbour."""
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -154,8 +165,9 @@ def enumerate_cliques(g: Graph) -> tuple[tuple[tuple[int, ...], ...], ...]:
     cliques rather than of k-subsets (Chiba & Nishizeki, "Arboricity and
     subgraph listing algorithms", SIAM J. Comput. 14(1), 1985).  Refuses
     with ResourceLimitError once it has more than 2**20, () included."""
-    # above[v]: the neighbours of v greater than v
-    above = [sum(1 << w for w in g.adj[v] if w > v) for v in range(g.n)]
+    above = [0] * g.n  # above[v]: the neighbours of v greater than v
+    for u, v in g.edges:  # u < v
+        above[u] |= 1 << v
     levels = [((),)]
     level = [((v,), above[v]) for v in range(g.n)]
     count = 1
@@ -241,7 +253,7 @@ def diagonal_violation(g: Graph) -> DiagonalViolation | None:
     edges: one pass, on open neighbourhoods as bitmasks.  The graphs
     without such an edge are the trivially perfect ones (Golumbic,
     Discrete Math. 24, 1978)."""
-    nbrs = [sum(1 << w for w in nb) for nb in g.adj]
+    nbrs = neighbour_masks(g)
     best = (g.n,)  # after every 4-set
     for x, y in g.edges:
         only_x = (nbrs[x] & ~nbrs[y]) ^ (1 << y)  # y is in N(x), not in N(y)
@@ -276,25 +288,37 @@ def elementary_type_decomposition(g: Graph):
     is at least v's.  If: by induction on the order, a neighbour of v
     ahead of its parent lies in N[parent], so it is an ancestor of the
     parent; the inclusions chain, so v is adjacent to all its ancestors,
-    and the graph is the forest's comparability graph.  Bottom-up, a
-    vertex is a leaf or a cone over its child's tree or the union of its
-    children's in order of least vertex, as are the roots: apexes nest
-    lowest outermost, and a clique keeps its highest vertex as the leaf.
+    and the graph is the forest's comparability graph.  On bitmasks, the
+    parent is the vertex p whose own neighbours ahead of it, with p, are
+    exactly v's neighbours ahead of v: p is then the last of them, and
+    while every check so far holds, v's neighbours ahead of it are its
+    parent's ancestors and the parent, so finding no such p is a failed
+    check; each vertex costs a few mask operations, not one per edge.
+    Bottom-up, a vertex is a leaf or a cone over its child's tree or the
+    union of its children's in order of least vertex, as are the roots:
+    apexes nest lowest outermost, and a clique keeps its highest vertex
+    as the leaf.
     """
     if g.n == 0:
         raise InputError("cannot decompose the empty graph")
-    adj, n = g.adj, g.n
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-    pos = sorted(range(n), key=order.__getitem__)  # pos[order[i]] == i
+    nbrs, n = neighbour_masks(g), g.n
+    order = sorted(range(n), key=lambda v: (-nbrs[v].bit_count(), v))
+    placed = 0  # the vertices with a neighbour that are ahead of v
+    owner = {0: n}  # a placed vertex with the neighbours ahead of it, to the vertex
     children: list[list[int]] = [[] for _ in range(n + 1)]  # [n]: the roots
     for v in order:
-        ahead = [pos[u] for u in adj[v] if pos[u] < pos[v]]
-        parent = order[max(ahead)] if ahead else n
-        if parent < n and adj[v] - adj[parent] != {parent}:  # N[v] not in N[parent]
+        nb = nbrs[v]
+        ahead = nb & placed
+        parent = owner.get(ahead)
+        # N[v] not in N[parent], or no parent with exactly v's ahead neighbours
+        if parent is None or parent < n and nb & ~nbrs[parent] != 1 << parent:
             w = diagonal_violation(g)
             if w is None:  # unreachable: the check fails only without the property
                 raise RuntimeError("decomposition failed yet no violating 4-set exists")
             return w
+        if nb:
+            placed |= 1 << v
+            owner[ahead | 1 << v] = v
         children[parent].append(v)
     node: list = [None] * n
     least = list(range(n))  # the least vertex of each vertex's tree
@@ -321,7 +345,8 @@ _PAIR_BIT = [
     for i in range(8) for j in range(8)
 ]
 CANONICAL_MEMO_SIZE = 2 ** 16  # entries; the memo is cleared when full
-_canonical_memo: dict[int, Graph] = {}
+# int keys, the inputs' _invariant_key, and each stored result under itself
+_canonical_memo: dict[int | Graph, Graph] = {}
 
 
 def _invariant_key(g: Graph) -> int:
@@ -352,15 +377,17 @@ def canonical_graph(g: Graph) -> Graph:
     (upper triangle in graph6 column order) over all vertex permutations.
 
     The result is memoised under _invariant_key(g), a relabelling of g
-    that isomorphic inputs often share, and under its own key, so each
-    class keeps one Graph and a canonical input never searches again.
-    This is exact: the minimum over all n! orders depends only on the
-    isomorphism class, and any graph with the same key is isomorphic to
-    g, so a stored result is the one _canonical_search(g) would return.
-    (A vertex invariant cutting canonical-labelling work, as in McKay &
-    Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60,
-    2014.)  The memo holds at most CANONICAL_MEMO_SIZE entries and is
-    cleared when full.
+    that isomorphic inputs often share, and under itself, so each class
+    keeps one Graph, and a stored result, or any graph equal to one,
+    comes back with no key computed and no search.  This is exact: the
+    minimum over all n! orders depends only on the isomorphism class,
+    any graph with the same key is isomorphic to g, and a canonical
+    graph is its own canonical form, so a stored result is the one
+    _canonical_search(g) would return.  (A vertex invariant cutting
+    canonical-labelling work, as in McKay & Piperno, "Practical graph
+    isomorphism, II", J. Symbolic Comput. 60, 2014.)  The memo holds at
+    most CANONICAL_MEMO_SIZE entries, of both kinds, and is cleared when
+    full.
     """
     n = g.n
     if n > CANONICAL_MAX_VERTICES:
@@ -368,14 +395,16 @@ def canonical_graph(g: Graph) -> Graph:
             f"canonical form refused for n={n} > {CANONICAL_MAX_VERTICES} "
             "(vertex-order search, exponential in the worst case)"
         )
-    key = _invariant_key(g)
-    found = _canonical_memo.get(key)
+    found = _canonical_memo.get(g)
     if found is None:
-        if len(_canonical_memo) > CANONICAL_MEMO_SIZE - 2:
-            _canonical_memo.clear()
-        found = _canonical_search(g)
-        found = _canonical_memo.setdefault(_invariant_key(found), found)
-        _canonical_memo[key] = found
+        key = _invariant_key(g)
+        found = _canonical_memo.get(key)
+        if found is None:
+            if len(_canonical_memo) > CANONICAL_MEMO_SIZE - 2:
+                _canonical_memo.clear()
+            found = _canonical_search(g)
+            found = _canonical_memo.setdefault(found, found)
+            _canonical_memo[key] = found
     return found
 
 
@@ -545,7 +574,9 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     last vertex).  The 2**(n - 1) edge sets of the new vertex are built
     once per level and shared by every class, so a candidate costs one
     frozenset union.  Isomorphic candidates mostly hit canonical_graph's
-    memo.
+    memo, and the classes returned are the memo's own results, so
+    canonical_graph (and canonical_form) on them computes no key and
+    searches nothing while the memo holds them.
     """
     if n < 1:
         raise InputError("class enumeration needs n >= 1")

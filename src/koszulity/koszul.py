@@ -195,6 +195,7 @@ from .graphs import (
     Graph,
     diagonal_violation,
     elementary_type_decomposition,
+    neighbour_masks,
 )
 from .ideals import GradedIdeal, ideal_from_degree_one
 
@@ -295,7 +296,7 @@ def strong_koszul_check(ctx: AlgebraContext) -> StrongKoszulReport:
     total = _strong_budget(d)
     everyone = (1 << d) - 1
     # closed form: a_j a_u = 0 exactly for u itself and its non-neighbours
-    killed_by = [everyone ^ sum(1 << j for j in nb) for nb in ctx.graph.adj]
+    killed_by = [everyone ^ nb for nb in neighbour_masks(ctx.graph)]
     bit = [1 << x for x in range(d)].__getitem__
     monos = [[sum(map(bit, mono)) for mono in basis] for basis in ctx.bases]
     table, failing = _product_table(ctx, monos)

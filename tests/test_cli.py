@@ -653,6 +653,17 @@ def test_witness_on_a_20000_vertex_path_exits_0(tmp_path):
     assert out.stdout.startswith("pattern: P4\nv1=0 v2=1 v3=2 v4=3\n")
 
 
+def test_witness_on_a_million_isolated_vertices_exits_4_at_once(tmp_path):
+    # one frozenset per vertex and one mask sum per vertex took 2.4 s and
+    # over 300 MB before the exit; the masks come from the (empty) edge set
+    path = write(tmp_path, "empty1000000.txt", "1000000\n")
+    start = time.perf_counter()
+    out = run_cli_process("witness", "-i", path, timeout=10, address_space=2**30)
+    assert time.perf_counter() - start < 1.0
+    assert out.returncode == 4 and out.stdout == ""
+    assert out.stderr.startswith("no witness exists")
+
+
 def test_witness_at_odd_p_eliminates_nothing_on_a_sparse_graph(tmp_path):
     # seeded G(300, 0.02), 951 edges: spanning A_1 Ann(b)_1 densely in A_2
     # at p = 3 took over 30 s and 671 MB; the certificate reads three rows

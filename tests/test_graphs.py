@@ -142,6 +142,15 @@ def test_enumerate_cliques_matches_subset_oracle():
                 assert list(levels[k] if k < len(levels) else ()) == want
 
 
+def test_neighbour_masks_match_the_adjacency_sets():
+    rng = random.Random(1985)
+    cases = [build_graph(0, []), build_graph(1, []), build_graph(5, [(1, 3)])]
+    cases += [random_graph(rng, n, d) for n in range(11) for d in (0.2, 0.5, 0.8, 1.0)]
+    for g in cases:
+        assert graphs.neighbour_masks(g) == [sum(1 << w for w in nb) for nb in g.adj]
+    assert graphs.neighbour_masks(build_graph(3, [])) == [0, 0, 0]
+
+
 def test_clique_number():
     # the clique number is the size of the last level enumerate_cliques lists
     assert clique_number(complete(4)) == 4
@@ -517,10 +526,11 @@ def test_class_enumeration_makes_one_canonical_call_per_candidate(monkeypatch):
         assert len(nonisomorphic_graphs(7)) == 1044
     finally:
         nonisomorphic_graphs.cache_clear()
-    # and 64 neighbourhoods for each class on 6 vertices, of which 1,302
-    # candidates search
+    # and 64 neighbourhoods for each class on 6 vertices, of which 1,308
+    # candidates search: a result is stored under itself, not under its
+    # own key, so six candidates that share only a result's key search
     assert len(calls) == 1306 + 156 * 64 == 11290
-    assert len(searched) == 217 + 1302 == 1519
+    assert len(searched) == 217 + 1308 == 1525
 
 
 def test_memoised_canonical_graph_matches_the_search(monkeypatch):
@@ -552,16 +562,27 @@ def test_canonical_memo_stays_within_its_bound(monkeypatch):
 
 def test_class_representatives_are_keyed_without_a_search(monkeypatch):
     searched = count_searches(monkeypatch)
+    keyed = []
+    key = graphs._invariant_key
+    monkeypatch.setattr(graphs, "_invariant_key", lambda g: keyed.append(g) or key(g))
     nonisomorphic_graphs.cache_clear()
     try:
         classes = nonisomorphic_graphs(6)
     finally:
         nonisomorphic_graphs.cache_clear()
-    before = len(searched)
+    del keyed[:], searched[:]
+    # a stored result, or a new Graph equal to one, is found under itself
     assert len({canonical_form(g) for g in classes}) == 156
-    assert len(searched) == before
+    assert keyed == [] and searched == []
     # each class is one Graph object, whatever candidate reached it
     assert all(canonical_graph(g) is g for g in classes)
+    assert all(canonical_graph(Graph(g.n, frozenset(g.edges))) is g for g in classes)
+    assert keyed == [] and searched == []
+    # a miss keys its input once, and not the result it stores
+    graphs._canonical_memo.clear()
+    g = relabel(classes[100], [5, 3, 1, 0, 2, 4])
+    assert canonical_graph(g) is canonical_graph(classes[100])
+    assert keyed == [g] and searched == [g]
 
 
 def test_memo_keys_equal_only_on_isomorphic_graphs():

@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 
 import koszulity
-from koszulity import build_graph, classify, elementary_type_decomposition
+from koszulity import build_graph, classify, cli, elementary_type_decomposition, graphs
 from koszulity.algebra import AlgebraContext
 from koszulity.koszul import StrongPairFailure
 
@@ -75,6 +75,26 @@ def test_benchmark_child_names_are_exported():
     cli = importlib.import_module("koszulity.cli")
     for name in _attributes_read(child, "cli"):
         assert callable(getattr(cli, name, None)), name
+
+
+def test_canonical_calls_match_the_traced_benchmark_closed_forms(monkeypatch):
+    # perfbench/counts.py predicts canonical_graph.calls for the census6
+    # and classes7 passes: 2**(k - 1) candidates for each class on k - 1
+    # vertices, k = 2..n, then one canonical_form per class on n vertices
+    calls = []
+    real = graphs.canonical_graph
+    monkeypatch.setattr(graphs, "canonical_graph", lambda g: calls.append(g) or real(g))
+    graphs.nonisomorphic_graphs.cache_clear()
+    try:
+        assert cli.main(["census", "-n", "6", "-o", os.devnull]) == 0
+        assert len(calls) == 1462
+        graphs.nonisomorphic_graphs.cache_clear()
+        del calls[:]
+        classes = koszulity.nonisomorphic_graphs(7)
+        assert len({koszulity.canonical_form(g) for g in classes}) == 1044
+        assert len(calls) == 12334
+    finally:
+        graphs.nonisomorphic_graphs.cache_clear()
 
 
 # loaded by a process pool (concurrent.futures pulls in logging) or by
