@@ -695,20 +695,16 @@ def _joins(basis, label):
 
 
 def _first_rows(label, rows):
-    """The scan of _joins over native rows at odd p, from the classes of
-    columns label (label[j] the class of column j), stopping at the first
-    joining entry that is not 1: None there, else the classes after the
-    rows.  label is not changed; a new list comes back when a row joins
-    two classes.  Each entry's verdict depends only on the rows before
-    it, so when a row prefix of a basis gives None, so does the basis."""
-    for row in rows:
-        a = label[row.index(1)]  # the pivot is the row's first nonzero entry
-        for k, x in enumerate(row):
-            if x and label[k] != a:
-                if x != 1:
-                    return None
-                b = label[k]
-                label = [a if y == b else y for y in label]
+    """The scan of _joins over native rows at odd p, run on a copy of the
+    classes of columns label (label[j] the class of column j), stopping
+    at the first joining entry that is not 1: None there, else the
+    classes after the rows.  Each entry's verdict depends only on the
+    rows before it, so when a row prefix of a basis gives None, so does
+    the basis."""
+    label = list(label)
+    for _, _, x in _joins(rows, label):
+        if x != 1:
+            return None
     return label
 
 

@@ -3,7 +3,7 @@ elementary-type decompositions.
 
 Vertices are 0..n-1.  Graphs, violations and decomposition nodes are
 typing.NamedTuple records, so immutable; a Graph stores its edges as a
-frozenset of (u, v) pairs with u < v and caches its adjacency.  The
+frozenset of (u, v) pairs with u < v, the only adjacency it holds.  The
 "diagonal property" holds when no four vertices induce a square (C4) or a
 path (P4); graphs with the property are exactly those built from single
 vertices by disjoint unions and cones, and elementary_type_decomposition
@@ -13,43 +13,56 @@ recovers such a construction or reports a violating 4-set.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InputError, ResourceLimitError
-from .gfp import ENUMERATION_GUARD
+from .gfp import ENUMERATION_GUARD, count_text
 
 CANONICAL_MAX_VERTICES = 8
 
 
-class _GraphFields(NamedTuple):
+class Graph(NamedTuple):
     n: int
     edges: frozenset
 
-
-class Graph(_GraphFields):
-    # unlike a NamedTuple, the subclass has an instance dict to cache adj in
-    @cached_property
-    def adj(self) -> tuple[frozenset, ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(map(frozenset, nbrs))
-
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.edges or (v, u) in self.edges
+
+
+def _refuse_vertex_count(n: int) -> None:
+    # before any list per vertex: n vertices give n + 1 cliques, () included
+    if n >= ENUMERATION_GUARD:
+        raise ResourceLimitError(
+            f"graph refused: {count_text(n)} vertices give more than 2**20 cliques"
+        )
 
 
 def neighbour_masks(g: Graph) -> list[int]:
     """Each vertex's open neighbourhood as an int bitmask, bit w for
     neighbour w, built in one pass over the edges.  Not cached on g:
     a vertex's mask is as wide as its highest neighbour."""
+    _refuse_vertex_count(g.n)
     masks = [0] * g.n
     for u, v in g.edges:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return masks
+
+
+def smaller_twins(nbrs, units) -> list[int]:
+    """For each vertex v, the union of units[u] over its twins u < v,
+    N(u) - {v} == N(v) - {u}, with units[w] vertex w's bit and nbrs[w]
+    the union of its neighbours' bits.  Non-adjacent twins have equal
+    open neighbourhoods and adjacent twins equal closed ones, and no open
+    neighbourhood is a closed one (v in N(u) = N[v] puts u in N[v])."""
+    below, seen = [], {}  # seen: a neighbourhood -> the bits of the vertices with it
+    for nb, bit in zip(nbrs, units):
+        closed = nb | bit
+        below_open, below_closed = seen.get(nb, 0), seen.get(closed, 0)
+        below.append(below_open | below_closed)
+        seen[nb], seen[closed] = below_open | bit, below_closed | bit
+    return below
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -165,6 +178,7 @@ def enumerate_cliques(g: Graph) -> tuple[tuple[tuple[int, ...], ...], ...]:
     cliques rather than of k-subsets (Chiba & Nishizeki, "Arboricity and
     subgraph listing algorithms", SIAM J. Comput. 14(1), 1985).  Refuses
     with ResourceLimitError once it has more than 2**20, () included."""
+    _refuse_vertex_count(g.n)
     above = [0] * g.n  # above[v]: the neighbours of v greater than v
     for u, v in g.edges:  # u < v
         above[u] |= 1 << v
@@ -213,34 +227,6 @@ def _matches_pattern(g: Graph, w: DiagonalViolation) -> bool:
     return all(e(a, b) for a, b in req) and not any(e(a, b) for a, b in forb)
 
 
-def _label_quad(g: Graph, quad: tuple[int, ...]) -> DiagonalViolation | None:
-    inside = [
-        (a, b) for a, b in itertools.combinations(quad, 2) if g.has_edge(a, b)
-    ]
-    deg = {v: 0 for v in quad}
-    for a, b in inside:
-        deg[a] += 1
-        deg[b] += 1
-    if len(inside) == 4 and all(d == 2 for d in deg.values()):
-        # Square.  Anchor at the smallest vertex as v4; its non-neighbor in
-        # the quad is v2; the two common neighbors become v1 < v3.
-        v4 = quad[0]
-        v2 = next(v for v in quad if v != v4 and not g.has_edge(v, v4))
-        rest = sorted(v for v in quad if v not in (v4, v2))
-        w = DiagonalViolation("C4", rest[0], v2, rest[1], v4)
-    elif len(inside) == 3 and sorted(deg.values()) == [1, 1, 2, 2]:
-        # Path.  v1 is the smaller endpoint, then walk along the path.
-        ends = sorted(v for v in quad if deg[v] == 1)
-        v1 = ends[0]
-        v2 = next(v for v in quad if deg[v] == 2 and g.has_edge(v, v1))
-        v3 = next(v for v in quad if deg[v] == 2 and v != v2)
-        w = DiagonalViolation("P4", v1, v2, v3, ends[1])
-    else:
-        return None
-    assert _matches_pattern(g, w)
-    return w
-
-
 def diagonal_violation(g: Graph) -> DiagonalViolation | None:
     """First violating 4-set in lexicographic order, or None.
 
@@ -250,18 +236,31 @@ def diagonal_violation(g: Graph) -> DiagonalViolation | None:
     and every edge of a C4 are such edges.  Putting min X and min Y in
     place of x' and y' lowers the sorted 4-set coordinate by coordinate,
     so the first one is the least sorted (x, y, min X, min Y) over these
-    edges: one pass, on open neighbourhoods as bitmasks.  The graphs
-    without such an edge are the trivially perfect ones (Golumbic,
-    Discrete Math. 24, 1978)."""
+    edges: one pass, on open neighbourhoods as bitmasks.  It is labelled
+    from the walk x'-x-y-y' that found it: the square from its least
+    vertex as v4, the opposite one as v2 and the other two in order as
+    v1 < v3; the path from its lesser end.  The graphs without such an
+    edge are the trivially perfect ones (Golumbic, Discrete Math. 24,
+    1978)."""
     nbrs = neighbour_masks(g)
     best = (g.n,)  # after every 4-set
     for x, y in g.edges:
         only_x = (nbrs[x] & ~nbrs[y]) ^ (1 << y)  # y is in N(x), not in N(y)
         only_y = (nbrs[y] & ~nbrs[x]) ^ (1 << x)
         if only_x and only_y:
-            low = [(s & -s).bit_length() - 1 for s in (only_x, only_y)]
-            best = min(best, tuple(sorted((x, y, *low))))
-    return None if len(best) == 1 else _label_quad(g, best)
+            a, d = [(s & -s).bit_length() - 1 for s in (only_x, only_y)]
+            best = min(best, (*sorted((a, x, y, d)), (a, x, y, d)))
+    if len(best) == 1:
+        return None
+    walk = best[4]
+    if nbrs[walk[0]] >> walk[3] & 1:
+        i = walk.index(best[0])
+        v1, v3 = sorted((walk[i - 1], walk[i - 3]))
+        w = DiagonalViolation("C4", v1, walk[i - 2], v3, best[0])
+    else:
+        w = DiagonalViolation("P4", *(walk if walk[0] < walk[3] else walk[::-1]))
+    assert _matches_pattern(g, w)
+    return w
 
 
 class LeafNode(NamedTuple):
@@ -452,11 +451,10 @@ def _canonical_search(g: Graph) -> Graph:
     Both phases skip v while a smaller twin u is unplaced
     (N(u) - {v} == N(v) - {u}), since the automorphism (u v) fixes the
     placed vertices; in phase 1 such swaps turn every maximum independent
-    set into one that is kept.  Twins are found in one pass: non-adjacent
-    twins have equal open neighbourhoods and adjacent twins equal closed
-    ones.  Phase 2 merges partial orders with the same cells that give
-    every unplaced vertex the same column so far, since later columns
-    depend on nothing else.  The result equals the n! minimum bit for bit.
+    set into one that is kept.  Phase 2 merges partial orders with the
+    same cells that give every unplaced vertex the same column so far,
+    since later columns depend on nothing else.  The result equals the n!
+    minimum bit for bit.
     """
     n = g.n
     if n <= 1 or not g.edges:
@@ -473,17 +471,7 @@ def _canonical_search(g: Graph) -> Graph:
     for u, v in g.edges:
         spread[u] |= unit[v]
         spread[v] |= unit[u]
-    # No open neighbourhood is a closed one (v in N(u) = N[v] would put u
-    # in N[v]), so one dict holds both kinds of twin class.
-    smaller_twins = []
-    seen: dict[int, int] = {}
-    for nb, bit in zip(spread, unit):
-        closed = nb | bit
-        below_open, below_closed = seen.get(nb, 0), seen.get(closed, 0)
-        smaller_twins.append(below_open | below_closed)
-        seen[nb] = below_open | bit
-        seen[closed] = below_closed | bit
-    vertex = dict(zip(unit, zip(shift, spread, smaller_twins)))  # by unit bit
+    vertex = dict(zip(unit, zip(shift, spread, smaller_twins(spread, unit))))  # by bit
     # Phase 1: each independent set with the vertices above its last one
     # that it may still take
     grown = [(0, everyone)]

@@ -34,19 +34,20 @@ Three graded properties are decided exactly:
 
 The brute-force route tests one subspace I_1 per orbit of the group G
 generated by the twin swaps and the diagonal scalings.  A twin swap
-exchanges twins u and v, vertices with N(u) - {v} = N(v) - {u}; it maps
-edges to edges, so it extends to an algebra automorphism, which acts on
-A_1, and so on the subspaces I_1, as the swap of coordinates u and v.  A
-diagonal scaling a_v -> t_v a_v, t in (F_p^*)^V, is an algebra
-automorphism because the relations are monomial (homogeneous for the
-fine Z^V grading below); at p = 2 it is the identity.  For an
-automorphism s, I:(b) is generated in degree one iff sI:(sb) is; since s
-also permutes the divisors outside I_1, a subspace passes iff every
-member of its orbit does.  The first member of an orbit in enumeration
-order is tested divisor by divisor, so the first failure is the one a
-test of every subspace would meet.  Its later members are counted, with
-their divisor classes, but not tested: ideals_enumerated and
-divisors_checked count what the verdict covers, divisors_tested the
+exchanges twins u and v, vertices with N(u) - {v} = N(v) - {u}, which
+graphs.smaller_twins finds on the neighbour masks, as it does for the
+canonical search; it maps edges to edges, so it extends to an algebra
+automorphism, which acts on A_1, and so on the subspaces I_1, as the
+swap of coordinates u and v.  A diagonal scaling a_v -> t_v a_v, t in
+(F_p^*)^V, is an algebra automorphism because the relations are monomial
+(homogeneous for the fine Z^V grading below); at p = 2 it is the
+identity.  For an automorphism s, I:(b) is generated in degree one iff
+sI:(sb) is; since s also permutes the divisors outside I_1, a subspace
+passes iff every member of its orbit does.  The first member of an orbit
+in enumeration order is tested divisor by divisor, so the first failure
+is the one a test of every subspace would meet.  Its later members are
+counted, with their divisor classes, but not tested: ideals_enumerated
+and divisors_checked count what the verdict covers, divisors_tested the
 divisors that went through the quotient test below.
 
 The scalings form a torus T, normal in G because a swap conjugates a
@@ -196,6 +197,7 @@ from .graphs import (
     diagonal_violation,
     elementary_type_decomposition,
     neighbour_masks,
+    smaller_twins,
 )
 from .ideals import GradedIdeal, ideal_from_degree_one
 
@@ -406,59 +408,36 @@ def _brute_divisor_count(p: int, d: int) -> int:
     return (h - g) // (p - 1)
 
 
-def _twin_transpositions(g: Graph) -> list[tuple[int, int]]:
-    """Generators of the twin group of g, as the pairs (u, v) of vertices
-    it swaps: each two consecutive members of a twin class, where u and
-    v are twins when N(u) - {v} = N(v) - {u}.  On A_1 each acts as the
-    swap of coordinates u and v.  Each swap is checked to map the edge
-    set onto itself; RuntimeError otherwise."""
-    adj = g.adj
-    classes: list[list[int]] = []
-    for v in range(g.n):
-        for members in classes:
-            u = members[0]
-            if adj[u] - {v} == adj[v] - {u}:
-                members.append(v)
-                break
-        else:
-            classes.append([v])
-    pairs = []
-    for members in classes:
-        for u, v in zip(members, members[1:]):
-            swap = {u: v, v: u}
-            moved = {tuple(sorted((swap.get(a, a), swap.get(b, b)))) for a, b in g.edges}
-            if moved != g.edges:
-                raise RuntimeError(
-                    f"swapping a{u} and a{v} is not a graph automorphism"
-                )
-            pairs.append((u, v))
-    return pairs
-
-
 def _twin_generators(g: Graph) -> list[tuple[int, ...]]:
     """Two generators of the symmetric group on each twin class of g, as
-    permutations of the vertices (perm[v] is the image of v): the
-    transposition of its two least members and, when it has k >= 3
-    members, the k-cycle through them in order.  The classes are read off
-    _twin_transpositions, which checks each of its swaps against the
-    edges, and these generate the same group (see the module
-    docstring)."""
-    classes: list[list[int]] = []
-    for u, v in _twin_transpositions(g):
-        if classes and classes[-1][-1] == u:
-            classes[-1].append(v)
-        else:
-            classes.append([u, v])
+    permutations of the vertices (perm[v] is the image of v), classes in
+    order of least member: the transposition of its two least members
+    and, when it has k >= 3 members, the k-cycle through them in order.
+    Twins are vertices with N(u) - {v} = N(v) - {u}, found by
+    graphs.smaller_twins on the neighbour masks, and these generate the
+    twin group (see the module docstring).  Each generator is checked to
+    map the edge set onto itself; RuntimeError otherwise."""
+    n = g.n
+    twins = smaller_twins(neighbour_masks(g), [1 << v for v in range(n)])
+    classes: dict[int, list[int]] = {}  # the least member's bit -> the class
+    for v, below in enumerate(twins):
+        classes.setdefault(below & -below or 1 << v, []).append(v)
     perms = []
-    for members in classes:
-        swap = list(range(g.n))
+    for members in classes.values():
+        if len(members) < 2:
+            continue
+        swap = list(range(n))
         swap[members[0]], swap[members[1]] = members[1], members[0]
         perms.append(tuple(swap))
         if len(members) > 2:
-            cycle = list(range(g.n))
+            cycle = list(range(n))
             for u, v in zip(members, members[1:] + members[:1]):
                 cycle[u] = v
             perms.append(tuple(cycle))
+    for perm in perms:
+        moved = {tuple(sorted((perm[u], perm[v]))) for u, v in g.edges}
+        if moved != g.edges:
+            raise RuntimeError(f"twin permutation {perm} is not a graph automorphism")
     return perms
 
 

@@ -1,9 +1,10 @@
 """Shared graph constructors (also union, cone, induced subgraph, random
 graphs with the diagonal property and the graph of a decomposition
-tree), the classes with the diagonal property by their cone-and-union
-grammar, element arithmetic, test oracles (the class count by Burnside's
-lemma and the rooted-tree count, the brute-force and level-by-level
-canonical forms, the violation search over 4-sets, the
+tree), the adjacency sets read off the edges, the classes with the
+diagonal property by their cone-and-union grammar, element arithmetic,
+test oracles (the class count by Burnside's lemma and the rooted-tree
+count, the twin classes by the definition, the brute-force and
+level-by-level canonical forms, the violation search over 4-sets, the
 decomposition by single peels, clique listing by k-subsets, subspace
 counts and containment, sparse spans and rows on top of rref, a RowSpace
 from dense rows already reduced, the generator maps by inserting a
@@ -112,6 +113,30 @@ def relabel(g, perm):
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+def adj(g):
+    """Each vertex's neighbours as a frozenset, read off g.edges."""
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return tuple(map(frozenset, nbrs))
+
+
+def twin_classes(g):
+    """The twin classes of g by the definition, N(u) - {v} == N(v) - {u},
+    one pair at a time: each class ascending, in order of least member."""
+    nbrs = adj(g)
+    classes = []
+    for v in range(g.n):
+        for c in classes:
+            if all(nbrs[u] - {v} == nbrs[v] - {u} for u in c):
+                c.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     edges = list(g1.edges) + [(u + g1.n, v + g1.n) for u, v in g2.edges]
     return build_graph(g1.n + g2.n, edges)
@@ -207,10 +232,10 @@ def lexmin_by_permutations(g):
     """Reference canonical form: over all n! vertex orders, the minimal
     upper-triangle bit string in graph6 column order (pair (i, j), i < j,
     ordered by j then i), rebuilt as a graph."""
-    adj = g.adj
+    nbrs = adj(g)
     pairs = [(i, j) for j in range(1, g.n) for i in range(j)]
     best = min(
-        tuple(p[j] in adj[p[i]] for i, j in pairs)
+        tuple(p[j] in nbrs[p[i]] for i, j in pairs)
         for p in itertools.permutations(range(g.n))
     )
     return build_graph(g.n, [e for e, bit in zip(pairs, best) if bit])
@@ -426,6 +451,7 @@ def decompose_by_single_peels(g, verts=None):
     verts = tuple(range(g.n)) if verts is None else verts
     if len(verts) == 1:
         return LeafNode(verts[0])
+    nbrs = adj(g)
     todo = set(verts)
     comps = []
     for start in verts:
@@ -433,15 +459,15 @@ def decompose_by_single_peels(g, verts=None):
             comp = [start]
             todo.remove(start)
             for v in comp:
-                comp += [u for u in g.adj[v] if u in todo]
-                todo.difference_update(g.adj[v])
+                comp += [u for u in nbrs[v] if u in todo]
+                todo.difference_update(nbrs[v])
             comps.append(tuple(sorted(comp)))
     if len(comps) > 1:
         children = tuple(decompose_by_single_peels(g, c) for c in comps)
         return None if None in children else UnionNode(children)
     vset = set(verts)
     for apex in verts:
-        if len(g.adj[apex] & vset) == len(verts) - 1:
+        if len(nbrs[apex] & vset) == len(verts) - 1:
             base = decompose_by_single_peels(g, tuple(v for v in verts if v != apex))
             return None if base is None else ConeNode(apex, base)
     return None
@@ -454,12 +480,12 @@ def cliques_by_combinations(g, k):
         return [()]
     if k == 1:
         return [(v,) for v in range(g.n)]
-    adj = g.adj
+    nbrs = adj(g)
     out = []
     for combo in itertools.combinations(range(g.n), k):
         ok = True
         for a, b in itertools.combinations(combo, 2):
-            if b not in adj[a]:
+            if b not in nbrs[a]:
                 ok = False
                 break
         if ok:
@@ -479,7 +505,7 @@ def dual_dims_by_traces(g, order):
     some vertex of the step before.  A dynamic program over the last step
     counts the forms, reading adjacency only."""
     n, full = g.n, (1 << g.n) - 1
-    nbrs = [sum(1 << u for u in g.adj[v]) for v in range(n)]
+    nbrs = [sum(1 << u for u in nb) for nb in adj(g)]
     # (mask, size, reach) per nonempty clique; the vertices of a step that
     # may follow it are those in its reach
     cliques = []
@@ -529,11 +555,11 @@ def strong_koszul_by_colons(ctx):
     membership, and compare the colon with monomial_ideal_basis of those
     generators and the generators with the closed form."""
     d = ctx.dim(1)
-    adj = ctx.graph.adj
+    nbrs = adj(ctx.graph)
     divisors = [monomial_element(ctx, (u,)) for u in range(d)]
     # closed form: a_j a_u = 0 exactly for u itself and its non-neighbours
     killed_by = [
-        {u} | {j for j in range(d) if j != u and j not in adj[u]} for u in range(d)
+        {u} | {j for j in range(d) if j != u and j not in nbrs[u]} for u in range(d)
     ]
     pairs = 0
     failures = []

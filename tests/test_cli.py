@@ -664,6 +664,18 @@ def test_witness_on_a_million_isolated_vertices_exits_4_at_once(tmp_path):
     assert out.stderr.startswith("no witness exists")
 
 
+def test_witness_on_a_trillion_vertices_exits_3_at_once(tmp_path):
+    # the neighbour masks ([0] * n) ended in a MemoryError traceback; from
+    # 2**20 vertices on the singleton cliques alone pass the guard
+    for name, text in (("empty.txt", "1000000000000\n"), ("edge.txt", "1000000000000\n0 1\n")):
+        path = write(tmp_path, name, text)
+        start = time.perf_counter()
+        out = run_cli_process("witness", "-i", path, timeout=10, address_space=2**30)
+        assert time.perf_counter() - start < 1.0
+        assert out.returncode == 3 and out.stdout == "", out.stderr
+        assert "more than 2**20" in out.stderr
+
+
 def test_witness_at_odd_p_eliminates_nothing_on_a_sparse_graph(tmp_path):
     # seeded G(300, 0.02), 951 edges: spanning A_1 Ann(b)_1 densely in A_2
     # at p = 3 took over 30 s and 671 MB; the certificate reads three rows

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from conftest import (
+    adj,
     canonical_graph_by_levels,
     cliques_by_combinations,
     complete,
@@ -24,6 +25,7 @@ from conftest import (
     relabel,
     square4,
     star,
+    twin_classes,
 )
 from koszulity import graphs
 from koszulity.errors import InputError, ResourceLimitError
@@ -147,8 +149,35 @@ def test_neighbour_masks_match_the_adjacency_sets():
     cases = [build_graph(0, []), build_graph(1, []), build_graph(5, [(1, 3)])]
     cases += [random_graph(rng, n, d) for n in range(11) for d in (0.2, 0.5, 0.8, 1.0)]
     for g in cases:
-        assert graphs.neighbour_masks(g) == [sum(1 << w for w in nb) for nb in g.adj]
+        assert graphs.neighbour_masks(g) == [sum(1 << w for w in nb) for nb in adj(g)]
     assert graphs.neighbour_masks(build_graph(3, [])) == [0, 0, 0]
+
+
+def test_smaller_twins_match_the_twin_classes():
+    # every class on <= 6 vertices and a seeded relabelling of each, with
+    # vertex v at bit v and at bit 3v (the canonical search's fields)
+    rng = random.Random(1252)
+    for n in range(1, 7):
+        for g in nonisomorphic_graphs(n):
+            for h in (g, relabel(g, rng.sample(range(n), n))):
+                for width in (1, 3):
+                    units = [1 << width * v for v in range(n)]
+                    nbrs = [sum(units[w] for w in nb) for nb in adj(h)]
+                    want = [0] * n
+                    for c in twin_classes(h):
+                        for v in c:
+                            want[v] = sum(units[u] for u in c if u < v)
+                    assert graphs.smaller_twins(nbrs, units) == want, (h.edges, width)
+
+
+def test_graphs_with_2_to_the_20_vertices_are_refused_before_any_list():
+    # n vertices give n + 1 cliques, () included
+    assert graphs.neighbour_masks(Graph(2**20 - 1, frozenset())) == [0] * (2**20 - 1)
+    for n in (2**20, 10**12):
+        g = Graph(n, frozenset({(0, 1)}))
+        for f in (graphs.neighbour_masks, enumerate_cliques):
+            with pytest.raises(ResourceLimitError, match=r"more than 2\*\*20"):
+                f(g)
 
 
 def test_clique_number():
@@ -308,7 +337,6 @@ def test_decomposition_of_the_alternating_threshold_graph_is_fast():
     # rescanning what is left took 8 s at 800 vertices.
     n = 2400
     g = Graph(n, frozenset((j, i) for i in range(1, n, 2) for j in range(i)))
-    g.adj  # part of building the graph
     start = time.perf_counter()
     t = elementary_type_decomposition(g)
     assert time.perf_counter() - start < 2.0

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    adj,
     brute_by_all_subspaces,
     brute_cases,
     complete,
@@ -27,6 +28,7 @@ from conftest import (
     path4,
     random_graph,
     reconstruct,
+    relabel,
     rooted_trees,
     sparse_rows,
     span,
@@ -34,6 +36,7 @@ from conftest import (
     star,
     strong_koszul_by_colons,
     subspace_count,
+    twin_classes,
 )
 from koszulity import gfp, graphs, ideals, koszul
 from koszulity.algebra import build_algebra, element_string, from_coeffs, monomial_string
@@ -47,7 +50,6 @@ from koszulity.gfp import (
 from koszulity.graphs import (
     ConeNode,
     DiagonalViolation,
-    Graph,
     build_graph,
     canonical_form,
     diagonal_violation,
@@ -444,11 +446,11 @@ def test_certificate_of_a_mislabelled_violation_raises():
                 koszul.certify_witness(ctx, w)
         for n in range(4, 6):
             for g in nonisomorphic_graphs(n):
-                ctx, routes = build_algebra(g, p), {}
+                ctx, routes, nbrs = build_algebra(g, p), {}, adj(g)
                 for v1, v2, v3, v4 in itertools.permutations(range(n), 4):
-                    if v3 not in g.adj[v2]:
+                    if v3 not in nbrs[v2]:
                         continue
-                    w = DiagonalViolation("C4" if v4 in g.adj[v1] else "P4", v1, v2, v3, v4)
+                    w = DiagonalViolation("C4" if v4 in nbrs[v1] else "P4", v1, v2, v3, v4)
                     ends = frozenset((v1, v4))
                     if ends not in routes:
                         routes[ends] = _annihilator_route(ctx, ends)
@@ -687,19 +689,6 @@ def test_brute_matches_all_subspaces_oracle():
     assert failing == 22
 
 
-def _twin_classes(g):
-    # by the definition, one pair at a time
-    classes = []
-    for v in range(g.n):
-        for c in classes:
-            if all(g.adj[u] - {v} == g.adj[v] - {u} for u in c):
-                c.append(v)
-                break
-        else:
-            classes.append([v])
-    return classes
-
-
 def _transposition(u, v, n):
     perm = list(range(n))
     perm[u], perm[v] = v, u
@@ -721,7 +710,7 @@ def _generated_group(perms, n):
 
 def _twin_group(g):
     # every permutation that maps each twin class onto itself
-    classes = _twin_classes(g)
+    classes = twin_classes(g)
     group = set()
     for images in itertools.product(*(itertools.permutations(c) for c in classes)):
         perm = list(range(g.n))
@@ -737,20 +726,34 @@ def _elementary():
     return cone(disjoint_union(complete(2), build_graph(3, [])))
 
 
+def _cycle(members, n):
+    perm = list(range(n))
+    for u, v in zip(members, members[1:] + members[:1]):
+        perm[u] = v
+    return tuple(perm)
+
+
 def test_twin_generators_give_the_symmetric_group_on_each_twin_class():
     elementary = _elementary()
     graphs_ = [star(k) for k in range(1, 6)] + [complete(n) for n in range(1, 6)]
     graphs_ += [build_graph(5, [(i, j) for i in range(2) for j in range(2, 5)]), elementary]
+    rng = random.Random(1252)
+    for n in range(1, 7):
+        for g in nonisomorphic_graphs(n):
+            graphs_ += [g, relabel(g, rng.sample(range(n), n))]
     for g in graphs_:
         want = _twin_group(g)
-        swaps = [_transposition(u, v, g.n) for u, v in koszul._twin_transpositions(g)]
-        assert _generated_group(swaps, g.n) == want, g.edges
-        # the brute route's generators: two per class of three or more twins
+        # the brute route's generators: the transposition of the two least
+        # members of each class, then the cycle through a class of three or more
         gens = koszul._twin_generators(g)
         assert _generated_group(gens, g.n) == want, g.edges
-        assert len(gens) == sum(min(len(c) - 1, 2) for c in _twin_classes(g)), g.edges
+        assert gens == [
+            perm
+            for c in twin_classes(g) if len(c) > 1
+            for perm in [_transposition(c[0], c[1], g.n)] + [_cycle(c, g.n)] * (len(c) > 2)
+        ], g.edges
     # the elementary graph has twin classes {0, 1}, {2, 3, 4} and the apex {5}
-    assert _twin_classes(elementary) == [[0, 1], [2, 3, 4], [5]]
+    assert twin_classes(elementary) == [[0, 1], [2, 3, 4], [5]]
     assert koszul._twin_generators(elementary) == [
         (1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 3, 4, 2, 5),
     ]
@@ -776,7 +779,7 @@ def test_twin_generators_close_the_orbits_of_every_transposition(monkeypatch):
         actions = [
             lambda basis, act=gfp.permute_coordinates(p, _transposition(u, v, g.n)):
                 first(act(basis))
-            for c in _twin_classes(g)
+            for c in twin_classes(g)
             for u, v in itertools.combinations(c, 2)
         ]
         assert len(met) == closed, (g.edges, p, len(met))
@@ -784,14 +787,13 @@ def test_twin_generators_close_the_orbits_of_every_transposition(monkeypatch):
             assert got == orbit_rest(basis, actions), (g.edges, p, basis)
 
 
-def test_twin_generators_are_checked_against_the_edges():
+def test_twin_generators_are_checked_against_the_edges(monkeypatch):
     g = build_graph(3, [(0, 1), (1, 2)])
-    # adjacency that disagrees with the edge set makes any two vertices look like twins
-    bogus = Graph(3, g.edges)
-    vars(bogus)["adj"] = (frozenset(), frozenset(), frozenset())
+    assert koszul._twin_generators(g) == [(2, 1, 0)]
+    # masks that disagree with the edge set make any two vertices look like twins
+    monkeypatch.setattr(koszul, "neighbour_masks", lambda g: [0] * g.n)
     with pytest.raises(RuntimeError, match="not a graph automorphism"):
-        koszul._twin_transpositions(bogus)
-    assert koszul._twin_transpositions(g) == [(0, 2)]
+        koszul._twin_generators(g)
 
 
 def test_brute_tests_exactly_the_first_member_of_each_orbit(monkeypatch):
@@ -855,7 +857,7 @@ def test_brute_tests_exactly_the_first_member_of_each_orbit(monkeypatch):
 
 def test_graph_without_twins_tests_every_divisor():
     p5 = build_graph(5, [(i, i + 1) for i in range(4)])
-    assert koszul._twin_transpositions(p5) == []
+    assert koszul._twin_generators(p5) == []
     out = universal_koszul_bruteforce(build_algebra(p5, 2))
     assert out.verdict is False
     assert out.divisors_tested == out.divisors_checked
