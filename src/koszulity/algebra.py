@@ -26,7 +26,7 @@ stored products once per algebra, when first read.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import InputError, ResourceLimitError
@@ -158,7 +158,8 @@ def koszul_numerical_check(hilbert, order: int | None = None) -> bool:
     invertible over the integers and every coefficient is an integer).
     order defaults to max(12, top degree); an order below the top degree
     is an InputError, and orders above 4096 are refused with
-    ResourceLimitError."""
+    ResourceLimitError.  The decision is kept for each (H, order) once
+    the input is checked: graphs with the same clique counts share it."""
     h = tuple(int(c) for c in hilbert)
     if order is None:
         order = max(12, len(h) - 1)
@@ -172,6 +173,11 @@ def koszul_numerical_check(hilbert, order: int | None = None) -> bool:
         raise InputError(
             f"order {order} is below the top degree {len(h) - 1}"
         )
+    return _dual_series_nonneg(h, order)
+
+
+@lru_cache(maxsize=4096)
+def _dual_series_nonneg(h: tuple, order: int) -> bool:
     c = [(-1) ** k * h[k] for k in range(len(h))]
     inv = [1]
     for n in range(1, order + 1):

@@ -29,6 +29,7 @@ from .graphs import (
     Graph,
     LeafNode,
     canonical_form,
+    class_share,
     diagonal_violation,
     nonisomorphic_graphs,
     parse_edge_list,
@@ -211,29 +212,28 @@ def _census_workers() -> int:
     return workers if hasattr(os, "fork") else 1
 
 
-def _stripe(fn, items, start, step):
-    """fn over items[start::step] in order, up to the first exception: the
-    results so far, and (index, exception) or None."""
-    results = []
-    for i in range(start, len(items), step):
+def _census_rows(tasks, args):
+    """The census rows of (key, graph) tasks in order, up to the first
+    failure: the rows so far, and (key, exception) or None."""
+    rows = []
+    for key, g in tasks:
         try:
-            results.append(fn(items[i]))
+            rows.append(_census_row(
+                (key, g, args.p, g.n <= args.brute_max_d, args.dual_order)
+            ))
         except Exception as exc:
-            return results, (i, exc)
-    return results, None
+            return rows, (key, exc)
+    return rows, None
 
 
-def _fork_map(fn, items, workers: int) -> list:
-    """[fn(x) for x in items], item i computed in worker i % W, where W =
-    min(workers, len(items)).  Worker 0 is this process; the others are
-    os.fork children, which is safe as census starts no threads.  Each
-    child pickles its stripe into a pipe and leaves by os._exit, flushing
-    none of this process's buffers and running no atexit handler.  A
-    worker that os.pipe or os.fork cannot start is a ResourceLimitError.
-    Every child is reaped before this returns or raises.  Each worker
-    stops at its first failure, so the lowest failing index, raised here,
-    is the one a serial run raises."""
-    workers = max(1, min(workers, len(items)))
+def _fork_map(fn, workers: int) -> list:
+    """[fn(w) for w in range(workers)], fn(w) computed in worker w.
+    Worker 0 is this process; the others are os.fork children, which is
+    safe as census starts no threads.  Each child pickles its result into
+    a pipe and leaves by os._exit, flushing none of this process's
+    buffers and running no atexit handler.  A worker that os.pipe or
+    os.fork cannot start is a ResourceLimitError.  Every child is reaped
+    before this returns or raises."""
     if workers > 1:
         import pickle  # a serial run never pays for these
         import signal
@@ -252,14 +252,14 @@ def _fork_map(fn, items, workers: int) -> list:
                 ) from None
             if pid == 0:
                 try:
-                    data = pickle.dumps(_stripe(fn, items, w, workers))
+                    data = pickle.dumps(fn(w))
                     with os.fdopen(write, "wb") as out:  # all or nothing
                         out.write(data)
                 finally:
                     os._exit(0)
             os.close(write)
             children.append((pid, os.fdopen(read, "rb")))
-        parts = [_stripe(fn, items, 0, workers)]
+        parts = [fn(0)]
         while children:
             pid, src = children.pop(0)
             try:
@@ -275,13 +275,16 @@ def _fork_map(fn, items, workers: int) -> list:
             src.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    failures = [failure for _, failure in parts if failure is not None]
-    if failures:
-        raise min(failures)[1]  # indices differ, so no exceptions compared
-    return [parts[i % workers][0][i // workers] for i in range(len(items))]
+    return parts
 
 
 def cmd_census(args) -> int:
+    """The census CSV, its rows spread over KOSZUL_THREADS workers.  Each
+    worker classifies one share of the rows: a stripe of the --in classes
+    by key, or, with -n, the classes whose edge count is congruent to its
+    index, which it also enumerates (graphs.class_share).  Every worker
+    stops at its first failure, so the failure with the lowest key,
+    raised here, is the one a serial run raises."""
     Prime(args.p)  # a bad prime exits 2 before any class is enumerated
     workers = _census_workers()
     if args.input is not None:
@@ -291,19 +294,28 @@ def cmd_census(args) -> int:
                 g = parse_graph6(line)
                 classes.setdefault(canonical_form(g), g)
         tasks = [(key, classes[key]) for key in sorted(classes)]
+        shares = max(1, min(workers, len(tasks)))
+
+        def share(w):
+            return _census_rows(tasks[w::shares], args)
     else:
-        if not 1 <= args.n <= CENSUS_MAX_VERTICES:
+        n = args.n
+        if not 1 <= n <= CENSUS_MAX_VERTICES:
             raise InputError(
                 f"census self-generation supports 1 <= n <= {CENSUS_MAX_VERTICES}"
             )
-        graphs = nonisomorphic_graphs(args.n)
-        tasks = [(canonical_form(g), g) for g in graphs]
-    # fork workers inherit this list; only their rows are pickled back
-    work = [
-        (key, g, args.p, g.n <= args.brute_max_d, args.dual_order)
-        for key, g in tasks
-    ]
-    results = _fork_map(_census_row, work, workers)
+        shares = min(workers, n * (n - 1) // 2 + 1)  # the edge counts 0..n(n-1)/2
+        if n > 1:
+            nonisomorphic_graphs(n - 1)  # once, before any worker forks
+
+        def share(w):
+            tasks = [(canonical_form(g), g) for g in class_share(n, w, shares)]
+            return _census_rows(tasks, args)
+    parts = _fork_map(share, shares)
+    failures = [failure for _, failure in parts if failure is not None]
+    if failures:
+        raise min(failures)[1]  # keys differ, so no exceptions compared
+    results = sorted(row for rows, _ in parts for row in rows)  # by key, as keys differ
     lines = [",".join(CENSUS_COLUMNS)]
     offenders = []
     for (row, violation) in results:

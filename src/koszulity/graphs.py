@@ -227,8 +227,11 @@ def _matches_pattern(g: Graph, w: DiagonalViolation) -> bool:
     return all(e(a, b) for a, b in req) and not any(e(a, b) for a, b in forb)
 
 
-def diagonal_violation(g: Graph) -> DiagonalViolation | None:
-    """First violating 4-set in lexicographic order, or None.
+def diagonal_violation(
+    g: Graph, nbrs: list[int] | None = None
+) -> DiagonalViolation | None:
+    """First violating 4-set in lexicographic order, or None.  nbrs, when
+    given, is neighbour_masks(g), which the caller has built already.
 
     Edge lemma: an edge xy lies in an induced C4 or P4 iff X = N(x) - N[y]
     and Y = N(y) - N[x] are both nonempty.  Any x' in X and y' in Y give
@@ -242,7 +245,8 @@ def diagonal_violation(g: Graph) -> DiagonalViolation | None:
     v1 < v3; the path from its lesser end.  The graphs without such an
     edge are the trivially perfect ones (Golumbic, Discrete Math. 24,
     1978)."""
-    nbrs = neighbour_masks(g)
+    if nbrs is None:
+        nbrs = neighbour_masks(g)
     best = (g.n,)  # after every 4-set
     for x, y in g.edges:
         only_x = (nbrs[x] & ~nbrs[y]) ^ (1 << y)  # y is in N(x), not in N(y)
@@ -311,7 +315,7 @@ def elementary_type_decomposition(g: Graph):
         parent = owner.get(ahead)
         # N[v] not in N[parent], or no parent with exactly v's ahead neighbours
         if parent is None or parent < n and nb & ~nbrs[parent] != 1 << parent:
-            w = diagonal_violation(g)
+            w = diagonal_violation(g, nbrs)
             if w is None:  # unreachable: the check fails only without the property
                 raise RuntimeError("decomposition failed yet no violating 4-set exists")
             return w
@@ -551,34 +555,48 @@ def canonical_form(g: Graph) -> str:
     return to_graph6(canonical_graph(g))
 
 
-@lru_cache(maxsize=None)
-def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
-    """All isomorphism classes on exactly n vertices, as canonical
-    representatives sorted by canonical key.
+def class_share(n: int, share: int, shares: int) -> tuple[Graph, ...]:
+    """The isomorphism classes on exactly n vertices whose edge count is
+    congruent to share mod shares, as canonical representatives sorted by
+    canonical key; nonisomorphic_graphs(n) is share 0 of 1.
 
     Each class on n - 1 vertices is extended by a new vertex n - 1 joined
     to each subset of its vertices, and every candidate's canonical_graph
     goes into one set; every n-vertex graph arises this way (delete its
-    last vertex).  The 2**(n - 1) edge sets of the new vertex are built
-    once per level and shared by every class, so a candidate costs one
-    frozenset union.  Isomorphic candidates mostly hit canonical_graph's
-    memo, and the classes returned are the memo's own results, so
-    canonical_graph (and canonical_form) on them computes no key and
-    searches nothing while the memo holds them.
+    last vertex).  A class with e edges takes only the subsets whose size
+    is congruent to share - e mod shares, in the order of their masks.
+    The new vertex's edge sets are built once per call and shared by
+    every class, so a candidate costs one frozenset union.  Isomorphic
+    candidates have the same edge count, so a share meets every candidate
+    of its own classes and none of another's: its canonical_graph memo
+    hits are those of the whole enumeration, and the searches of the
+    shares add up to the whole set's.  The classes returned are the
+    memo's own results, so canonical_graph (and canonical_form) on them
+    computes no key and searches nothing while the memo holds them.
     """
     if n < 1:
         raise InputError("class enumeration needs n >= 1")
     if n == 1:
-        return (build_graph(1, []),)
+        return (build_graph(1, []),) if share == 0 else ()
     last = n - 1
-    # extras[mask]: the edges from the new vertex to the vertices in mask,
-    # normalised already, so no build_graph
-    extras = [
-        frozenset((v, last) for v in range(last) if mask >> v & 1)
-        for mask in range(2 ** last)
-    ]
+    # by_size[s]: the edges from the new vertex to each subset whose size
+    # is s mod shares, normalised already, so no build_graph
+    by_size: list[list[frozenset]] = [[] for _ in range(shares)]
+    for mask in range(2 ** last):
+        by_size[mask.bit_count() % shares].append(
+            frozenset((v, last) for v in range(last) if mask >> v & 1)
+        )
     found = {
         canonical_graph(Graph(n, g.edges | extra))
-        for g in nonisomorphic_graphs(last) for extra in extras
+        for g in nonisomorphic_graphs(last)
+        for extra in by_size[(share - len(g.edges)) % shares]
     }
     return tuple(sorted(found, key=to_graph6))
+
+
+@lru_cache(maxsize=None)
+def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
+    """All isomorphism classes on exactly n vertices, as canonical
+    representatives sorted by canonical key: class_share(n, 0, 1), kept
+    for each n."""
+    return class_share(n, 0, 1)

@@ -314,13 +314,17 @@ def test_census_matches_the_class_and_grammar_oracles(capsys):
 
 
 def test_census_parallel_matches_serial(capsys, tmp_path, monkeypatch):
-    # fewer classes than workers (n = 1, 2), every class on 6 vertices, another
-    # prime, and the --in route with duplicates and mixed sizes
+    # fewer classes than workers (n = 1, 2), shares of one or two classes
+    # (n = 3), every class on 6 and on 7 vertices, another prime, and the
+    # --in route with duplicates and mixed sizes
     graphs = [complete(4), square4(), path4(), build_graph(5, [(0, 1), (2, 3)])]
     graphs.append(build_graph(4, [(1, 2), (2, 0), (0, 3), (3, 1)]))  # square4 again
     path = write(tmp_path, "in.g6", "".join(to_graph6(g) + "\n" for g in graphs))
     serial = {}
-    for argv in (("-n", "1"), ("-n", "2"), ("-n", "6"), ("-n", "5", "-p", "3"), ("--in", path)):
+    for argv in (
+        ("-n", "1"), ("-n", "2"), ("-n", "3"), ("-n", "6"), ("-n", "7"),
+        ("-n", "5", "-p", "3"), ("--in", path),
+    ):
         monkeypatch.setenv("KOSZUL_THREADS", "1")
         serial[argv] = census_lines(capsys, *argv)
         for threads in ("2", "3"):

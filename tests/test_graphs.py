@@ -561,6 +561,28 @@ def test_class_enumeration_makes_one_canonical_call_per_candidate(monkeypatch):
     assert len(searched) == 217 + 1308 == 1525
 
 
+def test_class_shares_split_the_classes_and_the_searches_by_edge_count(monkeypatch):
+    # the census workers' shares: merged by key they are the whole set,
+    # each class sits in the share of its edge count, and each share's
+    # memo meets every candidate of its classes, so their searches on a
+    # fresh memo add up to one share's
+    for n in range(1, 8):
+        whole = nonisomorphic_graphs(n)
+        searches = {}
+        for shares in range(1, 5):
+            merged, searches[shares] = [], 0
+            for share in range(shares):
+                searched = count_searches(monkeypatch)
+                part = graphs.class_share(n, share, shares)
+                searches[shares] += len(searched)
+                assert all(len(g.edges) % shares == share for g in part)
+                assert [to_graph6(g) for g in part] == sorted(map(to_graph6, part))
+                merged += part
+            assert sorted(merged, key=to_graph6) == list(whole)
+        assert len(set(searches.values())) == 1, (n, searches)
+    assert searches[1] == 1308  # n = 7, as in the whole enumeration
+
+
 def test_memoised_canonical_graph_matches_the_search(monkeypatch):
     # every candidate of nonisomorphic_graphs(6) under three relabellings,
     # and random graphs on 8 vertices under three relabellings each

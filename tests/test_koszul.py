@@ -471,9 +471,9 @@ def test_classify_scans_for_a_violation_once_and_keeps_the_witness(monkeypatch):
     calls = []
     original = graphs.diagonal_violation
 
-    def counted(g):
+    def counted(g, *nbrs):
         calls.append(g)
-        return original(g)
+        return original(g, *nbrs)
 
     monkeypatch.setattr(graphs, "diagonal_violation", counted)
     monkeypatch.setattr(koszul, "diagonal_violation", counted)
