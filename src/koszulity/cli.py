@@ -235,8 +235,7 @@ def _fork_map(fn, workers: int) -> list:
     os.fork cannot start is a ResourceLimitError.  Every child is reaped
     before this returns or raises."""
     if workers > 1:
-        import pickle  # a serial run never pays for these
-        import signal
+        import pickle  # a serial run never pays for it
     children = []  # (pid, read end of its pipe) of each child not reaped
     try:
         for w in range(1, workers):
@@ -271,7 +270,9 @@ def _fork_map(fn, workers: int) -> list:
                 raise RuntimeError(f"census worker {len(parts)} ended without a result")
             parts.append(pickle.loads(data))
     finally:
-        for pid, src in children:  # left only when this process failed
+        if children:  # left only when this process failed
+            import signal
+        for pid, src in children:
             src.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -248,6 +248,10 @@ def test_numerical_check_detects_negative_coefficient():
     assert koszul_numerical_check((1, 1, 1)) is False
     inv = inverse_series_oracle(plus_minus_alternating((1, 1, 1)), 3)
     assert inv[3] == -1
+    # the kept decision is per (H, order), whatever sequence H comes in
+    assert koszul_numerical_check([1, 1, 1], order=2) is True
+    assert koszul_numerical_check([1, 1, 1], order=3) is False
+    assert koszul_numerical_check((1, 1, 1), order=2) is True
 
 
 def test_numerical_check_matches_oracle_on_small_classes():
@@ -306,6 +310,12 @@ def test_numerical_check_input_validation():
         koszul_numerical_check((2, 1))
     with pytest.raises(InputError):
         koszul_numerical_check((1, 4, 5, 2), order=2)
+    # the errors come before the kept decision, on lists too
+    assert koszul_numerical_check([1, 4, 5, 2], order=3) is True
+    with pytest.raises(InputError):
+        koszul_numerical_check([1, 4, 5, 2], order=2)
+    with pytest.raises(InputError):
+        koszul_numerical_check([2, 1])
 
 
 def test_pbw_on_small_classes():
