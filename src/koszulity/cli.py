@@ -306,7 +306,7 @@ def cmd_census(args) -> int:
                 f"census self-generation supports 1 <= n <= {CENSUS_MAX_VERTICES}"
             )
         shares = min(workers, n * (n - 1) // 2 + 1)  # the edge counts 0..n(n-1)/2
-        if n > 1:
+        if shares > 1:
             nonisomorphic_graphs(n - 1)  # once, before any worker forks
 
         def share(w):

@@ -378,9 +378,9 @@ def test_census_forks_no_more_children_than_items_beyond_the_first(capsys, monke
     monkeypatch.setenv("KOSZUL_THREADS", "8")
     census_lines(capsys, "-n", "1")  # one class on 1 vertex, one row
     assert forks == []
-    census_lines(capsys, "-n", "2")  # two rows; the classes are listed in-process
+    census_lines(capsys, "-n", "2")  # two edge counts, so two shares
     assert forks == [1]
-    census_lines(capsys, "-n", "6")  # 156 rows, one round of seven children
+    census_lines(capsys, "-n", "6")  # 16 edge counts: eight shares, seven children
     assert len(forks) == 1 + 7
     _no_child_left()
 
@@ -418,9 +418,9 @@ def test_census_six_matches_golden_rows(capsys):
 
 
 def test_census_bytes_do_not_depend_on_the_canonical_memo(capsys, monkeypatch):
-    # the memo affects only the census process's own enumeration: it
-    # starts empty, or holding every candidate key of the classes on 6
-    # vertices, and the workers only classify rows
+    # the memo only saves searches: each worker inherits it from the census
+    # process, where it starts empty, or holding every candidate key of
+    # the classes on 6 vertices, and fills it with its own share
     outputs = {}
     for threads in ("1", "2"):
         monkeypatch.setenv("KOSZUL_THREADS", threads)
