@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import marshal
 import os
 import sys
 import time
@@ -175,8 +176,7 @@ def _bool(x: bool) -> str:
     return "true" if x else "false"
 
 
-def _census_row(task):
-    key, g, p, run_brute, dual_order = task
+def _census_row(key, g, p, run_brute, dual_order):
     report = classify(g, p=p, brute="on" if run_brute else "off", dual_order=dual_order)
     brute = report.brute
     violation = (
@@ -218,24 +218,24 @@ def _census_rows(tasks, args):
     rows = []
     for key, g in tasks:
         try:
-            rows.append(_census_row(
-                (key, g, args.p, g.n <= args.brute_max_d, args.dual_order)
-            ))
+            rows.append(
+                _census_row(key, g, args.p, g.n <= args.brute_max_d, args.dual_order)
+            )
         except Exception as exc:
             return rows, (key, exc)
     return rows, None
 
 
 def _fork_map(fn, workers: int) -> list:
-    """[fn(w) for w in range(workers)], fn(w) computed in worker w.
-    Worker 0 is this process; the others are os.fork children, which is
-    safe as census starts no threads.  Each child pickles its result into
-    a pipe and leaves by os._exit, flushing none of this process's
-    buffers and running no atexit handler.  A worker that os.pipe or
-    os.fork cannot start is a ResourceLimitError.  Every child is reaped
-    before this returns or raises."""
-    if workers > 1:
-        import pickle  # a serial run never pays for it
+    """[fn(w) for w in range(workers)], fn(w) computed in worker w, each
+    a census share's (rows, failure).  Worker 0 is this process; the
+    others are os.fork children, which is safe as census starts no
+    threads.  Each child writes its result into a pipe through marshal,
+    with only a failure pickled inside it, so a run that fails nowhere
+    never imports pickle, and leaves by os._exit, flushing none of this
+    process's buffers and running no atexit handler.  A worker that
+    os.pipe or os.fork cannot start is a ResourceLimitError.  Every
+    child is reaped before this returns or raises."""
     children = []  # (pid, read end of its pipe) of each child not reaped
     try:
         for w in range(1, workers):
@@ -251,7 +251,12 @@ def _fork_map(fn, workers: int) -> list:
                 ) from None
             if pid == 0:
                 try:
-                    data = pickle.dumps(fn(w))
+                    rows, failure = fn(w)
+                    if failure is not None:
+                        import pickle  # an exception is no marshal value
+
+                        failure = pickle.dumps(failure)
+                    data = marshal.dumps((rows, failure))
                     with os.fdopen(write, "wb") as out:  # all or nothing
                         out.write(data)
                 finally:
@@ -268,7 +273,12 @@ def _fork_map(fn, workers: int) -> list:
                 os.waitpid(pid, 0)
             if not data:
                 raise RuntimeError(f"census worker {len(parts)} ended without a result")
-            parts.append(pickle.loads(data))
+            rows, failure = marshal.loads(data)
+            if failure is not None:
+                import pickle
+
+                failure = pickle.loads(failure)
+            parts.append((rows, failure))
     finally:
         if children:  # left only when this process failed
             import signal

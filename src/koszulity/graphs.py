@@ -12,7 +12,6 @@ recovers such a construction or reports a violating 4-set.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -120,52 +119,52 @@ def parse_graph6(line: str) -> Graph:
     n = ord(s[0]) - 63
     if not 0 <= n <= 62:
         raise InputError(f"invalid graph6 size byte {s[0]!r}")
-    m = n * (n - 1) // 2
     body = s[1:]
-    if len(body) != (m + 5) // 6:
+    pairs, _, shifts, _ = _pair_layout(n)
+    if len(body) != len(shifts):
         raise InputError(
-            f"graph6 body for n={n} needs {(m + 5) // 6} bytes, got {len(body)}"
+            f"graph6 body for n={n} needs {len(shifts)} bytes, got {len(body)}"
         )
-    bits = []
+    bits = 0
     for ch in body:
         val = ord(ch) - 63
         if not 0 <= val < 64:
             raise InputError(f"invalid graph6 byte {ch!r}")
-        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
-    if any(bits[m:]):
+        bits = bits << 6 | val
+    if bits & (1 << -len(pairs) % 6) - 1:
         raise InputError("nonzero padding bits in graph6 encoding")
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return build_graph(n, edges)
+    return build_graph(n, _body_edges(n, bits))
 
 
-@lru_cache(maxsize=16)
-def _graph6_layout(n: int) -> tuple[dict, range]:
-    """The bit of each pair (i, j), i < j, in the short-form graph6 body
-    on n vertices, and the shifts of its 6-bit groups, first bit most
-    significant."""
-    # Pair (i, j) is bit j(j-1)/2 + i of the upper triangle in column
-    # order, padded to whole 6-bit groups.
-    m = n * (n - 1) // 2
-    size = -(-m // 6) * 6
-    bit = {
-        (i, j): 1 << (size - 1 - j * (j - 1) // 2 - i)
-        for j in range(n) for i in range(j)
-    }
-    return bit, range(size - 6, -1, -6)
+@lru_cache(maxsize=None)
+def _pair_layout(n: int) -> tuple:
+    """The upper triangle on n vertices in graph6 column order, pair
+    (i, j), i < j, ordered by j then i: the pairs in that order; bit,
+    where bit[n*i + j] and bit[n*j + i] are the pair's bit in the graph6
+    body read as one int, the first pair most significant and the body
+    padded to whole 6-bit groups; the shifts of those groups, the first
+    group first; and n**3, the weight of one degree in _invariant_key."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    size = -(-len(pairs) // 6) * 6
+    bit = [0] * (n * n)
+    for k, (i, j) in enumerate(pairs):
+        bit[n * i + j] = bit[n * j + i] = 1 << size - 1 - k
+    return pairs, bit, range(size - 6, -1, -6), n ** 3
+
+
+def _body_edges(n: int, bits: int) -> list:
+    """The pairs whose bits are set in a graph6 body on n vertices."""
+    pairs, bit, _, _ = _pair_layout(n)
+    return [(i, j) for i, j in pairs if bits & bit[n * i + j]]
 
 
 def to_graph6(g: Graph) -> str:
-    if g.n > 62:
+    n = g.n
+    if n > 62:
         raise InputError("short-form graph6 supports at most 62 vertices")
-    bit, shifts = _graph6_layout(g.n)
-    bits = sum(map(bit.__getitem__, g.edges))
-    return chr(g.n + 63) + "".join([chr((bits >> s & 63) + 63) for s in shifts])
+    _, bit, shifts, _ = _pair_layout(n)
+    bits = sum([bit[n * u + v] for u, v in g.edges])
+    return chr(n + 63) + "".join([chr((bits >> s & 63) + 63) for s in shifts])
 
 
 def enumerate_cliques(g: Graph) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -176,12 +175,15 @@ def enumerate_cliques(g: Graph) -> tuple[tuple[tuple[int, ...], ...], ...]:
     Each k-clique is extended by its common neighbours above its last
     vertex, held as an int bitmask, so the work grows with the number of
     cliques rather than of k-subsets (Chiba & Nishizeki, "Arboricity and
-    subgraph listing algorithms", SIAM J. Comput. 14(1), 1985).  Refuses
+    subgraph listing algorithms", SIAM J. Comput. 14(1), 1985).  A mask
+    counts from the vertex it hangs on, bit k for vertex v + 1 + k, so
+    it is as wide as the span to the highest neighbour, not as that
+    neighbour's number, and a long path takes linear memory.  Refuses
     with ResourceLimitError once it has more than 2**20, () included."""
     _refuse_vertex_count(g.n)
-    above = [0] * g.n  # above[v]: the neighbours of v greater than v
+    above = [0] * g.n  # above[v]: bit k for each neighbour v + 1 + k of v
     for u, v in g.edges:  # u < v
-        above[u] |= 1 << v
+        above[u] |= 1 << v - u - 1
     levels = [((),)]
     level = [((v,), above[v]) for v in range(g.n)]
     count = 1
@@ -191,11 +193,12 @@ def enumerate_cliques(g: Graph) -> tuple[tuple[tuple[int, ...], ...], ...]:
         room = ENUMERATION_GUARD - count  # cliques the next level may hold
         grown = []
         for clique, common in level:
+            w = clique[-1]  # common counts from w
             while common:
-                low = common & -common
-                w = low.bit_length() - 1
+                step = (common & -common).bit_length()  # to the next one
+                w += step
+                common >>= step
                 grown.append((clique + (w,), common & above[w]))
-                common ^= low
             if len(grown) > room:
                 raise ResourceLimitError(
                     f"clique listing refused: more than 2**20 cliques on {g.n} vertices"
@@ -341,12 +344,6 @@ def elementary_type_decomposition(g: Graph):
     return join(children[n])
 
 
-# The memo key packs pair (i, j), i < j < 8, at bit 4 + j(j - 1)/2 + i,
-# above n in the low four bits; _PAIR_BIT[8*i + j] is that bit.
-_PAIR_BIT = [
-    1 << 4 + max(i, j) * (max(i, j) - 1) // 2 + min(i, j)
-    for i in range(8) for j in range(8)
-]
 CANONICAL_MEMO_SIZE = 2 ** 16  # entries; the memo is cleared when full
 # int keys, the inputs' _invariant_key, and each stored result under itself
 _canonical_memo: dict[int | Graph, Graph] = {}
@@ -354,25 +351,28 @@ _canonical_memo: dict[int | Graph, Graph] = {}
 
 def _invariant_key(g: Graph) -> int:
     """g relabelled by (degree, sum of the squared neighbour degrees,
-    vertex), packed into one int.  Isomorphic graphs often share it, and
-    equal keys mean isomorphic graphs: the key is a copy of g."""
+    vertex), packed into one int: its graph6 body above n in the low six
+    bits.  Isomorphic graphs often share it, and equal keys mean
+    isomorphic graphs: the key is a copy of g.  The sum of squares is at
+    most (n - 1)**3 < n**3, the weight of one degree."""
     n, edges = g.n, g.edges
+    _, bit, _, step = _pair_layout(n)
     deg = [0] * n
     for u, v in edges:
         deg[u] += 1
         deg[v] += 1
     square = [d * d for d in deg]
-    weight = [d << 9 for d in deg]  # the sum of squares is at most 7 * 7**2 < 2**9
+    weight = [d * step for d in deg]
     for u, v in edges:
         weight[u] += square[v]
         weight[v] += square[u]
     pos = [0] * n
     for i, v in enumerate(sorted(range(n), key=weight.__getitem__)):  # stable
         pos[v] = i
-    key = n
+    key = 0
     for u, v in edges:
-        key |= _PAIR_BIT[8 * pos[u] + pos[v]]
-    return key
+        key |= bit[n * pos[u] + pos[v]]
+    return key << 6 | n
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -414,21 +414,15 @@ def canonical_graph(g: Graph) -> Graph:
 @lru_cache(maxsize=None)
 def _search_layout(n: int) -> tuple:
     """_canonical_search's constants for n vertices: the n-bit field, the
-    shift and unit bit of each vertex's field, the set of all vertices,
-    and pairs[j][col], the pairs (i, j) whose bits are set in column col
-    at position j (bit j - 1 - i is the pair (i, j))."""
+    shift and unit bit of each vertex's field, and the set of all
+    vertices."""
     shift = range(0, n * n, n)
     unit = [1 << s for s in shift]
-    pairs = [
-        [tuple((j - 1 - k, j) for k in range(j) if col >> k & 1)
-         for col in range(1 << j)]
-        for j in range(n)
-    ]
-    return (1 << n) - 1, shift, unit, sum(unit), pairs
+    return (1 << n) - 1, shift, unit, sum(unit)
 
 
 def _canonical_search(g: Graph) -> Graph:
-    """canonical_graph(g) without the memo, for n <= 8.
+    """canonical_graph(g) without the memo or the cap on n.
 
     Placing vertex v at position j of a vertex order fixes column j of the
     bit string: v's bits to the vertices placed before it, the first placed
@@ -470,7 +464,7 @@ def _canonical_search(g: Graph) -> Graph:
     # in placement order, and zero for a placed vertex.  At level j every
     # marker sits at bit j - alpha, so fields compare as columns do, and
     # placing v is one shift plus the bits of v's neighbours.
-    field, shift, unit, everyone, pairs = _search_layout(n)
+    field, shift, unit, everyone = _search_layout(n)
     spread = [0] * n
     for u, v in g.edges:
         spread[u] |= unit[v]
@@ -508,7 +502,7 @@ def _canonical_search(g: Graph) -> Graph:
                 fewest = ones
                 winners = []
             winners.append((unplaced ^ bit, (chosen,), unplaced ^ bit, nb))
-    columns = [0] * alpha + [(1 << fewest) - 1]
+    body = (1 << fewest) - 1  # the columns so far, the first alpha zero
     for j in range(alpha + 1, n):
         # each state, (codes, cells), maps to its unplaced vertices
         states = {}
@@ -544,9 +538,9 @@ def _canonical_search(g: Graph) -> Graph:
                     best = col
                     winners = []
                 winners.append((codes ^ code << s, cells, unplaced ^ bit, nb))
-        columns.append(best)
-    edges = itertools.chain.from_iterable(map(list.__getitem__, pairs, columns))
-    return Graph(n, frozenset(edges))
+        body = body << j | best
+    pad = -(n * (n - 1) // 2) % 6  # to whole 6-bit groups
+    return Graph(n, frozenset(_body_edges(n, body << pad)))
 
 
 def canonical_form(g: Graph) -> str:

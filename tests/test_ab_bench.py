@@ -1,5 +1,6 @@
 """tools/ab_bench.py runs every --workload given on trees extracted once
-and merges all of them into --out; a single --workload works as before."""
+and merges all of them into --out; a single --workload works as before.
+A gain needs at least ten pairs and a correct change in every run."""
 
 import importlib.util
 import json
@@ -15,8 +16,9 @@ def _load():
     return module
 
 
-def _fake(monkeypatch, module):
-    """Replace git extraction and perfbench runs; return the call log."""
+def _fake(monkeypatch, module, change_correct=True):
+    """Replace git extraction and perfbench runs, the change always faster;
+    return the call log."""
     calls = []
 
     def extract(ref, into):
@@ -31,7 +33,7 @@ def _fake(monkeypatch, module):
         calls.append(("run", tree.name, workload, seed))
         value = 1.0 if tree.name == "base" else 0.5
         return {
-            "result": {"correct": True, "metrics": {"wall_s": {"value": value + seed / 100}}},
+            "result": {"correct": tree.name == "base" or change_correct, "metrics": {"wall_s": {"value": value + seed / 100}}},
             "report": {"provenance": {"python": "3", "nproc": 2, "cpu_model": "cpu"}},
         }
 
@@ -57,7 +59,8 @@ def test_several_workloads_share_one_extraction_and_one_out_file(monkeypatch, tm
     doc = json.loads(out.read_text())
     assert sorted(doc["workloads"]) == ["analyze", "brute"]
     assert doc["change"] == {"ref": "b", "commit": "commit-b"}
-    assert doc["workloads"]["brute"]["metrics"]["wall_s"]["verdict"] == "gain"
+    # two pairs, both won, are too few for a gain
+    assert doc["workloads"]["brute"]["metrics"]["wall_s"]["verdict"] == "unresolved"
 
 
 def test_one_workload_merges_into_an_existing_file(monkeypatch, tmp_path):
@@ -72,3 +75,20 @@ def test_one_workload_merges_into_an_existing_file(monkeypatch, tmp_path):
     assert doc["note"] == "kept"
     assert sorted(doc["workloads"]) == ["brute", "census6"]
     assert doc["workloads"]["brute"]["seeds"] == [1]
+
+
+def test_ten_won_pairs_are_a_gain_unless_a_change_run_is_incorrect(monkeypatch, tmp_path):
+    module = _load()
+    argv = ["--base", "a", "--change", "b", "--workload", "brute", "--out"]
+    _fake(monkeypatch, module)
+    out = tmp_path / "default.json"
+    assert module.main(argv + [str(out)]) == 0  # ten pairs by default
+    entry = json.loads(out.read_text())["workloads"]["brute"]
+    assert entry["pairs"] == 10 and entry["metrics"]["wall_s"]["change_wins"] == 10
+    assert entry["metrics"]["wall_s"]["verdict"] == "gain"
+    _fake(monkeypatch, module, change_correct=False)
+    out = tmp_path / "incorrect.json"
+    assert module.main(argv + [str(out)]) == 1
+    entry = json.loads(out.read_text())["workloads"]["brute"]
+    assert entry["metrics"]["wall_s"]["change_wins"] == 10
+    assert entry["metrics"]["wall_s"]["verdict"] == "unresolved"

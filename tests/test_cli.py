@@ -353,11 +353,11 @@ def test_census_workers_raise_the_serial_error_and_leave_no_child(capsys, monkey
     keys = [to_graph6(g) for g in nonisomorphic_graphs(4)]
     census_row = cli._census_row
 
-    def failing(task):
-        item = keys.index(task[0])
+    def failing(key, *rest):
+        item = keys.index(key)
         if item in (1, 2):
             raise ResourceLimitError(f"item {item} refused")
-        return census_row(task)
+        return census_row(key, *rest)
 
     monkeypatch.setattr(cli, "_census_row", failing)
     for threads in ("1", "2", "3"):

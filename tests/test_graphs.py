@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -178,6 +179,22 @@ def test_graphs_with_2_to_the_20_vertices_are_refused_before_any_list():
         for f in (graphs.neighbour_masks, enumerate_cliques):
             with pytest.raises(ResourceLimitError, match=r"more than 2\*\*20"):
                 f(g)
+
+
+def test_clique_listing_on_a_long_path_takes_linear_memory():
+    # each mask counts from its own vertex, so the path's masks are all 1;
+    # masks counting from vertex 0 took 33 MB here (6 MB now)
+    n = 20000
+    g = build_graph(n, [(v, v + 1) for v in range(n - 1)])
+    tracemalloc.start()
+    try:
+        levels = enumerate_cliques(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(level) for level in levels] == [1, n, n - 1]
+    assert levels[2][:2] == ((0, 1), (1, 2)) and levels[2][-1] == (n - 2, n - 1)
+    assert peak < 12 * 10**6, peak
 
 
 def test_clique_number():
@@ -523,6 +540,23 @@ def test_canonical_graph_matches_level_search_at_extreme_independence():
             h = relabel(g, rng.sample(range(8), 8))
             assert search(h) == canonical_graph_by_levels(h)
             assert search(h) == search(g)
+
+
+def test_canonical_graph_on_nine_vertices_matches_the_level_search(monkeypatch):
+    # the memo key and the graph6 layout hold at any n: with the cap
+    # raised to 9, the memoised result equals the level search's
+    monkeypatch.setattr(graphs, "CANONICAL_MAX_VERTICES", 9)
+    monkeypatch.setattr(graphs, "_canonical_memo", {})
+    rng = random.Random(9)
+    for _ in range(60):
+        g = random_graph(rng, 9, rng.random())
+        want = canonical_graph_by_levels(g)
+        for _ in range(3):
+            h = relabel(g, rng.sample(range(9), 9))
+            assert canonical_graph(h) == want
+            assert parse_graph6(to_graph6(h)) == h
+    with pytest.raises(ResourceLimitError):
+        canonical_graph(build_graph(10, []))
 
 
 def count_searches(monkeypatch):

@@ -18,8 +18,9 @@ Prints, per workload, one line per pair, then per metric the base and change med
 the base's quartiles, the number of pairs the change won (strictly
 better) and a verdict:
 
-- gain: the change won at least nine tenths of the pairs, and its median
-  is better than the base's by more than the base's interquartile range;
+- gain: at least ten pairs ran, every run of the change was correct, the
+  change won at least nine tenths of the pairs, and its median is better
+  than the base's by more than the base's interquartile range;
 - worse: the change's median is worse than the base's by more than the
   metric's bound in BENCHMARK.json, read as a fraction of the base median;
 - unresolved: otherwise (a metric that did not move reads unresolved).
@@ -74,15 +75,22 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, statistics.median(values), q3
 
 
-def compare(base: list[float], change: list[float], better: str, bound: float) -> dict:
+MIN_PAIRS = 10  # a gain needs at least this many pairs
+
+
+def compare(
+    base: list[float], change: list[float], better: str, bound: float, correct: bool
+) -> dict:
     """One metric's summary: medians, the base's quartiles, the pairs the
-    change won and the verdict, by the rule in the module docstring."""
+    change won and the verdict, by the rule in the module docstring;
+    correct says whether every run of the change was correct."""
     sign = 1 if better == "lower" else -1
     wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
     q1, base_median, q3 = quartiles(base)
     change_median = statistics.median(change)
     gap = sign * (base_median - change_median)  # > 0: the change is better
-    if 10 * wins >= 9 * len(base) and gap > q3 - q1:
+    resolved = correct and len(base) >= MIN_PAIRS
+    if resolved and 10 * wins >= 9 * len(base) and gap > q3 - q1:
         verdict = "gain"
     elif -gap > bound * abs(base_median):
         verdict = "worse"
@@ -131,7 +139,7 @@ def bench(trees: dict, workload: str, args, better: dict, bounds: dict) -> tuple
             summary[k] = {"base": base, "change": change, "verdict": "unresolved"}
             print(f"{k:12s} missing in some runs  verdict unresolved")
             continue
-        m = summary[k] = compare(base, change, direction, bounds[k])
+        m = summary[k] = compare(base, change, direction, bounds[k], all(correct["change"]))
         print(f"{k:12s} median {m['base_median']:.4g} -> {m['change_median']:.4g}"
               f"  base IQR {m['base_q1']:.4g}..{m['base_q3']:.4g}"
               f"  change better in {m['change_wins']}/{len(base)} pairs  verdict {m['verdict']}")
@@ -153,7 +161,7 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, help="git ref of the change")
     ap.add_argument("--workload", required=True, action="append",
                     help="a workload to run; give it more than once for several")
-    ap.add_argument("--pairs", type=int, default=3)
+    ap.add_argument("--pairs", type=int, default=MIN_PAIRS)
     ap.add_argument("--seconds", type=int, default=20)
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     ap.add_argument("--out", help="JSON file to merge the results into")
