@@ -8,6 +8,12 @@ frozenset of (u, v) pairs with u < v, the only adjacency it holds.  The
 path (P4); graphs with the property are exactly those built from single
 vertices by disjoint unions and cones, and elementary_type_decomposition
 recovers such a construction or reports a violating 4-set.
+
+The upper triangle in graph6 column order, pair (i, j) ordered by j then
+i, is laid out once per vertex count (_pair_layout): graph6 text both
+ways, the canonical-form memo key and the canonical search's result all
+read that layout, so none of them assumes a vertex count.  Only the
+vertex-order search is capped, at CANONICAL_MAX_VERTICES.
 """
 
 from __future__ import annotations
@@ -131,9 +137,10 @@ def parse_graph6(line: str) -> Graph:
         if not 0 <= val < 64:
             raise InputError(f"invalid graph6 byte {ch!r}")
         bits = bits << 6 | val
-    if bits & (1 << -len(pairs) % 6) - 1:
+    pad = -len(pairs) % 6
+    if bits & (1 << pad) - 1:
         raise InputError("nonzero padding bits in graph6 encoding")
-    return build_graph(n, _body_edges(n, bits))
+    return build_graph(n, _triangle_edges(n, bits >> pad))
 
 
 @lru_cache(maxsize=None)
@@ -152,10 +159,18 @@ def _pair_layout(n: int) -> tuple:
     return pairs, bit, range(size - 6, -1, -6), n ** 3
 
 
-def _body_edges(n: int, bits: int) -> list:
-    """The pairs whose bits are set in a graph6 body on n vertices."""
-    pairs, bit, _, _ = _pair_layout(n)
-    return [(i, j) for i, j in pairs if bits & bit[n * i + j]]
+def _triangle_edges(n: int, bits: int) -> list:
+    """The pairs set in bits, the upper triangle on n vertices in graph6
+    column order read as one int, the first pair most significant: a
+    graph6 body without its padding."""
+    pairs = _pair_layout(n)[0]
+    m = len(pairs)
+    edges = []
+    while bits:  # one step per set bit, the most significant first
+        top = bits.bit_length()
+        edges.append(pairs[m - top])
+        bits ^= 1 << top - 1
+    return edges
 
 
 def to_graph6(g: Graph) -> str:
@@ -502,7 +517,7 @@ def _canonical_search(g: Graph) -> Graph:
                 fewest = ones
                 winners = []
             winners.append((unplaced ^ bit, (chosen,), unplaced ^ bit, nb))
-    body = (1 << fewest) - 1  # the columns so far, the first alpha zero
+    bits = (1 << fewest) - 1  # the columns so far, the first alpha zero
     for j in range(alpha + 1, n):
         # each state, (codes, cells), maps to its unplaced vertices
         states = {}
@@ -538,9 +553,8 @@ def _canonical_search(g: Graph) -> Graph:
                     best = col
                     winners = []
                 winners.append((codes ^ code << s, cells, unplaced ^ bit, nb))
-        body = body << j | best
-    pad = -(n * (n - 1) // 2) % 6  # to whole 6-bit groups
-    return Graph(n, frozenset(_body_edges(n, body << pad)))
+        bits = bits << j | best
+    return Graph(n, frozenset(_triangle_edges(n, bits)))
 
 
 def canonical_form(g: Graph) -> str:
