@@ -143,7 +143,7 @@ def parse_graph6(line: str) -> Graph:
     return build_graph(n, _triangle_edges(n, bits >> pad))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # one per n <= 62, where graph6 stops
 def _pair_layout(n: int) -> tuple:
     """The upper triangle on n vertices in graph6 column order, pair
     (i, j), i < j, ordered by j then i: the pairs in that order; bit,
@@ -164,11 +164,10 @@ def _triangle_edges(n: int, bits: int) -> list:
     column order read as one int, the first pair most significant: a
     graph6 body without its padding."""
     pairs = _pair_layout(n)[0]
-    m = len(pairs)
     edges = []
     while bits:  # one step per set bit, the most significant first
         top = bits.bit_length()
-        edges.append(pairs[m - top])
+        edges.append(pairs[-top])
         bits ^= 1 << top - 1
     return edges
 
