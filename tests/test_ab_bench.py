@@ -32,8 +32,9 @@ def _fake(monkeypatch, module, change_correct=True):
     def run_once(tree, workload, seed, seconds):
         calls.append(("run", tree.name, workload, seed))
         value = 1.0 if tree.name == "base" else 0.5
+        correct = tree.name == "base" or change_correct
         return {
-            "result": {"correct": tree.name == "base" or change_correct, "metrics": {"wall_s": {"value": value + seed / 100}}},
+            "result": {"correct": correct, "metrics": {"wall_s": {"value": value + seed / 100}}},
             "report": {"provenance": {"python": "3", "nproc": 2, "cpu_model": "cpu"}},
         }
 

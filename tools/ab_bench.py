@@ -89,8 +89,8 @@ def compare(
     q1, base_median, q3 = quartiles(base)
     change_median = statistics.median(change)
     gap = sign * (base_median - change_median)  # > 0: the change is better
-    resolved = correct and len(base) >= MIN_PAIRS
-    if resolved and 10 * wins >= 9 * len(base) and gap > q3 - q1:
+    can_gain = correct and len(base) >= MIN_PAIRS
+    if can_gain and 10 * wins >= 9 * len(base) and gap > q3 - q1:
         verdict = "gain"
     elif -gap > bound * abs(base_median):
         verdict = "worse"
