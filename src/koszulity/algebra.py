@@ -18,9 +18,10 @@ lies in the common neighbourhood of m, and zero otherwise.  Each
 (n+1)-clique is such a product n + 1 times, so the algebra holds
 sum_n (n+1) dim A_{n+1} products, linear in its cliques' total size,
 where the dense maps "multiply by a_g" hold d * sum_n dim A_n entries,
-nearly all zero on a sparse graph.  Those dense maps, which colon
-ideals, generated ideals and quotients read, are derived from the
-stored products once per algebra, when first read.
+nearly all zero on a sparse graph.  Those maps, which colon ideals,
+generated ideals and quotients read, are derived from the stored
+products once per algebra, when first read, in gfp's native form
+(gfp.native_vectors), which every reader takes as it is.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import InputError, ResourceLimitError
-from .gfp import Prime
+from .gfp import Prime, native_vectors
 from .graphs import Graph, enumerate_cliques, neighbour_masks
 
 Monomial = tuple  # strictly increasing vertex indices; () is the unit
@@ -46,9 +47,10 @@ class AlgebraContext:
     stored (see the module docstring).  products[n][i] lists, for basis
     monomial i of degree n < D, one (g, target index, sign) per generator
     g in the common neighbourhood of the monomial, g ascending.  The
-    dense maps gen_maps are derived from them when first read.  Nothing
-    else changes after construction, and the dense view is the same
-    whenever it is derived, so instances may be shared between threads.
+    generator maps gen_maps are derived from them when first read.
+    Nothing else changes after construction, and the maps are the same
+    whenever they are derived, so instances may be shared between
+    threads.
     """
 
     def __init__(self, graph: Graph, p: int):
@@ -73,16 +75,16 @@ class AlgebraContext:
 
     @cached_property
     def gen_maps(self) -> tuple:
-        """gen_maps[n][g][i]: a_g times basis monomial i of degree n < D,
-        as a sparse vector of degree n+1 (no entry, or one (index, sign)),
-        read off products."""
+        """gen_maps[n][g]: multiplication by a_g, A_n -> A_{n+1} for n < D,
+        as a native map (gfp): entry i is a_g times basis monomial i, an
+        int at p = 2 and a residue tuple at odd p, read off products."""
         maps = []
-        for level in self.products:
+        for n, level in enumerate(self.products):
             rows = [[()] * len(level) for _ in range(self.dim(1))]
             for i, prods in enumerate(level):
                 for g, k, sign in prods:
                     rows[g][i] += ((k, sign),)
-            maps.append(tuple(map(tuple, rows)))
+            maps.append(tuple(native_vectors(self.p, self.dim(n + 1), r) for r in rows))
         return tuple(maps)
 
     def basis_product(self, n1: int, i1: int, n2: int, i2: int):

@@ -4,8 +4,6 @@ Conventions used throughout the package:
 
 - a vector is a tuple of residues in [0, p);
 - a matrix is a sequence of equal-length rows (vectors);
-- a sparse vector is an iterable of (index, coeff) pairs, with any integer
-  coefficients taken mod p; repeated indices add up;
 - a subspace is a RowSpace: a canonical reduced-row-echelon basis, so that
   row-equivalent inputs yield equal records and span equality is ``==``.
 
@@ -28,15 +26,18 @@ j = coordinate j) at p = 2 and a tuple or list of residues at odd p; a
 native map is a tuple of native vectors, the images of the standard
 basis.  Every canonical basis comes from one private canonicaliser,
 _echelon2 at p = 2 and _eliminate at odd p, and every kernel from
-map_kernel.  rref and kernel take dense rows; image_kernel and
-quotient_maps are the sparse fronts, which convert at the boundary.
-quotient_maps induces native maps between quotients F_p^m / S, in the
-coordinates of the non-pivot columns of S; combine_maps, map_kernel,
-map_rank and image_basis answer what a kernel, rank or span needs, with
-bases that need not be reduced; image_span is a span of images as a
-canonical RowSpace, and image_fills tests whether images of sparse maps
-span the whole space, stopping at full rank; it takes the vectors a
-batch at a time and hands on its echelon rows, so that each extension
+map_kernel.  rref and kernel take dense rows; the functions on maps take
+native maps and vectors only.  native_vectors is the one converter from
+sparse vectors, iterables of (index, coeff) pairs with any integer
+coefficients taken mod p and repeated indices adding up; the algebra
+builds its generator maps with it, once.  image_kernel is a kernel into
+a quotient F_p^m / S, and quotient_maps induces native maps between
+quotients, in the coordinates of the non-pivot columns of S;
+combine_maps, map_kernel, map_rank and image_basis answer what a kernel,
+rank or span needs, with bases that need not be reduced; image_span is a
+span of images as a canonical RowSpace, and image_fills tests whether
+images span the whole space, stopping at full rank; it takes the vectors
+a batch at a time and hands on its echelon rows, so that each extension
 of a set of vectors eliminates only its own images.  permute_coordinates
 maps the native RREF basis of a subspace to that of its image under a
 permutation of the coordinates, and scale_first to that of the first
@@ -66,7 +67,7 @@ from __future__ import annotations
 
 import itertools
 from functools import partial, reduce
-from operator import xor
+from operator import index, xor
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, ResourceLimitError
@@ -81,7 +82,10 @@ class Prime(int):
     """A validated prime field characteristic, 2 <= p <= 97."""
 
     def __new__(cls, p: int) -> "Prime":
-        p = int(p)
+        try:
+            p = index(p)
+        except TypeError:
+            raise InputError(f"field characteristic must be an integer, got {p!r}") from None
         if p < 2 or p > MAX_PRIME:
             raise InputError(
                 f"field characteristic must be a prime in [2, {MAX_PRIME}], got {p}"
@@ -321,23 +325,6 @@ def _from_dense(p: int, rows) -> list:
     return [[x % p for x in r] for r in rows]
 
 
-def _from_sparse(p: int, dim: int, vectors: Iterable[Sparse]) -> list:
-    """Native rows from sparse vectors in F_p^dim; InputError for an index
-    outside [0, dim)."""
-    rows = []
-    for vec in vectors:
-        v = 0 if p == 2 else [0] * dim
-        for j, c in vec:
-            if not 0 <= j < dim:
-                raise InputError(f"sparse index {j} outside [0, {dim})")
-            if p == 2:
-                v ^= (c & 1) << j
-            else:
-                v[j] = (v[j] + c) % p
-        rows.append(v)
-    return rows
-
-
 # -- public constructors and maps ---------------------------------------------
 
 
@@ -361,6 +348,23 @@ def rref(matrix: Sequence[Sequence[int]], p: int, ambient_dim: int | None = None
     elif ambient_dim is None:
         raise InputError("ambient dimension required for an empty matrix")
     return _canonical(p, ambient_dim, _from_dense(p, rows))
+
+
+def native_vectors(p: int, dim: int, vectors: Iterable[Sparse]) -> tuple:
+    """Native vectors from sparse ones in F_p^dim, residue tuples at odd p;
+    InputError for an index outside [0, dim)."""
+    rows = []
+    for vec in vectors:
+        v = 0 if p == 2 else [0] * dim
+        for j, c in vec:
+            if not 0 <= j < dim:
+                raise InputError(f"sparse index {j} outside [0, {dim})")
+            if p == 2:
+                v ^= (c & 1) << j
+            else:
+                v[j] = (v[j] + c) % p
+        rows.append(v if p == 2 else tuple(v))
+    return tuple(rows)
 
 
 def zero_space(p: int, ambient_dim: int) -> RowSpace:
@@ -411,13 +415,11 @@ def kernel(
     return _canonical(p, a, list(map_kernel(p, _from_dense(p, matrix), b)))
 
 
-def image_kernel(
-    p: int, domain_dim: int, images: Sequence[Sparse], target: RowSpace
-) -> RowSpace:
+def image_kernel(p: int, domain_dim: int, images: Sequence, target: RowSpace) -> RowSpace:
     """Kernel of the map F_p^domain_dim -> F_p^m / target sending e_i to
-    the sparse vector images[i], where m is target.ambient_dim.  Each
-    image is a list or tuple of (index, coeff) pairs; an index outside
-    [0, m) is an InputError.
+    the native vector images[i], where m is target.ambient_dim; an image
+    outside F_p^m (a bit at or above m, or a length other than m) is an
+    InputError.
 
     The target's rows are stacked under the images; they are independent,
     so the first domain_dim coordinates of the stacked kernel are exactly
@@ -425,8 +427,9 @@ def image_kernel(
     if len(images) != domain_dim:
         raise InputError(f"{len(images)} images for domain dimension {domain_dim}")
     width = target.ambient_dim
-    rows = _from_sparse(p, width, images) + list(target.basis)
-    kern = map_kernel(p, rows, width)
+    if any(v >> width if p == 2 else len(v) != width for v in images):
+        raise InputError(f"an image lies outside F_{p}^{width}")
+    kern = map_kernel(p, list(images) + list(target.basis), width)
     if p == 2:
         mask = (1 << domain_dim) - 1
         return _canonical(p, domain_dim, [v & mask for v in kern])
@@ -455,15 +458,12 @@ def _classes(s: RowSpace) -> list:
     return classes
 
 
-def quotient_maps(
-    source: RowSpace, target: RowSpace, maps: Iterable[Sequence[Sparse]]
-) -> tuple[tuple, ...]:
-    """The maps F_p^m / source -> F_p^k / target induced by e_i ->
-    images[i], one for each images in maps (m and k are the ambient
-    dimensions).  Each linear map must send source into target, and each
-    index in images must lie in [0, k); neither is checked, since the
-    maps come from the algebra's own generator maps.  Each comes back as
-    a native map: the class of the image of each non-pivot column of
+def quotient_maps(source: RowSpace, target: RowSpace, maps: Iterable[tuple]) -> tuple[tuple, ...]:
+    """The maps F_p^m / source -> F_p^k / target induced by the native
+    maps F_p^m -> F_p^k in maps (m and k are the ambient dimensions).
+    Each map must send source into target, which is not checked, since
+    the maps come from the algebra's own generator maps.  Each comes back
+    as a native map: the class of the image of each non-pivot column of
     source, in column order, as a native vector in the quotient
     coordinates of target."""
     p = source.p
@@ -473,19 +473,19 @@ def quotient_maps(
     if p == 2:
         def image(vec):
             v = 0
-            for k, c in vec:
-                if c & 1:
-                    v ^= classes[k]
+            for k in _bits(vec):
+                v ^= classes[k]
             return v
     else:
         zero = (0,) * (target.ambient_dim - target.rank)
 
         def image(vec):
             v = zero
-            for k, c in vec:
-                v = tuple((x + c * y) % p for x, y in zip(v, classes[k]))
+            for k, c in enumerate(vec):
+                if c:
+                    v = tuple((x + c * y) % p for x, y in zip(v, classes[k]))
             return v
-    return tuple(tuple(image(images[c]) for c in cols) for images in maps)
+    return tuple(tuple(image(m[c]) for c in cols) for m in maps)
 
 
 def combine_maps(p: int, coeffs: Sequence[int], maps: Sequence[tuple]) -> tuple:
@@ -564,7 +564,7 @@ def image_span(p: int, maps: Sequence[tuple], vectors: Sequence, width: int) -> 
     return _canonical(p, width, _images(p, maps, vectors))
 
 
-def image_fills(p: int, maps: Sequence[Sequence[Sparse]], width: int):
+def image_fills(p: int, maps: Sequence[tuple], width: int):
     """The test whether m(x), for every map m in maps and native vector x,
     spans all of F_p^width, taken a batch of vectors at a time: a function
     fill(lead, vectors) that eliminates the images of the native vectors
@@ -573,18 +573,14 @@ def image_fills(p: int, maps: Sequence[Sequence[Sparse]], width: int):
     None as soon as they span F_p^width.  lead is not changed, so a row
     prefix of a basis can hand its rows to each of its extensions, which
     then add only their own images.  The vectors span enough iff
-    fill({}, vectors) is None.  Each map is the sequence of the sparse
-    images of the standard basis vectors, with indices in [0, width); an
-    index outside it is an InputError.  Rows are packed at p = 2 and have
-    leading coefficient 1 at odd p."""
+    fill({}, vectors) is None.  The maps are native maps into F_p^width.
+    Rows are packed at p = 2 and have leading coefficient 1 at odd p."""
     if p == 2:
-        packed = [_from_sparse(p, width, m) for m in maps]
-
         def fill(lead, vectors):
             lead = dict(lead)
             for x in vectors:
                 cols = list(_bits(x))
-                for m in packed:
+                for m in maps:
                     v = 0
                     for c in cols:
                         v ^= m[c]
@@ -600,18 +596,10 @@ def image_fills(p: int, maps: Sequence[Sequence[Sparse]], width: int):
             return None if len(lead) == width else lead
         return fill
 
-    for m in maps:
-        _from_sparse(p, width, m)  # the index check
-
     def fill(lead, vectors):
         lead = dict(lead)  # pivot column -> row with 1 there
         for x in vectors:
-            terms = [(c, a) for c, a in enumerate(x) if a]
-            for m in maps:
-                v = [0] * width
-                for c, a in terms:
-                    for k, s in m[c]:
-                        v[k] += a * s
+            for v in _images(p, maps, (x,)):
                 for j in range(width):
                     f = v[j] % p
                     if not f:

@@ -19,6 +19,7 @@ vertex-order search is capped, at CANONICAL_MAX_VERTICES.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 from typing import NamedTuple
 
 from .errors import InputError, ResourceLimitError
@@ -71,10 +72,21 @@ def smaller_twins(nbrs, units) -> list[int]:
 
 
 def build_graph(n: int, edges) -> Graph:
+    """The graph on vertices 0..n-1 with the given edges, (u, v) pairs of
+    ints in either order; a non-integer count or vertex, a loop or a
+    vertex out of range is an InputError."""
+    try:
+        n = index(n)
+    except TypeError:
+        raise InputError(f"vertex count must be an integer, got {n!r}") from None
     if n < 0:
         raise InputError(f"vertex count must be nonnegative, got {n}")
     norm = set()
-    for u, v in edges:
+    for edge in edges:
+        try:
+            u, v = map(index, edge)
+        except TypeError:
+            raise InputError(f"edge {tuple(edge)!r} has a vertex that is not an integer") from None
         if u == v:
             raise InputError(
                 f"loop ({u}, {u}) rejected: graphs here are simple and loop-free"

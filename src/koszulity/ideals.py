@@ -7,10 +7,8 @@ has every piece full, including degree 0.
 Two independent routes build ideals generated in degree one:
 
 - ideal_from_degree_one iterates multiplication by the generators on
-  native vectors: the generator maps of each degree are turned into
-  native maps once per context (gfp.quotient_maps between zero spaces),
-  and piece n+1 is gfp.image_span of those maps on piece n's native
-  basis;
+  native vectors: piece n+1 is gfp.image_span of the context's generator
+  maps of degree n (AlgebraContext.gen_maps) on piece n's native basis;
 - monomial_ideal_basis, available when the generators are a subset S of
   the vertex generators, spans each degree by the basis monomials whose
   support meets S.
@@ -21,18 +19,17 @@ not an assumption: keep both routes intact.
 
 from __future__ import annotations
 
-import weakref
 from typing import NamedTuple
 
 from .algebra import AlgebraContext, Element, from_coeffs
 from .errors import InputError
 from .gfp import (
     RowSpace,
+    combine_maps,
     coordinate_space,
     full_space,
     image_kernel,
     image_span,
-    quotient_maps,
     zero_space,
 )
 
@@ -57,28 +54,16 @@ def unit_ideal(ctx: AlgebraContext) -> GradedIdeal:
     )
 
 
-# ideal_from_degree_one's native generator maps per context, held weakly
-_MAPS = weakref.WeakKeyDictionary()
-
-
 def ideal_from_degree_one(ctx: AlgebraContext, u: RowSpace) -> GradedIdeal:
     """The ideal generated by the degree-one subspace u: piece n+1 is
     spanned by the generator multiples of piece n, taken on native
-    vectors with the generator maps of each degree, built once per
-    context."""
+    vectors with the context's generator maps of degree n."""
     if u.p != ctx.p or u.ambient_dim != ctx.dim(1):
         raise InputError("degree-one subspace does not match the algebra")
     p = ctx.p
-    maps = _MAPS.get(ctx)
-    if maps is None:
-        spaces = [zero_space(p, ctx.dim(n)) for n in range(ctx.D + 1)]
-        maps = _MAPS[ctx] = tuple(
-            quotient_maps(spaces[n], spaces[n + 1], ctx.gen_maps[n])
-            for n in range(1, ctx.D)
-        )
     pieces = [zero_space(p, 1), u]
     for n in range(1, ctx.D):
-        pieces.append(image_span(p, maps[n - 1], pieces[n].basis, ctx.dim(n + 1)))
+        pieces.append(image_span(p, ctx.gen_maps[n], pieces[n].basis, ctx.dim(n + 1)))
     return GradedIdeal(ctx, tuple(pieces))
 
 
@@ -110,19 +95,10 @@ def colon_ideal(ctx: AlgebraContext, ideal: GradedIdeal, b: Element) -> GradedId
         raise InputError(f"divisor must have degree 1, got {b.degree}")
     if ideal.piece(1).member(b.coeffs):
         return unit_ideal(ctx)
-    bsupp = [(g, c) for g, c in enumerate(b.coeffs) if c]
     p = ctx.p
     pieces = [zero_space(p, 1)]
     for n in range(1, ctx.D):
-        maps = ctx.gen_maps[n]
-        if len(bsupp) == 1:
-            # b = c*a_g: scaling every image by c != 0 keeps the kernel
-            images = maps[bsupp[0][0]]
-        else:
-            images = [
-                [(k, sign * c) for g, c in bsupp for k, sign in maps[g][m]]
-                for m in range(ctx.dim(n))
-            ]
+        images = combine_maps(p, b.coeffs, ctx.gen_maps[n])
         pieces.append(image_kernel(p, ctx.dim(n), images, ideal.piece(n + 1)))
     pieces.append(full_space(p, ctx.dim(ctx.D)))
     return GradedIdeal(ctx, tuple(pieces))

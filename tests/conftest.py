@@ -638,15 +638,21 @@ def generator_map(ctx, g, n):
     return tuple(images)
 
 
+def product_image(ctx, n, g, i):
+    """a_g times basis monomial i of degree n as a sparse vector (no
+    entry, or one (index, sign) for a true algebra), read off
+    ctx.products, so independent of the native generator maps."""
+    return tuple((k, sign) for h, k, sign in ctx.products[n][i] if h == g)
+
+
 def ideal_from_degree_one_by_sparse_vectors(ctx, u):
     """Reference generated ideal: piece n+1 is the span of a_g x for every
     generator a_g and basis row x of piece n, each product a sparse vector
-    read off ctx.gen_maps."""
+    read off ctx.products."""
     pieces = [zero_space(ctx.p, 1), u]
     for n in range(1, ctx.D):
-        maps = ctx.gen_maps[n]
         images = [
-            [(k, sign * c) for j, c in vec for k, sign in maps[gen][j]]
+            [(k, sign * c) for j, c in vec for k, sign in product_image(ctx, n, gen, j)]
             for vec in sparse_rows(pieces[n])
             for gen in range(ctx.dim(1))
         ]

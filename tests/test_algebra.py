@@ -36,6 +36,7 @@ from koszulity.algebra import (
     pbw_check,
 )
 from koszulity.errors import InputError
+from koszulity.gfp import native_vectors
 from koszulity.graphs import build_graph, enumerate_cliques, nonisomorphic_graphs
 
 
@@ -83,7 +84,10 @@ def test_generator_maps_agree_with_basis_product():
                 assert len(images) == ctx.dim(n)
                 for i, image in enumerate(images):
                     hit = ctx.basis_product(1, gen, n, i)
-                    assert image == (() if hit is None else ((hit[1], hit[0]),))
+                    want = [0] * ctx.dim(n + 1)
+                    if hit is not None:
+                        want[hit[1]] = hit[0] % 3
+                    assert image == tuple(want)
 
 
 def test_dense_view_equals_the_inserted_vertex_maps():
@@ -95,7 +99,11 @@ def test_dense_view_equals_the_inserted_vertex_maps():
             for p in (2, 3):
                 ctx = build_algebra(g, p)
                 assert ctx.gen_maps == tuple(
-                    tuple(generator_map(ctx, gen, k) for gen in range(n)) for k in range(ctx.D)
+                    tuple(
+                        native_vectors(p, ctx.dim(k + 1), generator_map(ctx, gen, k))
+                        for gen in range(n)
+                    )
+                    for k in range(ctx.D)
                 )
 
 

@@ -39,6 +39,7 @@ from koszulity.gfp import (
     kernel,
     map_kernel,
     map_rank,
+    native_vectors,
     permute_coordinates,
     quotient_maps,
     rref,
@@ -57,6 +58,10 @@ def test_prime_accepts_primes():
 def test_prime_rejects_nonprimes_and_range():
     for bad in (0, 1, 4, 6, 9, 91, 98, 100, -3):
         with pytest.raises(InputError):
+            Prime(bad)
+    # a non-integer is refused, not truncated to a prime
+    for bad in (2.5, 3.0, "3", None):
+        with pytest.raises(InputError, match="integer"):
             Prime(bad)
 
 
@@ -391,7 +396,7 @@ def test_packed_image_kernel_matches_dense_quotient(case, nmod):
     width, nrows, rng = case
     images = f2_matrix(width, nrows, rng)
     target = rref(f2_matrix(width, nmod, rng), 2, width)
-    got = image_kernel(2, nrows, [sparse(v) for v in images], target)
+    got = image_kernel(2, nrows, native_vectors(2, width, map(sparse, images)), target)
     check_image_kernel(2, got, images, target)
 
 
@@ -449,7 +454,7 @@ def monomial_case(p, width, nimages, rng):
 @settings(max_examples=300, deadline=None)
 def test_monomial_image_kernel_matches_elimination(p, width, nimages, rng):
     target, images = monomial_case(p, width, nimages, rng)
-    got = image_kernel(p, nimages, images, target)
+    got = image_kernel(p, nimages, native_vectors(p, width, images), target)
     check_image_kernel(p, got, [densify(p, v, width) for v in images], target)
     assert got.pivots == _dense_pivots(got.rows)
 
@@ -465,14 +470,14 @@ def test_kernels_match_brute_force(p):
         target = random_space(p, width, rng)
         if not target.rank:
             target = coordinate_space(p, width, [rng.randrange(width)])
-        got = image_kernel(p, a, [sparse(v) for v in images], target)
+        got = image_kernel(p, a, native_vectors(p, width, map(sparse, images)), target)
         assert got == kernel_by_brute_force(p, images, target)
         if a:
             assert kernel(images, p) == kernel_by_brute_force(p, images, zero_space(p, width))
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_sparse_fronts_reject_out_of_range_indices(p):
+def test_out_of_range_indices_and_images_are_rejected(p):
     # a coefficient that vanishes mod p does not excuse its index
     for bad in (2, -1):
         for indices in ([bad], [0, bad], [bad, 1]):
@@ -480,9 +485,14 @@ def test_sparse_fronts_reject_out_of_range_indices(p):
                 coordinate_space(p, 2, indices)
         for vec in ([(bad, 1)], [(0, 1), (bad, p)]):
             with pytest.raises(InputError, match="outside"):
-                image_kernel(p, 1, [vec], zero_space(p, 2))
-            with pytest.raises(InputError, match="outside"):
-                image_kernel(p, 1, [vec], full_space(p, 2))
+                native_vectors(p, 2, [vec])
+    # an image outside F_p^2: a bit at or above 2 at p = 2, a length
+    # other than 2 at odd p
+    for image in ((0b100, 0b111, -1) if p == 2 else ((0, 1, 0), (1,), ())):
+        with pytest.raises(InputError, match="outside"):
+            image_kernel(p, 1, [image], zero_space(p, 2))
+        with pytest.raises(InputError, match="outside"):
+            image_kernel(p, 1, [image], full_space(p, 2))
 
 
 def test_sparse_interface_at_odd_p():
@@ -490,8 +500,8 @@ def test_sparse_interface_at_odd_p():
     assert s.member((2, 0, 1, 0)) and not s.member((0, 0, 0, 1))
     assert coordinate_space(3, 4, [2, 0, 2]).rows == ((1, 0, 0, 0), (0, 0, 1, 0))
     # x -> (x0 + x1) e_0 modulo span(e_0) is zero, modulo nothing it is not
-    assert image_kernel(3, 2, [[(0, 1)], [(0, 1)]], zero_space(3, 1)).rows == ((1, 2),)
-    assert image_kernel(3, 2, [[(0, 1)], [(0, 1)]], full_space(3, 1)).rank == 2
+    assert image_kernel(3, 2, [(1,), (1,)], zero_space(3, 1)).rows == ((1, 2),)
+    assert image_kernel(3, 2, [(1,), (1,)], full_space(3, 1)).rank == 2
 
 
 def test_rowspace_is_immutable_and_picklable():
@@ -534,7 +544,9 @@ def test_native_quotient_maps_match_the_dense_reference(p, m, k, rng):
     free_s = [c for c in range(m) if c not in source.pivots]
     free_t = [c for c in range(k) if c not in target.pivots]
     w = len(free_t)
-    maps = quotient_maps(source, target, [[list(enumerate(row)) for row in mat] for mat in mats])
+    maps = quotient_maps(
+        source, target, [native_vectors(p, k, [enumerate(row) for row in mat]) for mat in mats]
+    )
 
     def cls(vec):  # the class of vec in F_p^k / T, in quotient coordinates
         residue = target.reduce(vec)
@@ -670,22 +682,22 @@ def test_image_fills_agrees_with_the_image_span(p):
         m, width = rng.randint(1, 5), rng.randint(0, 6)
         maps = [random_sparse_map(p, m, width, rng) for _ in range(rng.randrange(4))]
         vectors = random_space(p, m, rng).basis
-        native = quotient_maps(zero_space(p, m), zero_space(p, width), maps)
+        native = [native_vectors(p, width, images) for images in maps]
         rank = image_span(p, native, vectors, width).rank
-        assert (image_fills(p, maps, width)({}, vectors) is None) is (rank == width)
+        assert (image_fills(p, native, width)({}, vectors) is None) is (rank == width)
         kinds["full" if rank == width else "zero" if rank == 0 else "deficient"] += 1
     # exactly full: the last image brings the rank to width, and one fewer
     # vector falls one short
     for width in range(1, 7):
         perm = rng.sample(range(width), width)
-        maps = [[[(perm[i], rng.randrange(1, p))] for i in range(width)]]
+        maps = [native_vectors(p, width, [[(perm[i], rng.randrange(1, p))] for i in range(width)])]
         basis = full_space(p, width).basis
         assert image_fills(p, maps, width)({}, basis) is None
         assert image_fills(p, maps, width)({}, basis[:-1]) is not None
         assert image_fills(p, maps, width)({}, ()) is not None
     assert min(kinds["full"], kinds["zero"], kinds["deficient"]) >= 40, kinds
     with pytest.raises(InputError, match="outside"):
-        image_fills(p, [[[(0, 1)], [(3, 1)]]], 3)
+        native_vectors(p, 3, [[(0, 1)], [(3, 1)]])
 
 
 def test_image_fills_decides_whether_an_ideal_fills_degree_two():

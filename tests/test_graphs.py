@@ -82,6 +82,12 @@ def test_parse_edge_list_rejects_bad_input():
             parse_edge_list(text)
 
 
+def test_build_graph_rejects_non_integer_counts_and_vertices():
+    for n, edges in ((2.5, [(0, 1)]), (3, [(0, 1.5)]), (3, [(1.0, 2)]), ("3", []), (None, [])):
+        with pytest.raises(InputError, match="integer"):
+            build_graph(n, edges)
+
+
 def test_graph6_decode_examples():
     k4 = parse_graph6("C~")
     assert k4.n == 4 and len(k4.edges) == 6

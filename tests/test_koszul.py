@@ -26,6 +26,7 @@ from conftest import (
     monomial_element,
     multiply,
     path4,
+    product_image,
     random_graph,
     reconstruct,
     relabel,
@@ -139,8 +140,9 @@ def test_strong_check_matches_colon_oracle():
 
 def with_image(ctx, n, u, i, image):
     """ctx with a_u times basis monomial i of degree n replaced by image,
-    a sparse vector, in ctx.products; the dense view gen_maps, derived
-    from them, is dropped so that it sees the same corruption."""
+    a sparse vector, in ctx.products; the generator maps gen_maps,
+    derived from them, are dropped so that they see the same
+    corruption."""
     level = list(ctx.products[n])
     kept = [prod for prod in level[i] if prod[0] != u]
     # entries stay ordered by generator, the image's terms in its order
@@ -148,6 +150,19 @@ def with_image(ctx, n, u, i, image):
     ctx.products = ctx.products[:n] + (tuple(level),) + ctx.products[n + 1:]
     vars(ctx).pop("gen_maps", None)
     return ctx
+
+
+def test_generated_ideal_reads_the_contexts_current_maps():
+    # on P3 at p = 2, (a0) holds a1 a0 = a0 a1 in degree 2 until a1 a0 is
+    # replaced by zero: a second call on the same context must see that,
+    # as a fresh corrupted context does
+    ctx = build_algebra(build_graph(3, [(0, 1), (1, 2)]), 2)
+    a0 = span(2, 3, [((0, 1),)])
+    assert ideal_from_degree_one(ctx, a0).piece(2).rank == 1
+    with_image(ctx, 1, 1, 0, ())
+    fresh = with_image(build_algebra(build_graph(3, [(0, 1), (1, 2)]), 2), 1, 1, 0, ())
+    assert ideal_from_degree_one(fresh, a0).piece(2).rank == 0
+    assert ideal_from_degree_one(ctx, a0).piece(2).rank == 0
 
 
 def test_strong_check_reports_the_oracles_failures_on_a_broken_map():
@@ -159,7 +174,8 @@ def test_strong_check_reports_the_oracles_failures_on_a_broken_map():
     for g, p in ((cone_over_path(), 2), (square4(), 3), (complete(4), 5), (path4(), 2)):
         plain = build_algebra(g, p)
         for n in range(1, plain.D):
-            for u, images in enumerate(plain.gen_maps[n]):
+            for u in range(plain.dim(1)):
+                images = [product_image(plain, n, u, i) for i in range(plain.dim(n))]
                 reached = {k for image in images for k, _ in image}
                 spare = sorted(set(range(plain.dim(n + 1))) - reached)
                 for i, image in enumerate(images):
@@ -182,7 +198,7 @@ def test_strong_check_keeps_the_oracles_failure_order_across_masks():
     plain = build_algebra(path4(), 3)
     ctx = with_image(build_algebra(path4(), 3), 1, 0, 1, ())
     ctx = with_image(ctx, 1, 1, 0, ())
-    assert plain.gen_maps[1][0][1] and plain.gen_maps[1][1][0]
+    assert product_image(plain, 1, 0, 1) and product_image(plain, 1, 1, 0)
     report = strong_koszul_check(ctx)
     oracle = strong_koszul_by_colons(ctx)
     assert report.failures == oracle.failures
@@ -200,7 +216,7 @@ def test_strong_check_reports_a_failure_seen_only_in_the_top_degree():
     # a1 a2: the colon 0:(a0) has the predicted generator a0 alone in
     # degree one but the whole top degree, which a0 does not generate.
     ctx = build_algebra(build_graph(3, [(0, 1), (1, 2)]), 2)
-    assert ctx.D == 2 and not ctx.gen_maps[1][0][2]
+    assert ctx.D == 2 and not product_image(ctx, 1, 0, 2)
     ctx = with_image(ctx, 1, 0, 2, ((ctx.index[2][(1, 2)], 1),))
     ctx.graph = complete(3)
     report = strong_koszul_check(ctx)
@@ -210,8 +226,8 @@ def test_strong_check_reports_a_failure_seen_only_in_the_top_degree():
 
 def test_strong_check_refuses_maps_that_are_not_signed_injections():
     ctx = build_algebra(complete(4), 3)
-    (k, _), = ctx.gen_maps[1][0][1]
-    (other, _), = ctx.gen_maps[1][0][2]
+    (k, _), = product_image(ctx, 1, 0, 1)
+    (other, _), = product_image(ctx, 1, 0, 2)
     for image in (((k, 1), (other, 1)), ((other, -1),), ((k, 2),)):
         with pytest.raises(RuntimeError, match="signed injection"):
             strong_koszul_check(with_image(build_algebra(complete(4), 3), 1, 0, 1, image))
@@ -232,14 +248,14 @@ def corruptions(rng, g, p):
     is toggled."""
     plain = build_algebra(g, p)
     d = g.n
+    def image(n, u, i):
+        return product_image(plain, n, u, i)
+
     used = {
-        (n, u): {k for image in images for k, _ in image}
-        for n, level in enumerate(plain.gen_maps) for u, images in enumerate(level)
+        (n, u): {k for i in range(plain.dim(n)) for k, _ in image(n, u, i)}
+        for n in range(plain.D) for u in range(d)
     }
     slots = [(n, u, i) for n, u in used if n for i in range(plain.dim(n))]
-
-    def image(n, u, i):
-        return plain.gen_maps[n][u][i]
 
     choices = {
         "zeroed": [(s, ()) for s in slots if image(*s)],
