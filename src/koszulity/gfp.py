@@ -598,20 +598,19 @@ def image_fills(p: int, maps: Sequence[tuple], width: int):
 
     def fill(lead, vectors):
         lead = dict(lead)  # pivot column -> row with 1 there
-        for x in vectors:
-            for v in _images(p, maps, (x,)):
-                for j in range(width):
-                    f = v[j] % p
-                    if not f:
-                        continue
-                    row = lead.get(j)
-                    if row is None:
-                        inv = pow(f, p - 2, p)
-                        lead[j] = [y * inv % p for y in v]
-                        if len(lead) == width:
-                            return None
-                        break
-                    v = [a - f * b for a, b in zip(v, row)]
+        for v in _images(p, maps, vectors):
+            for j in range(width):
+                f = v[j] % p
+                if not f:
+                    continue
+                row = lead.get(j)
+                if row is None:
+                    inv = pow(f, p - 2, p)
+                    lead[j] = [y * inv % p for y in v]
+                    if len(lead) == width:
+                        return None
+                    break
+                v = [a - f * b for a, b in zip(v, row)]
         return None if len(lead) == width else lead
     return fill
 
