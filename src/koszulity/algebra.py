@@ -17,11 +17,12 @@ nonzero ones are stored: a_g m is +-1 times the clique m + {g} when g
 lies in the common neighbourhood of m, and zero otherwise.  Each
 (n+1)-clique is such a product n + 1 times, so the algebra holds
 sum_n (n+1) dim A_{n+1} products, linear in its cliques' total size,
-where the dense maps "multiply by a_g" hold d * sum_n dim A_n entries,
+where the dense maps "multiply by a_g" hold d * sum_n dim A_n images,
 nearly all zero on a sparse graph.  Those maps, which colon ideals,
 generated ideals and quotients read, are derived from the stored
 products once per algebra, when first read, in gfp's native form
-(gfp.native_vectors), which every reader takes as it is.
+(gfp.native_vectors), which every reader takes as it is: one int per
+image at p = 2, and at odd p a tuple of dim A_{n+1} residues.
 """
 
 from __future__ import annotations
