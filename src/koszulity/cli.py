@@ -234,8 +234,9 @@ def _fork_map(fn, workers: int) -> list:
     with only a failure pickled inside it, so a run that fails nowhere
     never imports pickle, and leaves by os._exit, flushing none of this
     process's buffers and running no atexit handler.  A worker that
-    os.pipe or os.fork cannot start is a ResourceLimitError.  Every
-    child is reaped before this returns or raises."""
+    os.pipe or os.fork cannot start, or a child that a signal kills, is
+    a ResourceLimitError; a child that exits without a result is a
+    RuntimeError.  Every child is reaped before this returns or raises."""
     children = []  # (pid, read end of its pipe) of each child not reaped
     try:
         for w in range(1, workers):
@@ -270,7 +271,12 @@ def _fork_map(fn, workers: int) -> list:
                 with src:
                     data = src.read()
             finally:
-                os.waitpid(pid, 0)
+                status = os.waitpid(pid, 0)[1]
+            if os.WIFSIGNALED(status):  # the OOM killer, say
+                import signal
+
+                name = signal.Signals(os.WTERMSIG(status)).name
+                raise ResourceLimitError(f"census worker {len(parts)} was killed by {name}")
             if not data:
                 raise RuntimeError(f"census worker {len(parts)} ended without a result")
             rows, failure = marshal.loads(data)

@@ -15,8 +15,8 @@ two native forms, chosen here from p alone:
   packed-row approach of Albrecht, Bard & Hart, "Efficient dense Gaussian
   elimination over the field with two elements", ACM TOMS 37(1), 2010).
 - odd p: each row is a tuple of residues whose pivot is its leading 1,
-  eliminated by Gauss-Jordan with modular inverses.  Run at p = 2, this dense route is the reference the
-  packed route is tested against.
+  eliminated by Gauss-Jordan with modular inverses.  Run at p = 2, this
+  dense route is the reference the packed route is tested against.
 
 RowSpace.rows (the basis as tuples of residues), rank and pivots are
 computed from the basis on each use; nothing is cached.
@@ -24,26 +24,32 @@ computed from the basis on each use; nothing is cached.
 One native core computes every subspace.  A native vector is an int (bit
 j = coordinate j) at p = 2 and a tuple or list of residues at odd p; a
 native map is a tuple of native vectors, the images of the standard
-basis.  Every canonical basis comes from one private canonicaliser,
-_echelon2 at p = 2 and _eliminate at odd p, and every kernel from
-map_kernel.  rref and kernel take dense rows; the functions on maps take
-native maps and vectors only.  native_vectors is the one converter from
-sparse vectors, iterables of (index, coeff) pairs with any integer
-coefficients taken mod p and repeated indices adding up; the algebra
-builds its generator maps with it, once.  image_kernel is a kernel into
-a quotient F_p^m / S, and quotient_maps induces native maps between
-quotients, in the coordinates of the non-pivot columns of S;
-combine_maps, map_kernel, map_rank and image_basis answer what a kernel,
-rank or span needs, with bases that need not be reduced; image_span is a
-span of images as a canonical RowSpace, and image_fills tests whether
-images span the whole space, stopping at full rank; it takes the vectors
-a batch at a time and hands on its echelon rows, so that each extension
-of a set of vectors eliminates only its own images.  permute_coordinates
-maps the native RREF basis of a subspace to that of its image under a
-permutation of the coordinates, and scale_first to that of the first
-member of its orbit under the diagonal scalings, in enumeration order;
-it also tests whether a divisor class is the first of its orbit under
-the scalings that fix the subspace.
+basis.  One private forward eliminator, _leads, serves both primes: it
+eliminates native vectors onto a dict of echelon rows keyed by pivot,
+packed rows at p = 2 and rows with a leading 1 at odd p, and returns a
+new dict.  Every rank, spanning set, fill test and odd-p kernel is built
+on it.  Every canonical basis comes from one private canonicaliser,
+_echelon2 (_leads, then back substitution) at p = 2 and the Gauss-Jordan
+_eliminate at odd p, and the p = 2 kernel from _kernel2.  rref and kernel
+take dense rows; the functions on maps take native maps and vectors
+only.  native_vectors is the one converter from sparse vectors,
+iterables of (index, coeff) pairs with any integer coefficients taken
+mod p and repeated indices adding up; the algebra builds its generator
+maps with it, once.  image_kernel is a kernel into a quotient
+F_p^m / S, and quotient_maps induces native maps between quotients, in
+the coordinates of the non-pivot columns of S; combine_maps, map_kernel,
+map_rank and image_basis answer what a kernel, rank or span needs, with
+bases that need not be reduced; image_span is a span of images as a
+canonical RowSpace, and image_fills tests whether images span the whole
+space.  It takes the vectors a batch at a time, eliminates each batch's
+images onto the echelon rows handed to it and hands on the rows of
+both, so that each extension of a set of vectors eliminates only its
+own images.  permute_coordinates maps the native RREF basis of a
+subspace to that of its image under a permutation of the coordinates,
+and scale_first to that of the first member of its orbit under the
+diagonal scalings, in enumeration order; it also tests whether a
+divisor class is the first of its orbit under the scalings that fix the
+subspace.
 
 One private walker, _row_prefixes, enumerates subspaces: per pivot
 pattern, a tree whose nodes are the row prefixes of the RREF bases,
@@ -146,6 +152,42 @@ class RowSpace(NamedTuple):
         return not any(self.reduce(vec))
 
 
+# -- forward elimination, both primes -----------------------------------------
+
+
+def _leads(p: int, vectors: Iterable, lead: dict | None = None) -> dict:
+    """Forward elimination of native vectors onto the echelon rows lead (a
+    dict, pivot -> row; none when None), which is not changed: returns
+    lead's rows and the new ones, which span what lead's rows and vectors
+    span.  At p = 2 a row is packed and keyed by its pivot bit, its lowest
+    set bit; at odd p it is a list of residues scaled to a leading 1 and
+    keyed by its pivot column."""
+    lead = {} if lead is None else dict(lead)
+    if p == 2:
+        for v in vectors:
+            while v:
+                low = v & -v
+                row = lead.get(low)
+                if row is None:
+                    lead[low] = v
+                    break
+                v ^= row
+        return lead
+    for v in vectors:
+        # v is reduced mod p only where it is read or stored
+        for j in range(len(v)):
+            f = v[j] % p
+            if not f:
+                continue
+            row = lead.get(j)
+            if row is None:
+                inv = pow(f, p - 2, p)
+                lead[j] = [y * inv % p for y in v]
+                break
+            v = [a - f * b for a, b in zip(v, row)]
+    return lead
+
+
 # -- p = 2: packed rows -------------------------------------------------------
 
 
@@ -176,25 +218,10 @@ def _reduce2(basis: tuple[int, ...], v: int) -> int:
     return v
 
 
-def _leads2(vectors: Iterable[int]) -> dict[int, int]:
-    """Forward elimination of packed rows: pivot bit -> a row whose lowest
-    set bit it is; the rows span what vectors span."""
-    lead: dict[int, int] = {}
-    for v in vectors:
-        while v:
-            low = v & -v
-            row = lead.get(low)
-            if row is None:
-                lead[low] = v
-                break
-            v ^= row
-    return lead
-
-
 def _echelon2(vectors: Iterable[int]) -> tuple[int, ...]:
     """Canonical RREF of packed rows: sorted by pivot, every pivot bit
     cleared in all other rows."""
-    lead = _leads2(vectors)
+    lead = _leads(2, vectors)
     return _back_substitute([lead[low] for low in sorted(lead, reverse=True)])
 
 
@@ -220,14 +247,7 @@ def _back_substitute(rows: list[int]) -> tuple[int, ...]:
 
 
 def _kernel2(images: Sequence[int], width: int) -> tuple[int, ...]:
-    """Basis of the kernel of e_i -> images[i], into F_2^width, not
-    reduced.
-
-    Each image carries a tag bit above width that records which inputs it
-    combines.  An image reduced to zero leaves its tag as a kernel vector.
-    Inputs run in reverse, so each kernel vector's lowest bit is its own
-    input's, and the vectors come out highest pivot first.
-    """
+    """map_kernel at p = 2, each tag the bits above width."""
     limit = 1 << width
     lead: dict[int, int] = {}
     kern = []
@@ -247,10 +267,6 @@ def _kernel2(images: Sequence[int], width: int) -> tuple[int, ...]:
 
 
 # -- odd p (and the p = 2 reference): dense rows ------------------------------
-
-
-def _dense_pivots(rows) -> tuple[int, ...]:
-    return tuple(next(i for i, x in enumerate(r) if x) for r in rows)
 
 
 def _reduce_dense(rows, pivots, v: list[int], p: int) -> list[int]:
@@ -290,25 +306,6 @@ def _eliminate(mat: list, ambient_dim: int, p: int) -> list[tuple[int, ...]]:
         if npiv == nrows:
             break
     return [tuple(r) for r in mat[:npiv]]
-
-
-def _null_basis(matrix, a: int, b: int, p: int) -> list[list[int]]:
-    # A basis of the null space of x -> x.M, one vector per free column
-    # of the RREF of the transpose, with 1 there.
-    cols = [[matrix[i][j] % p for i in range(a)] for j in range(b)]
-    reduced = _eliminate(cols, a, p)
-    pivots = _dense_pivots(reduced)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(a):
-        if f in pivot_set:
-            continue
-        v = [0] * a
-        v[f] = 1
-        for row, c in zip(reduced, pivots):
-            v[c] = (-row[f]) % p
-        basis.append(v)
-    return basis
 
 
 def _canonical(p: int, dim: int, rows: list) -> RowSpace:
@@ -509,17 +506,27 @@ def combine_maps(p: int, coeffs: Sequence[int], maps: Sequence[tuple]) -> tuple:
 
 def map_kernel(p: int, images: Sequence, width: int) -> tuple:
     """Native basis, not necessarily reduced, of the kernel of e_i ->
-    images[i], a native map into F_p^width."""
+    images[i], a native map into F_p^width.
+
+    Each image is followed by a tag, its input's unit vector, which
+    records the inputs a row combines; a row whose image part eliminates
+    to zero leaves its tag as a kernel vector.  Inputs run in reverse, so
+    each kernel vector leads at its own input, and the vectors come out
+    highest pivot first.  At p = 2 this is _kernel2; at odd p, _leads
+    on the tagged rows, whose rows that lead inside the tag part are the
+    kernel."""
     if p == 2:
         return _kernel2(images, width)
-    return tuple(map(tuple, _null_basis(images, len(images), width, p)))
+    n = len(images)
+    tagged = (
+        [*images[i], *(0,) * i, 1, *(0,) * (n - i - 1)] for i in range(n - 1, -1, -1)
+    )
+    return tuple(tuple(row[width:]) for j, row in _leads(p, tagged).items() if j >= width)
 
 
 def map_rank(p: int, images: Sequence, width: int) -> int:
     """Rank of the native vectors images in F_p^width."""
-    if p == 2:
-        return len(_leads2(images))
-    return len(_eliminate(list(images), width, p))
+    return len(_leads(p, images))
 
 
 def _images(p: int, maps: Sequence[tuple], vectors: Sequence) -> list:
@@ -551,12 +558,10 @@ def _images(p: int, maps: Sequence[tuple], vectors: Sequence) -> list:
 
 
 def image_basis(p: int, maps: Sequence[tuple], vectors: Sequence, width: int) -> tuple:
-    """Native basis, not necessarily reduced, of the span in F_p^width of
-    m(x) for every native map m in maps and native vector x in
-    vectors."""
-    if p == 2:
-        return tuple(_leads2(_images(p, maps, vectors)).values())
-    return image_span(p, maps, vectors, width).basis
+    """Native basis, in echelon form but not reduced, of the span in
+    F_p^width of m(x) for every native map m in maps and native vector x
+    in vectors."""
+    return tuple(_leads(p, _images(p, maps, vectors)).values())
 
 
 def image_span(p: int, maps: Sequence[tuple], vectors: Sequence, width: int) -> RowSpace:
@@ -568,49 +573,15 @@ def image_fills(p: int, maps: Sequence[tuple], width: int):
     """The test whether m(x), for every map m in maps and native vector x,
     spans all of F_p^width, taken a batch of vectors at a time: a function
     fill(lead, vectors) that eliminates the images of the native vectors
-    vectors against lead, the echelon rows of the images met so far (a
-    dict, pivot -> row; {} for none), and returns the rows of both, or
-    None as soon as they span F_p^width.  lead is not changed, so a row
-    prefix of a basis can hand its rows to each of its extensions, which
-    then add only their own images.  The vectors span enough iff
-    fill({}, vectors) is None.  The maps are native maps into F_p^width.
-    Rows are packed at p = 2 and have leading coefficient 1 at odd p."""
-    if p == 2:
-        def fill(lead, vectors):
-            lead = dict(lead)
-            for x in vectors:
-                cols = list(_bits(x))
-                for m in maps:
-                    v = 0
-                    for c in cols:
-                        v ^= m[c]
-                    while v:
-                        low = v & -v
-                        row = lead.get(low)
-                        if row is None:
-                            lead[low] = v
-                            if len(lead) == width:
-                                return None
-                            break
-                        v ^= row
-            return None if len(lead) == width else lead
-        return fill
-
+    vectors onto lead, the echelon rows of the images met so far (a dict,
+    pivot -> row, as _leads keeps it; {} for none), and returns the rows
+    of both, or None when they span F_p^width.  lead is not changed, so a
+    row prefix of a basis can hand its rows to each of its extensions,
+    which then eliminate only their own images.  The vectors span enough
+    iff fill({}, vectors) is None.  The maps are native maps into
+    F_p^width."""
     def fill(lead, vectors):
-        lead = dict(lead)  # pivot column -> row with 1 there
-        for v in _images(p, maps, vectors):
-            for j in range(width):
-                f = v[j] % p
-                if not f:
-                    continue
-                row = lead.get(j)
-                if row is None:
-                    inv = pow(f, p - 2, p)
-                    lead[j] = [y * inv % p for y in v]
-                    if len(lead) == width:
-                        return None
-                    break
-                v = [a - f * b for a, b in zip(v, row)]
+        lead = _leads(p, _images(p, maps, vectors), lead)
         return None if len(lead) == width else lead
     return fill
 

@@ -15,6 +15,10 @@ Two independent routes build ideals generated in degree one:
 
 Their agreement on common inputs is a checked invariant of the package,
 not an assumption: keep both routes intact.
+
+colon_ideal reads the context's stored products (AlgebraContext.products)
+rather than its generator maps: each degree's map x -> x*b is formed
+from them directly, so a colon never builds the generator maps.
 """
 
 from __future__ import annotations
@@ -25,11 +29,11 @@ from .algebra import AlgebraContext, Element, from_coeffs
 from .errors import InputError
 from .gfp import (
     RowSpace,
-    combine_maps,
     coordinate_space,
     full_space,
     image_kernel,
     image_span,
+    native_vectors,
     zero_space,
 )
 
@@ -84,10 +88,13 @@ def monomial_ideal_basis(ctx: AlgebraContext, s) -> GradedIdeal:
 def colon_ideal(ctx: AlgebraContext, ideal: GradedIdeal, b: Element) -> GradedIdeal:
     """The colon ideal ideal : (b) for a degree-one divisor b.
 
-    Degree-n piece: kernel of x -> x*b into A_{n+1}/I_{n+1}, built from the
-    generator multiplication maps of the context.  A single condition
-    suffices because the algebra is graded-commutative and I is an ideal.
-    When b lies in I_1 the colon is the unit ideal.
+    Degree-n piece: kernel of x -> x*b into A_{n+1}/I_{n+1}, whose images
+    are read straight off the context's stored products: b times basis
+    monomial i is the sum of b_g * sign times target monomial k over its
+    products (g, k, sign).  So a colon builds one map per degree, never
+    the generator maps.  A single condition suffices because the algebra
+    is graded-commutative and I is an ideal.  When b lies in I_1 the
+    colon is the unit ideal.
     """
     if b.ctx is not ctx or ideal.ctx is not ctx:
         raise InputError("ideal, divisor, and context must match")
@@ -98,7 +105,9 @@ def colon_ideal(ctx: AlgebraContext, ideal: GradedIdeal, b: Element) -> GradedId
     p = ctx.p
     pieces = [zero_space(p, 1)]
     for n in range(1, ctx.D):
-        images = combine_maps(p, b.coeffs, ctx.gen_maps[n])
+        images = native_vectors(p, ctx.dim(n + 1), (
+            [(k, b.coeffs[g] * sign) for g, k, sign in prods] for prods in ctx.products[n]
+        ))
         pieces.append(image_kernel(p, ctx.dim(n), images, ideal.piece(n + 1)))
     pieces.append(full_space(p, ctx.dim(ctx.D)))
     return GradedIdeal(ctx, tuple(pieces))

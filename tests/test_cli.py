@@ -4,6 +4,7 @@ import os
 import random
 import re
 import resource
+import signal
 import subprocess
 import sys
 import time
@@ -382,6 +383,23 @@ def test_census_forks_no_more_children_than_items_beyond_the_first(capsys, monke
     assert forks == [1]
     census_lines(capsys, "-n", "6")  # 16 edge counts: eight shares, seven children
     assert len(forks) == 1 + 7
+    _no_child_left()
+
+
+def test_census_worker_killed_by_a_signal_exits_3(capsys, monkeypatch):
+    # the one child sends itself SIGKILL, as the OOM killer would
+    share = cli.class_share
+
+    def killed(n, w, shares):
+        if w:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return share(n, w, shares)
+
+    monkeypatch.setattr(cli, "class_share", killed)
+    monkeypatch.setenv("KOSZUL_THREADS", "2")
+    assert run(capsys, "census", "-n", "2") == (
+        3, "", "resource limit: census worker 1 was killed by SIGKILL\n"
+    )
     _no_child_left()
 
 

@@ -1,6 +1,8 @@
 import gc
 import itertools
+import math
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -265,3 +267,21 @@ def test_ideal_cache_shares_pieces_and_lets_contexts_go():
     del ctx, u, first, again
     gc.collect()
     assert gone() is None
+
+
+def test_annihilator_reads_the_products_not_the_generator_maps():
+    # the annihilator of a0 + ... + a9 in the exterior algebra on ten
+    # generators is (b), of dimension C(9, n - 1) in degree n; built from
+    # the d dense generator maps at p = 3 it peaked at 14.9 MB, from the
+    # stored products 1.5 MB
+    ctx = build_algebra(complete(10), 3)
+    b = from_coeffs(ctx, 1, [1] * 10)
+    tracemalloc.start()
+    try:
+        ann = annihilator(ctx, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [ann.piece(n).rank for n in range(1, 11)] == [math.comb(9, n - 1) for n in range(1, 11)]
+    assert "gen_maps" not in vars(ctx)
+    assert peak < 5 * 10**6, peak
