@@ -272,8 +272,8 @@ def test_ideal_cache_shares_pieces_and_lets_contexts_go():
 def test_annihilator_reads_the_products_not_the_generator_maps():
     # the annihilator of a0 + ... + a9 in the exterior algebra on ten
     # generators is (b), of dimension C(9, n - 1) in degree n; built from
-    # the d dense generator maps at p = 3 it peaked at 14.9 MB, from the
-    # stored products 1.5 MB
+    # the d dense generator maps at p = 3 it peaked at 15.7 MB, from the
+    # stored products at 2.0 MB
     ctx = build_algebra(complete(10), 3)
     b = from_coeffs(ctx, 1, [1] * 10)
     tracemalloc.start()
